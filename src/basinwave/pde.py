@@ -19,6 +19,11 @@ trapezoidal corrector sweeps that re-evaluate coefficients, the reaction
 factor, and the boundary velocity at the average of old and new states.
 The stiff reactant annihilation is integrated with its exact per-step
 integrating factor so psi stays non-negative for any dt.
+
+Each sweep solves one linear system per field. The one-sided bottom rows
+(the Robin condition for phi, the flux divergence for psi) put a single
+entry outside the tridiagonal band; one row operation against row 1
+cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import (
     DEFAULT_EXP_CLAMP,
@@ -61,24 +66,13 @@ _DT_RECOVERY_STEPS = 20
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Full field snapshot captured during a run."""
-
-    t: float
-    h: float
-    x: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Sampled (t, h, dh/dt) history of a simulation."""
 
     t: np.ndarray
     h: np.ndarray
     hdot: np.ndarray
-    snapshots: list[Snapshot] = field(default_factory=list)
+    snapshots: list[BasinState] = field(default_factory=list)
     final_state: BasinState | None = None
 
 
@@ -118,47 +112,44 @@ def hdot(state: BasinState, params: BasinParams) -> float:
     return _hdot_from(state.phi, state.h, params, dx)
 
 
-def _phi_operator(phi_c, h_c, hdot_c, params, x, dx):
-    """Tridiagonal coefficients of the linearized porosity operator.
-
-    Coefficients are frozen at the state (phi_c, h_c, hdot_c); rows 0 and
-    N-1 are left zero for the boundary closures.
-    """
+def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx):
+    """Half-node permeabilities and interior advection shared by both operators."""
     k_half = permeability_factor(0.5 * (phi_c[:-1] + phi_c[1:]), params)
+    adv = _ADVECTION_SIGN * x[1:-1] * hdot_c / (2.0 * h_c * dx)
+    return k_half, adv
+
+
+def _phi_operator(k_half, adv, h_c, params, dx):
+    """Linearized porosity operator on interior rows 1..N-2, as (lo, di, up).
+
+    Coefficients are frozen through ``k_half`` and ``adv`` from
+    :func:`_frozen_coefficients`; the boundary rows belong to the closures.
+    """
     inv = 1.0 / (h_c * dx)
-    a = params.lam * inv
-    lo = np.zeros_like(phi_c)
-    di = np.zeros_like(phi_c)
-    up = np.zeros_like(phi_c)
-    up[1:-1] = a * k_half[1:] * (inv - 0.5)
-    lo[1:-1] = a * k_half[:-1] * (inv + 0.5)
-    di[1:-1] = -a * (k_half[1:] * (inv + 0.5) + k_half[:-1] * (inv - 0.5))
-    adv = _ADVECTION_SIGN * x * hdot_c / (2.0 * h_c * dx)
-    up[1:-1] += adv[1:-1]
-    lo[1:-1] -= adv[1:-1]
+    k_up = (params.lam * inv) * k_half[1:]
+    k_lo = (params.lam * inv) * k_half[:-1]
+    up = k_up * (inv - 0.5) + adv
+    lo = k_lo * (inv + 0.5) - adv
+    di = -(k_up * (inv + 0.5) + k_lo * (inv - 0.5))
     return lo, di, up
 
 
-def _psi_operator(phi_c, h_c, hdot_c, params, x, dx):
+def _psi_operator(phi_c, k_half, adv, h_c, params, dx):
     """Reactant transport operator: half-node flux form plus advection.
 
-    Returns (lo, di, up, row0) where row0 holds the one-sided bottom-row
-    coefficients (the bottom flux vanishes with the Robin condition, so the
-    divergence there uses second-order one-sided nodal fluxes).
+    Returns (lo, di, up, row0): interior rows as for :func:`_phi_operator`
+    and the bottom-row coefficients on nodes 0-2. The bottom flux vanishes
+    with the Robin condition, so the divergence there uses second-order
+    one-sided nodal fluxes; :func:`_solve_closed` eliminates row0[2], the
+    entry outside the tridiagonal band.
     """
     inv = 1.0 / (h_c * dx)
-    k_half = permeability_factor(0.5 * (phi_c[:-1] + phi_c[1:]), params)
     f_half = k_half * ((phi_c[1:] - phi_c[:-1]) * inv - 0.5 * (phi_c[:-1] + phi_c[1:]))
-    mu = params.lam / ((1.0 - params.phi0) * h_c * dx)
-    lo = np.zeros_like(phi_c)
-    di = np.zeros_like(phi_c)
-    up = np.zeros_like(phi_c)
-    up[1:-1] = -0.5 * mu * f_half[1:]
-    lo[1:-1] = 0.5 * mu * f_half[:-1]
-    di[1:-1] = -0.5 * mu * (f_half[1:] - f_half[:-1])
-    adv = _ADVECTION_SIGN * x * hdot_c / (2.0 * h_c * dx)
-    up[1:-1] += adv[1:-1]
-    lo[1:-1] -= adv[1:-1]
+    nu = 0.5 * params.lam / ((1.0 - params.phi0) * h_c * dx)
+    g = nu * f_half
+    up = adv - g[1:]
+    lo = g[:-1] - adv
+    di = g[:-1] - g[1:]
 
     phi_z0 = (-3.0 * phi_c[0] + 4.0 * phi_c[1] - phi_c[2]) * inv / 2.0
     phi_z1 = (phi_c[2] - phi_c[0]) * inv / 2.0
@@ -167,51 +158,55 @@ def _psi_operator(phi_c, h_c, hdot_c, params, x, dx):
     f0 = k_nodal[0] * (phi_z0 - phi_c[0])
     f1 = k_nodal[1] * (phi_z1 - phi_c[1])
     f2 = k_nodal[2] * (phi_z2 - phi_c[2])
-    nu = 0.5 * mu
     row0 = (3.0 * nu * f0, -4.0 * nu * f1, nu * f2)
     return lo, di, up, row0
 
 
 def _apply_tridiag(lo, di, up, f):
-    out = np.zeros_like(f)
-    out[1:-1] = lo[1:-1] * f[:-2] + di[1:-1] * f[1:-1] + up[1:-1] * f[2:]
-    return out
+    """Interior rows of the operator applied to the nodal field f."""
+    return lo * f[:-2] + di * f[1:-1] + up * f[2:]
 
 
-def _banded_identity_minus(theta_dt, lo, di, up, n):
-    """Banded storage (l=1, u=2) of I - theta_dt * operator, interior rows."""
-    ab = np.zeros((4, n))
-    ab[2, :] = 1.0
-    ab[2, 1:-1] -= theta_dt * di[1:-1]
-    ab[3, 0 : n - 2] = -theta_dt * lo[1 : n - 1]
-    ab[1, 2:n] = -theta_dt * up[1 : n - 1]
-    return ab
+def _solve_closed(theta_dt, lo, di, up, bottom, rhs, t_now):
+    """Solve (I - theta_dt * L) u = rhs, overwriting rhs; returns u.
 
-
-def apply_boundary_closure(ab, rhs, field_name, params, h_bc, dx):
-    """Impose boundary rows on an assembled banded system (in place).
-
-    For ``"phi"`` the bottom row becomes the Robin condition phi_z - phi = 0
-    via a second-order one-sided stencil (scaled by 2*dx*h so the row stays
-    O(1)), and the top row pins phi = phi0 exactly. For ``"psi"`` only the
-    top Dirichlet row is replaced; the bottom row belongs to the transport
-    operator.
+    Interior rows come from (lo, di, up); the top row is Dirichlet
+    (u = rhs[-1]). ``bottom`` is the full bottom row (b0, b1, b2) on nodes
+    0-2: the Robin stencil for phi (scaled by 2*dx*h so the row stays
+    O(1)) or the one-sided transport row for psi. Its b2 entry, the only
+    one outside the tridiagonal band, is cancelled by
+    row0 <- row0 - (b2/a12) row1 (right-hand side included) before
+    ``gtsv``. A zero or non-finite pivot a12, or a singular system, raises
+    :class:`StepRejected` so :func:`run_simulation` retries with a smaller dt.
     """
-    n = rhs.shape[0]
-    if field_name == "phi":
-        ab[2, 0] = -3.0 - 2.0 * dx * h_bc
-        ab[1, 1] = 4.0
-        ab[0, 2] = -1.0
-        rhs[0] = 0.0
-        top = params.phi0
-    elif field_name == "psi":
-        top = params.psi0
-    else:
-        raise ValueError(f"unknown field {field_name!r}")
-    ab[2, n - 1] = 1.0
-    ab[3, n - 2] = 0.0
-    rhs[n - 1] = top
-    return ab, rhs
+    n = rhs.size
+    dl = np.empty(n - 1)
+    d = np.empty(n)
+    du = np.empty(n - 1)
+    np.multiply(lo, -theta_dt, out=dl[:-1])
+    dl[-1] = 0.0
+    np.multiply(di, -theta_dt, out=d[1:-1])
+    d[1:-1] += 1.0
+    d[-1] = 1.0
+    np.multiply(up, -theta_dt, out=du[1:])
+
+    b0, b1, b2 = bottom
+    a12 = du[1]
+    if a12 == 0.0 or not math.isfinite(a12):
+        raise StepRejected(f"bottom-row elimination pivot is {a12!r}", time=t_now)
+    ratio = b2 / a12
+    d[0] = b0 - ratio * dl[0]
+    du[0] = b1 - ratio * d[1]
+    rhs[0] -= ratio * rhs[1]
+
+    _, _, _, u, info = dgtsv(
+        dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+    )
+    if info > 0:
+        raise StepRejected(f"singular implicit system (zero pivot at row {info})", time=t_now)
+    if info < 0:
+        raise SolverError(f"gtsv rejected argument {-info} at t = {t_now:.6g}")
+    return u
 
 
 def sigma_transform_rates(state, params, hdot_value, exp_clamp=None):
@@ -235,10 +230,12 @@ def sigma_transform_rates(state, params, hdot_value, exp_clamp=None):
     if not math.isfinite(hdot_value):
         raise SolverError("non-finite boundary velocity")
 
-    lo, di, up = _phi_operator(phi, h, hdot_value, params, x, dx)
-    dphi = _apply_tridiag(lo, di, up, phi)
-    lo_s, di_s, up_s, _row0 = _psi_operator(phi, h, hdot_value, params, x, dx)
-    dpsi = _apply_tridiag(lo_s, di_s, up_s, psi)
+    k_half, adv = _frozen_coefficients(phi, h, hdot_value, params, x, dx)
+    dphi = np.zeros_like(phi)
+    dpsi = np.zeros_like(psi)
+    dphi[1:-1] = _apply_tridiag(*_phi_operator(k_half, adv, h, params, dx), phi)
+    lo_s, di_s, up_s, _row0 = _psi_operator(phi, k_half, adv, h, params, dx)
+    dpsi[1:-1] = _apply_tridiag(lo_s, di_s, up_s, psi)
     rr = reaction_rate(x * h, h, params, exp_clamp)
     dphi[1:-1] += (params.a0 / params.beta) * rr[1:-1] * psi[1:-1]
     dpsi[1:-1] -= rr[1:-1] * psi[1:-1]
@@ -270,34 +267,32 @@ def _sweep(
     """One implicit solve with coefficients frozen at (phi_c, h_c, hdot_c).
 
     theta = 1 gives the backward-Euler predictor, theta = 1/2 a trapezoidal
-    corrector. The reactant is advanced by transport (implicit banded
+    corrector. The reactant is advanced by transport (implicit tridiagonal
     solve) followed by the exact reaction integrating factor; the porosity
     source uses the matching per-step reaction integral so the water
     released equals a0/beta times the reactant consumed.
     """
-    if np.any(phi_c <= 0.0):
-        raise StepRejected("coefficient porosity non-positive", time=t_now)
-    n = x.size
-    lo_p, di_p, up_p = _phi_operator(phi_c, h_c, hdot_c, params, x, dx)
-    rr = reaction_rate(x * h_c, h_c, params, config.exp_clamp)
+    # also catches NaN coefficients, which would otherwise reach the solve
+    if not np.all(phi_c > 0.0):
+        raise StepRejected("coefficient porosity non-positive or non-finite", time=t_now)
+    k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx)
+    theta_dt = theta * dt
+    explicit_dt = (1.0 - theta) * dt
 
     if compaction_only:
         psi_new = psi_n
         source = None
     else:
-        lo_s, di_s, up_s, row0 = _psi_operator(phi_c, h_c, hdot_c, params, x, dx)
+        lo_s, di_s, up_s, row0 = _psi_operator(phi_c, k_half, adv, h_c, params, dx)
         rhs = psi_n.copy()
         if theta < 1.0:
-            tpsi = _apply_tridiag(lo_s, di_s, up_s, psi_n)
-            tpsi[0] = row0[0] * psi_n[0] + row0[1] * psi_n[1] + row0[2] * psi_n[2]
-            rhs[:-1] += (1.0 - theta) * dt * tpsi[:-1]
-        ab = _banded_identity_minus(theta * dt, lo_s, di_s, up_s, n)
-        ab[2, 0] = 1.0 - theta * dt * row0[0]
-        ab[1, 1] = -theta * dt * row0[1]
-        ab[0, 2] = -theta * dt * row0[2]
-        apply_boundary_closure(ab, rhs, "psi", params, h_bc, dx)
-        psi_transported = solve_banded((1, 2), ab, rhs)
+            rhs[0] += explicit_dt * (row0[0] * psi_n[0] + row0[1] * psi_n[1] + row0[2] * psi_n[2])
+            rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_n)
+        rhs[-1] = params.psi0
+        bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
+        psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs, t_now)
         # exact per-step reaction integral, assuming R frozen over the step
+        rr = reaction_rate(x * h_c, h_c, params, config.exp_clamp)
         consumed_fraction = -np.expm1(-rr * dt)
         source = (params.a0 / params.beta) * psi_transported * consumed_fraction / dt
         psi_new = psi_transported * np.exp(-rr * dt)
@@ -310,17 +305,18 @@ def _sweep(
                 psi_new[dust] = 0.0
         psi_new[-1] = params.psi0
 
+    lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx)
     rhs = phi_n.copy()
     if theta < 1.0:
-        lphi = _apply_tridiag(lo_p, di_p, up_p, phi_n)
-        rhs[1:-1] += (1.0 - theta) * dt * lphi[1:-1]
+        rhs[1:-1] += explicit_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
     if source is not None:
         rhs[1:-1] += dt * source[1:-1]
     if mms_eval is not None:
         rhs[1:-1] += dt * mms_eval[1:-1]
-    ab = _banded_identity_minus(theta * dt, lo_p, di_p, up_p, n)
-    apply_boundary_closure(ab, rhs, "phi", params, h_bc, dx)
-    phi_new = solve_banded((1, 2), ab, rhs)
+    rhs[0] = 0.0
+    rhs[-1] = params.phi0
+    bottom = (-3.0 - 2.0 * dx * h_bc, 4.0, -1.0)
+    phi_new = _solve_closed(theta_dt, lo_p, di_p, up_p, bottom, rhs, t_now)
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
@@ -431,7 +427,7 @@ def run_simulation(
     ts = [state.t]
     hs = [state.h]
     hds = [_hdot_from(state.phi, state.h, params, dx)]
-    snapshots: list[Snapshot] = []
+    snapshots: list[BasinState] = []
 
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-40
@@ -483,9 +479,7 @@ def run_simulation(
             while next_sample <= state.t + 1e-9 * config.output_every:
                 next_sample += config.output_every
         if next_snap is not None and state.t >= next_snap - 1e-9 * snapshot_every:
-            snapshots.append(
-                Snapshot(state.t, state.h, state.x, state.phi.copy(), state.psi.copy())
-            )
+            snapshots.append(state)
             while next_snap <= state.t + 1e-9 * snapshot_every:
                 next_snap += snapshot_every
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from basinwave import pde
-from basinwave.core import BasinState, RunConfig, derive_params, reaction_rate
+from basinwave.core import (
+    BasinState,
+    RunConfig,
+    derive_params,
+    permeability_factor,
+    reaction_rate,
+)
 from basinwave.errors import SolverError, StepRejected, ValidationError
 from basinwave.pde import (
     TimeSeries,
@@ -163,11 +169,12 @@ class TestStep:
         assert np.array_equal(with_psi.final_state.phi, without.final_state.phi)
         assert with_psi.final_state.h == without.final_state.h
 
-    def test_sweep_guard_rejects_nonpositive_coefficients(self, params_default):
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    def test_sweep_guard_rejects_nonpositive_coefficients(self, params_default, bad):
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1)
         state = initial_state(params_default, config)
         bad_coeff = state.phi.copy()
-        bad_coeff[10] = 0.0
+        bad_coeff[10] = bad
         x = state.x
         dx = x[1] - x[0]
         with pytest.raises(StepRejected):
@@ -176,6 +183,117 @@ class TestStep:
                 bad_coeff, state.h, 0.0, state.h, params_default, config,
                 None, False, 0.0,
             )
+
+    @pytest.mark.parametrize(
+        "row, value, message",
+        [(0, 0.0, "pivot"), (0, np.nan, "pivot"), (1, 0.0, "singular")],
+        ids=["zero-pivot", "nan-pivot", "singular"],
+    )
+    def test_solve_rejects_unusable_system(self, row, value, message):
+        # up[0] becomes the elimination pivot a12; lo = up = 0 with di = 1
+        # makes grid row 2 of I - L all zeros
+        n = 6
+        lo = np.full(n - 2, -1.0)
+        di = np.full(n - 2, 2.0)
+        up = np.full(n - 2, -1.0)
+        up[row] = value
+        if message == "singular":
+            lo[row], di[row] = 0.0, 1.0
+        with pytest.raises(StepRejected, match=message) as info:
+            pde._solve_closed(1.0, lo, di, up, (1.0, 0.0, 1.0), np.ones(n), 0.25)
+        assert info.value.time == 0.25
+
+
+def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
+                           p, exp_clamp, compaction_only):
+    """The sweep's linear systems assembled densely, bottom rows un-eliminated.
+
+    Written row by row from the discretization in the pde module docstring:
+    half-node conservative fluxes plus the x*hdot*d/dz advective correction,
+    the full Robin row (-3 - 2*dx*h, 4, -1) for phi, and the three-entry
+    one-sided transport row for psi, solved with a dense LU.
+    """
+    n = x.size
+    dx = 1.0 / (n - 1)
+    inv = 1.0 / (h_c * dx)
+    k_half = permeability_factor(0.5 * (phi_c[:-1] + phi_c[1:]), p)
+    f_half = k_half * ((phi_c[1:] - phi_c[:-1]) * inv - 0.5 * (phi_c[:-1] + phi_c[1:]))
+    mu = p.lam / ((1.0 - p.phi0) * h_c * dx)
+    lphi = np.zeros((n, n))
+    lpsi = np.zeros((n, n))
+    for i in range(1, n - 1):
+        adv = x[i] * hdot_c / (2.0 * h_c * dx)
+        a = p.lam * inv
+        lphi[i, i - 1] = a * k_half[i - 1] * (inv + 0.5) - adv
+        lphi[i, i] = -a * (k_half[i] * (inv + 0.5) + k_half[i - 1] * (inv - 0.5))
+        lphi[i, i + 1] = a * k_half[i] * (inv - 0.5) + adv
+        lpsi[i, i - 1] = 0.5 * mu * f_half[i - 1] - adv
+        lpsi[i, i] = -0.5 * mu * (f_half[i] - f_half[i - 1])
+        lpsi[i, i + 1] = -0.5 * mu * f_half[i] + adv
+    k_nodal = permeability_factor(phi_c[:3], p)
+    fluxes = [
+        k_nodal[0] * ((-3.0 * phi_c[0] + 4.0 * phi_c[1] - phi_c[2]) * inv / 2.0 - phi_c[0]),
+        k_nodal[1] * ((phi_c[2] - phi_c[0]) * inv / 2.0 - phi_c[1]),
+        k_nodal[2] * ((phi_c[3] - phi_c[1]) * inv / 2.0 - phi_c[2]),
+    ]
+    lpsi[0, :3] = 0.5 * mu * np.array([3.0 * fluxes[0], -4.0 * fluxes[1], fluxes[2]])
+    eye = np.eye(n)
+    rr = reaction_rate(x * h_c, h_c, p, exp_clamp)
+
+    source = np.zeros(n)
+    psi_new = psi_n
+    if not compaction_only:
+        mat = eye - theta * dt * lpsi
+        mat[-1] = eye[-1]
+        rhs = psi_n + (1.0 - theta) * dt * (lpsi @ psi_n)
+        rhs[-1] = p.psi0
+        psi_t = np.linalg.solve(mat, rhs)
+        source = (p.a0 / p.beta) * psi_t * -np.expm1(-rr * dt) / dt
+        psi_new = psi_t * np.exp(-rr * dt)
+        psi_new[-1] = p.psi0
+
+    mat = eye - theta * dt * lphi
+    mat[0] = 0.0
+    mat[0, :3] = (-3.0 - 2.0 * dx * h_bc, 4.0, -1.0)
+    mat[-1] = eye[-1]
+    rhs = phi_n + (1.0 - theta) * dt * (lphi @ phi_n) + dt * source
+    rhs[0] = 0.0
+    rhs[-1] = p.phi0
+    return np.linalg.solve(mat, rhs), psi_new
+
+
+class TestTridiagonalElimination:
+    @pytest.fixture(scope="class")
+    def reactive_states(self, params_default):
+        # past activation (h > zstar), so psi has a reaction front
+        config = RunConfig(n_nodes=256, dt=5e-3, t_end=1.5, h0=0.1, output_every=0.1)
+        series = run_simulation(params_default, config, snapshot_every=1.4)
+        return series.snapshots[0], series.final_state
+
+    @pytest.mark.parametrize("compaction_only", [False, True], ids=["reactive", "compaction"])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_sweep_matches_dense_unreduced_solve(
+        self, params_default, reactive_states, theta, compaction_only
+    ):
+        p = params_default
+        old, coeff = reactive_states
+        config = RunConfig(n_nodes=old.x.size, dt=5e-3, t_end=1.5, h0=0.1)
+        x = old.x
+        dx = 1.0 / (x.size - 1)
+        dt = 0.02
+        hdot_c = hdot(coeff, p)
+        h_c = 0.5 * (old.h + coeff.h)
+        h_bc = old.h + dt * hdot_c
+        assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
+        args = (x, old.phi, old.psi, dt, theta, coeff.phi, h_c, hdot_c, h_bc)
+        phi, psi = pde._sweep(
+            x, dx, *args[1:], p, config, None, compaction_only, old.t
+        )
+        phi_ref, psi_ref = _dense_reference_sweep(
+            *args, p, config.exp_clamp, compaction_only
+        )
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
 
 
 class TestAdvectionCorrection:
@@ -210,6 +328,7 @@ class TestRunSimulation:
         series = run_simulation(params_default, config, snapshot_every=0.5)
         assert series.t == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-9)
         assert len(series.snapshots) == 2
+        assert isinstance(series.snapshots[0], BasinState)
         assert series.snapshots[0].t == pytest.approx(0.5, abs=1e-9)
 
     def test_driver_halves_dt_on_rejection(self, params_default, monkeypatch):
