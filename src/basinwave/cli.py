@@ -16,14 +16,14 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, asymptotics, pde, verify
-from .core import BasinParams, RunConfig, check_layer_resolution, derive_params
+from .core import BasinParams, RunConfig, check_layer_resolution, derive_params, rederive
 from .errors import BasinwaveError, SolverError, ValidationError
 
 PARAM_KEYS = {
@@ -37,7 +37,6 @@ PARAM_KEYS = {
     "sdot": "sdot",
 }
 RUN_KEYS = ("n_nodes", "dt", "t_end", "h0", "output_every", "exp_clamp")
-SWEEPABLE = tuple(PARAM_KEYS) + RUN_KEYS
 _INTEGER_KEYS = {"m", "n_nodes"}
 
 
@@ -119,11 +118,17 @@ def write_manifest(out_dir: Path, subcommand: str, params, config, outputs) -> P
 
 
 def load_manifest(path: Path) -> tuple[BasinParams, RunConfig]:
-    doc = json.loads(path.read_text())
-    params = derive_params(
-        **{attr: doc["params"][key] for key, attr in PARAM_KEYS.items()}
-    )
-    return params, RunConfig(**doc["config"])
+    """Resolved inputs of a previous run; a malformed manifest is a ValidationError."""
+    try:
+        doc = json.loads(path.read_text())
+        params = derive_params(
+            **{attr: doc["params"][key] for key, attr in PARAM_KEYS.items()}
+        )
+        return params, RunConfig(**doc["config"])
+    except OSError as exc:
+        raise ValidationError(f"cannot read manifest: {exc}") from exc
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed manifest: {exc!r}") from exc
 
 
 def _fmt(value) -> str:
@@ -258,8 +263,11 @@ def _parse_sweep_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
     for axis in specs:
         key, _, values = axis.partition("=")
         key = key.strip()
-        if key not in SWEEPABLE:
-            raise ValidationError(f"cannot sweep unknown key '{key}'")
+        if key not in PARAM_KEYS:
+            raise ValidationError(
+                f"cannot sweep '{key}': axes are the physical parameters "
+                + ", ".join(PARAM_KEYS)
+            )
         if not values:
             raise ValidationError(f"sweep axis '{axis}' has no values")
         try:
@@ -277,17 +285,12 @@ def cmd_sweep(args, params, config, out_dir: Path) -> int:
     if not args.sweep:
         raise ValidationError("sweep needs at least one --sweep key=v1,v2,... axis")
     axes = _parse_sweep_axes(args.sweep)
-    base_params = params_doc(params)
 
     rows = []
     outputs = []
     keys = [k for k, _ in axes]
     for index, combo in enumerate(itertools.product(*(vals for _, vals in axes))):
-        point = dict(zip(keys, combo))
-        param_doc = dict(base_params)
-        param_doc.update({k: v for k, v in point.items() if k in PARAM_KEYS})
-        p_i = derive_params(**{attr: param_doc[key] for key, attr in PARAM_KEYS.items()})
-        c_i = replace(config, **{k: v for k, v in point.items() if k in RUN_KEYS})
+        p_i = rederive(params, **{PARAM_KEYS[k]: v for k, v in zip(keys, combo)})
         match = asymptotics.solve_c(p_i)
         point_dir = out_dir / f"point_{index:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +302,7 @@ def cmd_sweep(args, params, config, out_dir: Path) -> int:
                 _speed_rows(match),
             )
         ]
-        write_manifest(point_dir, "speed", p_i, c_i, point_outputs)
+        write_manifest(point_dir, "speed", p_i, config, point_outputs)
         rows.append((*combo, match.c, match.residual, match.iterations))
 
     outputs.append(

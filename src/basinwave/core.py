@@ -106,18 +106,17 @@ def derive_params(
     )
 
 
-def rederive(params: BasinParams) -> BasinParams:
-    """Re-derive a params object from its own raw fields (idempotent)."""
-    return derive_params(
-        lam=params.lam,
-        beta=params.beta,
-        m=params.m,
-        phi0=params.phi0,
-        psi0=params.psi0,
-        a0=params.a0,
-        zstar=params.zstar,
-        sdot=params.sdot,
-    )
+def rederive(params: BasinParams, **changes) -> BasinParams:
+    """Re-validate ``params`` with the raw fields named in ``changes`` replaced.
+
+    The derived ``phistar`` and ``A`` are recomputed by :func:`derive_params`,
+    so ``rederive(params)`` is bit-identical to ``params``.
+    """
+    raw = {
+        name: getattr(params, name)
+        for name in ("lam", "beta", "m", "phi0", "psi0", "a0", "zstar", "sdot")
+    }
+    return derive_params(**{**raw, **changes})
 
 
 def permeability_factor(phi, params: BasinParams):
@@ -170,14 +169,6 @@ class BasinState:
                     "top node must carry the fresh-sediment data phi0, psi0"
                 )
 
-    def solid_overfill(self) -> float:
-        """Max of phi + psi - 1 (physical diagnostic; positive means overfull).
-
-        Monitored rather than asserted: asymptotic profiles can graze the
-        unit-sum bound under extreme parameters.
-        """
-        return float(np.max(self.phi + self.psi) - 1.0)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -188,7 +179,6 @@ class RunConfig:
     t_end: float = 8.0
     corrector_iters: int = 2
     newton_tol: float = 1e-10
-    newton_max: int = 25
     exp_clamp: float = DEFAULT_EXP_CLAMP
     output_every: float = 0.05
     h0: float = 0.1
@@ -200,7 +190,6 @@ class RunConfig:
             ("t_end", self.t_end),
             ("corrector_iters", self.corrector_iters),
             ("newton_tol", self.newton_tol),
-            ("newton_max", self.newton_max),
             ("exp_clamp", self.exp_clamp),
             ("output_every", self.output_every),
             ("h0", self.h0),
@@ -213,11 +202,6 @@ class RunConfig:
         if self.exp_clamp > 700.0:
             raise ValidationError(
                 f"exp_clamp must be <= 700 to stay inside float range, got {self.exp_clamp}"
-            )
-        if self.corrector_iters > self.newton_max:
-            raise ValidationError(
-                f"corrector_iters ({self.corrector_iters}) exceeds newton_max "
-                f"({self.newton_max})"
             )
 
 

@@ -36,7 +36,6 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .core import (
-    DEFAULT_EXP_CLAMP,
     BasinParams,
     BasinState,
     RunConfig,
@@ -49,11 +48,6 @@ from .errors import (
     StepRejected,
     ValidationError,
 )
-
-# Sign of the fixed-grid advective correction. The manufactured-solution
-# test flips this to prove the term is load-bearing; production code never
-# changes it.
-_ADVECTION_SIGN = 1.0
 
 # Final relative corrector updates above the rejection limit ask the driver
 # for a smaller dt; above the divergence limit the solve has genuinely blown
@@ -115,7 +109,7 @@ def hdot(state: BasinState, params: BasinParams) -> float:
 def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx):
     """Half-node permeabilities and interior advection shared by both operators."""
     k_half = permeability_factor(0.5 * (phi_c[:-1] + phi_c[1:]), params)
-    adv = _ADVECTION_SIGN * x[1:-1] * hdot_c / (2.0 * h_c * dx)
+    adv = x[1:-1] * hdot_c / (2.0 * h_c * dx)
     return k_half, adv
 
 
@@ -207,44 +201,6 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs, t_now):
     if info < 0:
         raise SolverError(f"gtsv rejected argument {-info} at t = {t_now:.6g}")
     return u
-
-
-def sigma_transform_rates(state, params, hdot_value, exp_clamp=None):
-    """Semi-discrete interior right-hand sides on the fixed grid.
-
-    Returns (dphi_dt, dpsi_dt) arrays over the whole grid with the boundary
-    entries zero (those rows are owned by the closures). The rates combine
-    the half-node flux divergence, the +x*hdot*d/dz advective correction of
-    the coordinate map, and the reaction exchange terms.
-    """
-    if exp_clamp is None:
-        exp_clamp = DEFAULT_EXP_CLAMP
-    x = state.x
-    dx = _grid_spacing(x)
-    phi, psi, h = state.phi, state.psi, state.h
-    for name, arr in (("phi", phi), ("psi", psi)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SolverError(f"non-finite {name} field at node {i}")
-    if not math.isfinite(hdot_value):
-        raise SolverError("non-finite boundary velocity")
-
-    k_half, adv = _frozen_coefficients(phi, h, hdot_value, params, x, dx)
-    dphi = np.zeros_like(phi)
-    dpsi = np.zeros_like(psi)
-    dphi[1:-1] = _apply_tridiag(*_phi_operator(k_half, adv, h, params, dx), phi)
-    lo_s, di_s, up_s, _row0 = _psi_operator(phi, k_half, adv, h, params, dx)
-    dpsi[1:-1] = _apply_tridiag(lo_s, di_s, up_s, psi)
-    rr = reaction_rate(x * h, h, params, exp_clamp)
-    dphi[1:-1] += (params.a0 / params.beta) * rr[1:-1] * psi[1:-1]
-    dpsi[1:-1] -= rr[1:-1] * psi[1:-1]
-    for name, arr in (("porosity rate", dphi), ("reactant rate", dpsi)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SolverError(f"non-finite {name} at node {i}")
-    return dphi, dpsi
 
 
 def _sweep(
@@ -340,9 +296,10 @@ def step_predictor_corrector(
     porosity or negative reactant (the driver halves dt) and
     :class:`CorrectorError` when the corrector sweeps diverge.
 
-    ``extra_phi_source`` is a test hook: a callable ``(x, t) -> array``
-    added to the porosity equation (used for manufactured-solution
-    convergence measurements).
+    ``extra_phi_source`` is a manufactured forcing: a callable
+    ``(x, t) -> array`` added to the porosity equation, through which
+    :func:`basinwave.verify.manufactured_step_error` makes a known profile an
+    exact solution of the forced system.
     """
     x = state.x
     dx = _grid_spacing(x)
@@ -515,28 +472,3 @@ def estimate_wave_speed(series: TimeSeries, window_fraction: float = 0.3):
     ss_tot = float(np.sum((h - np.mean(h)) ** 2))
     fit_quality = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(fit_quality)
-
-
-def bottom_robin_residual(state: BasinState, params: BasinParams) -> float:
-    """|phi_z - phi| at the basement, measured with a third-order stencil.
-
-    The solve enforces the Robin condition through a second-order stencil;
-    measuring with a higher-order one exposes the O(dx^2) closure error.
-    """
-    dx = _grid_spacing(state.x)
-    phi = state.phi
-    phi_z = (-11.0 * phi[0] + 18.0 * phi[1] - 9.0 * phi[2] + 2.0 * phi[3]) / (
-        6.0 * dx * state.h
-    )
-    return abs(phi_z - phi[0])
-
-
-def dt_accuracy_guard(state: BasinState, params: BasinParams, safety: float = 0.5) -> float:
-    """Accuracy-motivated step seed: safety * min(h^2 dx^2 / (lam K(phi))).
-
-    This is the explicit-diffusion scale; the implicit scheme is stable far
-    beyond it, so it serves as a diagnostic/seed only.
-    """
-    dx = _grid_spacing(state.x)
-    k = permeability_factor(state.phi, params)
-    return float(safety * np.min((state.h * dx) ** 2 / (params.lam * k)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, pde
-from .core import BasinParams, BasinState, RunConfig, derive_params
+from .core import BasinParams, BasinState, RunConfig, rederive
 from .errors import ValidationError
 
 _FD_STEP = 1e-6
@@ -144,11 +144,7 @@ def residual_battery(params: BasinParams, rng_seed: int = 0, tol_solve: float = 
 
     speeds = []
     for sdot in (0.5 * params.sdot, params.sdot, 2.0 * params.sdot):
-        p_s = derive_params(
-            lam=params.lam, beta=params.beta, m=params.m, phi0=params.phi0,
-            psi0=params.psi0, a0=params.a0, zstar=params.zstar, sdot=sdot,
-        )
-        speeds.append(asymptotics.solve_c(p_s, tol=tol_solve).c)
+        speeds.append(asymptotics.solve_c(rederive(params, sdot=sdot), tol=tol_solve).c)
     min_gain = min(np.diff(speeds))
     report.add(
         "monotone_sdot_response", min_gain, 0.0, min_gain > 0.0,
@@ -263,10 +259,7 @@ def convergence_study(params: BasinParams, config: RunConfig, levels: int = 3) -
         raise ValidationError("refinement ladder needs at least 3 levels")
     report = VerificationReport()
 
-    p_mms = derive_params(
-        lam=params.lam, beta=params.beta, m=params.m, phi0=params.phi0,
-        psi0=0.0, a0=0.0, zstar=params.zstar, sdot=params.sdot,
-    )
+    p_mms = rederive(params, psi0=0.0, a0=0.0)
     errors, orders = manufactured_orders(p_mms, levels=levels)
     observed = min(orders)
     report.add(

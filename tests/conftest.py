@@ -14,6 +14,20 @@ C_MATCHED_DEFAULT = 0.24944962882133271
 C_MATCHED_PURE = 0.26593108308039328
 
 
+def bottom_robin_residual(state, params):
+    """|phi_z - phi| at the basement, measured with a third-order stencil.
+
+    The solve enforces the Robin condition through a second-order stencil;
+    measuring with a higher-order one exposes the O(dx^2) closure error.
+    """
+    dx = 1.0 / (state.x.size - 1)
+    phi = state.phi
+    phi_z = (-11.0 * phi[0] + 18.0 * phi[1] - 9.0 * phi[2] + 2.0 * phi[3]) / (
+        6.0 * dx * state.h
+    )
+    return abs(phi_z - phi[0])
+
+
 @pytest.fixture(scope="session")
 def params_default():
     return derive_params()

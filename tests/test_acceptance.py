@@ -18,13 +18,12 @@ from basinwave import asymptotics as asym
 from basinwave import pde, verify
 from basinwave.core import RunConfig, derive_params
 from basinwave.pde import (
-    bottom_robin_residual,
     estimate_wave_speed,
     initial_state,
     run_simulation,
     step_predictor_corrector,
 )
-from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE
+from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE, bottom_robin_residual
 
 
 def _line(criterion, ok, detail):

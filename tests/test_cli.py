@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from basinwave.cli import main, parse_config
-from basinwave.core import RunConfig
+from basinwave.cli import main, params_doc, parse_config
+from basinwave.core import RunConfig, derive_params
 from basinwave.errors import ValidationError
 
 
@@ -106,8 +107,12 @@ class TestSweepCommand:
     def test_missing_axis_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path / "s")]) == 1
 
-    def test_unknown_axis_rejected(self, tmp_path):
-        assert main(["sweep", "--sweep", "zz=1,2", "--out", str(tmp_path / "s")]) == 1
+    # a run control cannot change the swept matching speed
+    @pytest.mark.parametrize(
+        "axis", ["zz=1,2", "n_nodes=100,2000"], ids=["unknown", "run-control"]
+    )
+    def test_unknown_axis_rejected(self, tmp_path, axis):
+        assert main(["sweep", "--sweep", axis, "--out", str(tmp_path / "s")]) == 1
 
 
 class TestWaveCommand:
@@ -155,6 +160,29 @@ class TestExitCodes:
 
     def test_unreadable_config_is_1(self, tmp_path):
         assert main(["speed", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "{not json",
+            json.dumps({"config": asdict(RunConfig())}),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "newton_max": 25},
+                }
+            ),
+        ],
+        ids=["missing-file", "not-json", "missing-key", "unknown-config-key"],
+    )
+    def test_malformed_manifest_is_1(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        code = main(["speed", "--seed-manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_solver_failure_is_2(self, tmp_path):
         cfg = tmp_path / "env.json"

@@ -54,6 +54,12 @@ class TestDeriveParams:
         assert q.phistar == p.phistar
         assert q.A == p.A
         assert q == p
+        # overrides re-derive phistar and A exactly as a direct call does
+        q = rederive(p, m=11, sdot=2.0)
+        direct = derive_params(lam=1.3, beta=25.0, m=11, phi0=0.42, psi0=0.17, sdot=2.0)
+        assert q.phistar == direct.phistar != p.phistar
+        assert q.A == direct.A != p.A
+        assert q == direct
 
     def test_phistar_below_phi0_and_A_positive(self):
         for m in (7, 11, 40):
@@ -131,10 +137,6 @@ class TestBasinState:
         with pytest.raises(ValidationError):
             self._state(phi=phi2).validate(params_default)
 
-    def test_overfill_diagnostic(self):
-        state = self._state(phi=np.full(16, 0.8), psi=np.full(16, 0.3))
-        assert state.solid_overfill() == pytest.approx(0.1)
-
 
 class TestRunConfig:
     def test_defaults_valid(self):
@@ -149,7 +151,6 @@ class TestRunConfig:
             {"exp_clamp": 701.0},
             {"output_every": 0.0},
             {"h0": -0.1},
-            {"corrector_iters": 30, "newton_max": 25},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
