@@ -42,6 +42,8 @@ from .errors import (
 
 _POW_OVERFLOW_LIMIT = 700.0
 _MAX_ROOT_ITERS = 200
+# Stopping tolerance of both speed solvers, which must agree within 10 times it.
+_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,16 +161,16 @@ def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np
     return phi
 
 
-def solve_outer(c: float, params: BasinParams, n_points: int = 400) -> OuterProfile:
+def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     """Outer-region profile on (0, zstar], top-down adaptive integration.
 
     Porosity is integrated with an adaptive 4th/5th-order method from
-    phi(zstar) = phi0; the reactant is evaluated algebraically at each
-    output node.
+    phi(zstar) = phi0; the reactant is evaluated algebraically at each of
+    the 400 output nodes.
     """
     if params.zstar <= 0.0:
         raise ValidationError("outer region is empty: zstar must be positive")
-    zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, n_points)
+    zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
     phi_desc = _integrate_outer(c, params, zeta_desc)
     zeta = zeta_desc[::-1].copy()
     phi = phi_desc[::-1].copy()
@@ -384,7 +386,7 @@ def consistent_match_residual(c: float, params: BasinParams) -> float:
     return c * _consistent_denominator(c, params) - params.sdot * (1.0 - params.phi0)
 
 
-def _fixed_point_speed(params: BasinParams, tol: float, denominator) -> tuple[float, int]:
+def _fixed_point_speed(params: BasinParams, denominator) -> tuple[float, int]:
     target = params.sdot * (1.0 - params.phi0)
     c = target / (1.0 + params.phistar)
     for k in range(1, _MAX_ROOT_ITERS + 1):
@@ -394,13 +396,13 @@ def _fixed_point_speed(params: BasinParams, tol: float, denominator) -> tuple[fl
                 f"fixed-point denominator went non-positive at c = {c:.6g}"
             )
         c_next = target / denom
-        if abs(c_next - c) <= tol:
+        if abs(c_next - c) <= _ROOT_TOL:
             return c_next, k
         c = c_next
     raise SolverError(f"fixed-point iteration did not converge in {_MAX_ROOT_ITERS} steps")
 
 
-def _solve_speed(params: BasinParams, tol: float, residual, denominator) -> MatchResult:
+def _solve_speed(params: BasinParams, residual, denominator) -> MatchResult:
     if params.sdot <= 0.0:
         raise NoRootError(
             "matching equation has no positive root for sdot <= 0 "
@@ -426,7 +428,7 @@ def _solve_speed(params: BasinParams, tol: float, residual, denominator) -> Matc
     for bis_iters in range(1, _MAX_ROOT_ITERS + 1):
         mid = 0.5 * (lo + hi)
         g_mid = residual(mid, params)
-        if abs(g_mid) <= tol:
+        if abs(g_mid) <= _ROOT_TOL:
             c_bis = mid
             break
         if g_lo * g_mid < 0.0:
@@ -437,16 +439,16 @@ def _solve_speed(params: BasinParams, tol: float, residual, denominator) -> Matc
             break
     if c_bis is None:
         mid = 0.5 * (lo + hi)
-        if abs(residual(mid, params)) <= tol:
+        if abs(residual(mid, params)) <= _ROOT_TOL:
             c_bis = mid
         else:
             raise SolverError(
                 f"bisection stalled: residual {residual(mid, params):.3e} > tol "
-                f"{tol:.3e} after {bis_iters} iterations"
+                f"{_ROOT_TOL:.3e} after {bis_iters} iterations"
             )
 
-    c_fp, fp_iters = _fixed_point_speed(params, tol, denominator)
-    if abs(c_bis - c_fp) > 10.0 * tol:
+    c_fp, fp_iters = _fixed_point_speed(params, denominator)
+    if abs(c_bis - c_fp) > 10.0 * _ROOT_TOL:
         raise SolverError(
             f"bisection ({c_bis!r}) and fixed point ({c_fp!r}) disagree beyond 10*tol"
         )
@@ -463,19 +465,19 @@ def _solve_speed(params: BasinParams, tol: float, residual, denominator) -> Matc
     )
 
 
-def solve_c(params: BasinParams, tol: float = 1e-12) -> MatchResult:
+def solve_c(params: BasinParams) -> MatchResult:
     """Wave speed from the implicit matching equation.
 
     Primary method: safeguarded bisection on :func:`match_residual` over a
     bracket grown geometrically from (1e-6, 10*sdot] until a sign change
     (capped at 1e3*sdot). Secondary: the natural fixed-point iteration.
-    Both must agree within 10*tol. Note c < sdot in compacting regimes
+    Both must agree within 1e-11. Note c < sdot in compacting regimes
     (Phi_inf < 0); no c >= sdot assumption is made anywhere.
     """
-    return _solve_speed(params, tol, match_residual, _match_denominator)
+    return _solve_speed(params, match_residual, _match_denominator)
 
 
-def solve_c_consistent(params: BasinParams, tol: float = 1e-12) -> MatchResult:
+def solve_c_consistent(params: BasinParams) -> MatchResult:
     """Wave speed from the conservation-consistent matching variant.
 
     Same bisection/fixed-point machinery as :func:`solve_c`, applied to
@@ -483,31 +485,25 @@ def solve_c_consistent(params: BasinParams, tol: float = 1e-12) -> MatchResult:
     simulation actually selects (solid conservation forces
     c >= sdot*(1 - phi0), which the primary matching root can violate).
     """
-    return _solve_speed(params, tol, consistent_match_residual, _consistent_denominator)
+    return _solve_speed(params, consistent_match_residual, _consistent_denominator)
 
 
-def build_wave_profile(
-    match: MatchResult,
-    params: BasinParams,
-    n: int = 801,
-    seam_widths: float = 10.0,
-) -> TravellingWaveProfile:
+def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWaveProfile:
     """Stitch the three regional solutions on a shared zeta grid.
 
-    The grid spans [-zstar, zstar] (a representative front position; the
-    true lower extent grows with the basin). Region seams sit at
-    +/- min(seam_widths * ln(beta)/beta, 0.45 zstar): far enough out that
-    the inner solution is settled to double-exponential accuracy, capped so
-    all three regions survive at moderate beta*zstar. Inner eta converts
-    back through zeta = (eta - ln beta)/beta.
+    The 801-node grid spans [-zstar, zstar] (a representative front
+    position; the true lower extent grows with the basin). Region seams sit
+    at +/- min(10 ln(beta)/beta, 0.45 zstar): far enough out that the inner
+    solution is settled to double-exponential accuracy, capped so all three
+    regions survive at moderate beta*zstar. Inner eta converts back through
+    zeta = (eta - ln beta)/beta.
     """
     if params.zstar <= 0.0:
         raise ValidationError("profile needs zstar > 0")
-    if n < 51:
-        raise ValidationError("profile grid needs at least 51 nodes")
     c = match.c
     beta = params.beta
-    delta = min(seam_widths * math.log(beta) / beta, 0.45 * params.zstar)
+    delta = min(10.0 * math.log(beta) / beta, 0.45 * params.zstar)
+    n = 801
     zeta = np.linspace(-params.zstar, params.zstar, n)
     region = np.empty(n, dtype="U11")
     above = zeta > delta

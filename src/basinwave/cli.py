@@ -46,8 +46,8 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     Missing keys take the documented defaults (lambda=1, beta=21, m=7,
     phi0=0.5, psi0=0.3, a0=1, zstar=1, sdot=1; run controls from
     :class:`RunConfig`). n_nodes defaults to the reaction-layer resolution
-    rule 8*beta*(h0 + sdot*t_end). Unknown keys and type mismatches are
-    rejected.
+    rule 8*beta*(h0 + sdot*t_end). Unknown keys, type mismatches and
+    non-finite values are rejected.
     """
     try:
         doc = json.loads(text) if text.strip() else {}
@@ -64,7 +64,8 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
             raise ValidationError(
                 f"config key '{key}': expected a number, got {type(val).__name__}"
             )
-        if key in _INTEGER_KEYS and int(val) != val:
+        # is_integer() is False for NaN and infinities, where int() raises
+        if key in _INTEGER_KEYS and isinstance(val, float) and not val.is_integer():
             raise ValidationError(f"config key '{key}': expected an integer, got {val}")
 
     params = derive_params(
@@ -74,11 +75,10 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     run_kwargs = {k: doc[k] for k in RUN_KEYS if k in doc}
     auto_nodes = "n_nodes" not in run_kwargs
     if auto_nodes:
-        defaults = RunConfig(n_nodes=16)
-        h0 = run_kwargs.get("h0", defaults.h0)
-        t_end = run_kwargs.get("t_end", defaults.t_end)
+        # validates h0 and t_end before they enter the resolution rule
+        probe = RunConfig(n_nodes=16, **run_kwargs)
         run_kwargs["n_nodes"] = max(
-            16, math.ceil(8.0 * params.beta * (h0 + params.sdot * t_end))
+            16, math.ceil(8.0 * params.beta * (probe.h0 + params.sdot * probe.t_end))
         )
     else:
         run_kwargs["n_nodes"] = int(run_kwargs["n_nodes"])

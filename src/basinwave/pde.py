@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -49,6 +49,11 @@ from .errors import (
     ValidationError,
 )
 
+# Trapezoidal corrector sweeps per step; they stop early once the relative
+# update falls below the tolerance.
+_CORRECTOR_SWEEPS = 2
+_CORRECTOR_TOL = 1e-10
+
 # Final relative corrector updates above the rejection limit ask the driver
 # for a smaller dt; above the divergence limit the solve has genuinely blown
 # up and the step raises instead.
@@ -66,7 +71,6 @@ class TimeSeries:
     t: np.ndarray
     h: np.ndarray
     hdot: np.ndarray
-    snapshots: list[BasinState] = field(default_factory=list)
     final_state: BasinState | None = None
 
 
@@ -322,7 +326,7 @@ def step_predictor_corrector(
     h_p = h_pred
 
     update_norm = math.inf
-    for _ in range(config.corrector_iters):
+    for _ in range(_CORRECTOR_SWEEPS):
         hdot_p = _hdot_from(phi_p, h_p, params, dx)
         phi_bar = 0.5 * (phi_n + phi_p)
         h_bar = 0.5 * (h_n + h_p)
@@ -338,13 +342,13 @@ def step_predictor_corrector(
             abs(h_new - h_p) / abs(h_new),
         )
         phi_p, psi_p, h_p = phi_c, psi_c, h_new
-        if update_norm < config.newton_tol:
+        if update_norm < _CORRECTOR_TOL:
             break
 
     if not math.isfinite(update_norm) or update_norm > _CORRECTOR_DIVERGENCE_LIMIT:
         raise CorrectorError(
             f"corrector diverged at t = {t_n:.6g}: relative update {update_norm:.3e} "
-            f"after {config.corrector_iters} sweeps",
+            f"after {_CORRECTOR_SWEEPS} sweeps",
             update_norm=update_norm,
             time=t_n,
         )
@@ -366,7 +370,6 @@ def run_simulation(
     config: RunConfig,
     *,
     compaction_only: bool = False,
-    snapshot_every: float | None = None,
 ) -> TimeSeries:
     """March from the uniform initial column to t_end.
 
@@ -384,13 +387,11 @@ def run_simulation(
     ts = [state.t]
     hs = [state.h]
     hds = [_hdot_from(state.phi, state.h, params, dx)]
-    snapshots: list[BasinState] = []
 
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-40
     accepted_streak = 0
     next_sample = config.output_every
-    next_snap = snapshot_every
     horizon = config.t_end * (1.0 + 1e-12)
     resolution_warned = False
 
@@ -435,16 +436,11 @@ def run_simulation(
             hds.append(_hdot_from(state.phi, state.h, params, dx))
             while next_sample <= state.t + 1e-9 * config.output_every:
                 next_sample += config.output_every
-        if next_snap is not None and state.t >= next_snap - 1e-9 * snapshot_every:
-            snapshots.append(state)
-            while next_snap <= state.t + 1e-9 * snapshot_every:
-                next_snap += snapshot_every
 
     return TimeSeries(
         t=np.array(ts),
         h=np.array(hs),
         hdot=np.array(hds),
-        snapshots=snapshots,
         final_state=state,
     )
 

@@ -19,6 +19,9 @@ from .errors import ValidationError
 
 _FD_STEP = 1e-6
 
+# Grid levels of each refinement ladder; three give two convergence ratios.
+_LADDER_LEVELS = 3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -113,15 +116,15 @@ def matching_defect(c: float, params: BasinParams) -> float:
     return lhs - rhs
 
 
-def residual_battery(params: BasinParams, rng_seed: int = 0, tol_solve: float = 1e-12) -> VerificationReport:
+def residual_battery(params: BasinParams) -> VerificationReport:
     """Exact-solution residuals, first-integral scan, jump defect, and
     solver cross-agreement, each at its stated tolerance."""
     report = VerificationReport()
 
-    r = below_zone_pde_residual(params, rng_seed=rng_seed)
+    r = below_zone_pde_residual(params)
     report.add("below_zone_pde_residual", r, 1e-6, r <= 1e-6)
 
-    match = asymptotics.solve_c(params, tol=tol_solve)
+    match = asymptotics.solve_c(params)
     c = match.c
 
     r = inner_psi_ode_residual(c, params)
@@ -140,18 +143,19 @@ def residual_battery(params: BasinParams, rng_seed: int = 0, tol_solve: float = 
     report.add("matching_defect", r, 1e-9, r <= 1e-9)
 
     r = abs(match.c - match.c_fixed_point)
-    report.add("speed_solver_agreement", r, 10.0 * tol_solve, r <= 10.0 * tol_solve)
+    agreement = 10.0 * asymptotics._ROOT_TOL
+    report.add("speed_solver_agreement", r, agreement, r <= agreement)
 
     speeds = []
     for sdot in (0.5 * params.sdot, params.sdot, 2.0 * params.sdot):
-        speeds.append(asymptotics.solve_c(rederive(params, sdot=sdot), tol=tol_solve).c)
+        speeds.append(asymptotics.solve_c(rederive(params, sdot=sdot)).c)
     min_gain = min(np.diff(speeds))
     report.add(
         "monotone_sdot_response", min_gain, 0.0, min_gain > 0.0,
         note="c must increase strictly with sdot",
     )
 
-    mc = asymptotics.solve_c_consistent(params, tol=tol_solve)
+    mc = asymptotics.solve_c_consistent(params)
     gap = abs(match.c - mc.c) / mc.c
     report.add(
         "matched_vs_consistent_speed", gap, math.inf, True, tier="info",
@@ -160,15 +164,12 @@ def residual_battery(params: BasinParams, rng_seed: int = 0, tol_solve: float = 
     return report
 
 
-def cross_validate_speed(
-    params: BasinParams,
-    config: RunConfig,
-    window_fraction: float = 0.3,
-) -> VerificationReport:
+def cross_validate_speed(params: BasinParams, config: RunConfig) -> VerificationReport:
     """Run the PDE to t_end and compare the fitted boundary speed against
     the matching solve; reports the flatness and fit-quality metrics."""
     report = VerificationReport()
     series = pde.run_simulation(params, config)
+    window_fraction = 0.3
     c_num, fit_quality = pde.estimate_wave_speed(series, window_fraction)
 
     n = series.hdot.size
@@ -208,12 +209,7 @@ def cross_validate_speed(
     return report
 
 
-def manufactured_step_error(
-    params: BasinParams,
-    n_nodes: int,
-    dt: float = 1e-5,
-    h0: float = 1.0,
-) -> float:
+def manufactured_step_error(params: BasinParams, n_nodes: int) -> float:
     """Single-step max-norm error on the flux-null manufactured profile.
 
     The profile phi = phi0 e^(z - h) annihilates the compaction flux, and
@@ -223,6 +219,8 @@ def manufactured_step_error(
     """
     if params.psi0 != 0.0:
         raise ValidationError("manufactured test runs reactant-free (psi0 = 0)")
+    dt = 1e-5
+    h0 = 1.0
     x = np.linspace(0.0, 1.0, n_nodes)
 
     def exact(t):
@@ -241,26 +239,20 @@ def manufactured_step_error(
     return float(np.max(np.abs(stepped.phi - exact(dt))))
 
 
-def manufactured_orders(params: BasinParams, n_base: int = 48, levels: int = 3, dt: float = 1e-5):
+def manufactured_orders(params: BasinParams):
     """Observed convergence orders over a manufactured refinement ladder."""
-    if levels < 3:
-        raise ValidationError("refinement ladder needs at least 3 levels")
-    errors = [
-        manufactured_step_error(params, n_base * 2**k, dt=dt) for k in range(levels)
-    ]
-    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(levels - 1)]
+    errors = [manufactured_step_error(params, 48 * 2**k) for k in range(_LADDER_LEVELS)]
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(_LADDER_LEVELS - 1)]
     return errors, orders
 
 
-def convergence_study(params: BasinParams, config: RunConfig, levels: int = 3) -> VerificationReport:
+def convergence_study(params: BasinParams, config: RunConfig) -> VerificationReport:
     """Manufactured-profile spatial order, full-run Richardson ratios, and
     dt-halving sensitivity, all on the supplied (short) configuration."""
-    if levels < 3:
-        raise ValidationError("refinement ladder needs at least 3 levels")
     report = VerificationReport()
 
     p_mms = rederive(params, psi0=0.0, a0=0.0)
-    errors, orders = manufactured_orders(p_mms, levels=levels)
+    errors, orders = manufactured_orders(p_mms)
     observed = min(orders)
     report.add(
         "manufactured_order", observed, 1.9, observed >= 1.9,
@@ -268,11 +260,11 @@ def convergence_study(params: BasinParams, config: RunConfig, levels: int = 3) -
         + ", ".join(f"{e:.2e}" for e in errors),
     )
 
-    h_end = []
-    for k in range(levels):
-        cfg_k = replace(config, n_nodes=config.n_nodes * 2**k)
-        series = pde.run_simulation(params, cfg_k)
-        h_end.append(series.h[-1])
+    ladder = [
+        pde.run_simulation(params, replace(config, n_nodes=config.n_nodes * 2**k))
+        for k in range(_LADDER_LEVELS)
+    ]
+    h_end = [series.h[-1] for series in ladder]
     d1 = abs(h_end[0] - h_end[1])
     d2 = abs(h_end[1] - h_end[2])
     if d2 == 0.0 or d1 == 0.0:
@@ -286,8 +278,8 @@ def convergence_study(params: BasinParams, config: RunConfig, levels: int = 3) -
             note="monotone refinement" if monotone else "non-monotone differences",
         )
 
-    series_dt = pde.run_simulation(params, config)
+    # ladder level 0 is the run at the supplied config
     series_dt2 = pde.run_simulation(params, replace(config, dt=0.5 * config.dt))
-    shift = abs(series_dt.hdot[-1] - series_dt2.hdot[-1]) / abs(series_dt2.hdot[-1])
+    shift = abs(ladder[0].hdot[-1] - series_dt2.hdot[-1]) / abs(series_dt2.hdot[-1])
     report.add("dt_halving_hdot_shift", shift, 1e-3, shift <= 1e-3)
     return report

@@ -190,7 +190,7 @@ def test_criterion_7_reduction_equivalence(sim_pure, sim_pure_compaction_only):
 
 
 def test_criterion_8_convergence(params_default, params_pure):
-    errors, orders = verify.manufactured_orders(params_pure, n_base=48, levels=3)
+    errors, orders = verify.manufactured_orders(params_pure)
     observed = min(orders)
 
     config = RunConfig(n_nodes=288, dt=2e-3, t_end=2.0, output_every=0.1, h0=0.1)

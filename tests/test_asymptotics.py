@@ -248,7 +248,7 @@ class TestSolveC:
 @pytest.fixture(scope="module")
 def profile(params_default):
     match = asym.solve_c(params_default)
-    return match, asym.build_wave_profile(match, params_default, n=801)
+    return match, asym.build_wave_profile(match, params_default)
 
 
 class TestWaveProfile:

@@ -164,6 +164,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text",
         [
+            '{"m": NaN}',
+            '{"m": Infinity}',
+            '{"n_nodes": Infinity}',
+            '{"beta": NaN}',
+            '{"sdot": Infinity, "n_nodes": 2000}',
+            '{"lambda": NaN, "n_nodes": 2000}',
+            '{"t_end": Infinity}',
+            '{"h0": NaN}',
+        ],
+        ids=["m-nan", "m-inf", "n_nodes-inf", "beta-nan", "sdot-inf", "lambda-nan", "t_end-inf", "h0-nan"],
+    )
+    def test_nonfinite_config_is_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
             None,
             "{not json",
             json.dumps({"config": asdict(RunConfig())}),
@@ -173,8 +193,27 @@ class TestExitCodes:
                     "config": {**asdict(RunConfig()), "newton_max": 25},
                 }
             ),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "corrector_iters": 2, "newton_tol": 1e-10},
+                }
+            ),
+            json.dumps(
+                {
+                    "params": {**params_doc(derive_params()), "m": "abc"},
+                    "config": asdict(RunConfig()),
+                }
+            ),
         ],
-        ids=["missing-file", "not-json", "missing-key", "unknown-config-key"],
+        ids=[
+            "missing-file",
+            "not-json",
+            "missing-key",
+            "unknown-config-key",
+            "removed-corrector-keys",
+            "non-numeric-param",
+        ],
     )
     def test_malformed_manifest_is_1(self, tmp_path, capsys, text):
         manifest = tmp_path / "manifest.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from basinwave.core import (
-    BasinState,
     RunConfig,
     derive_params,
     permeability_factor,
@@ -38,6 +37,18 @@ class TestDeriveParams:
             {"sdot": -2.0},
             {"lam": 0.0},
             {"m": 7.5},
+            # non-finite and non-numeric values, which NaN comparisons and
+            # int(m) used to let through or turn into untyped errors
+            {"lam": math.nan},
+            {"beta": math.nan},
+            {"psi0": math.nan},
+            {"a0": math.inf},
+            {"zstar": math.nan},
+            {"sdot": math.inf},
+            {"m": math.nan},
+            {"m": math.inf},
+            {"m": "abc"},
+            {"beta": "21"},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
@@ -104,40 +115,6 @@ class TestPermeabilityFactor:
         assert permeability_factor(phi, params_default) == pytest.approx(expected, rel=1e-12)
 
 
-class TestBasinState:
-    def _state(self, n=16, **overrides):
-        fields = dict(
-            t=0.0,
-            h=1.0,
-            x=np.linspace(0.0, 1.0, n),
-            phi=np.full(n, 0.5),
-            psi=np.full(n, 0.3),
-        )
-        fields.update(overrides)
-        return BasinState(**fields)
-
-    def test_valid_state_passes(self, params_default):
-        self._state().validate(params_default)
-
-    def test_rejects_bad_grid(self):
-        x = np.linspace(0.0, 1.0, 16)
-        x[3] = x[4]
-        with pytest.raises(ValidationError):
-            self._state(x=x).validate()
-        with pytest.raises(ValidationError):
-            self._state(x=np.linspace(0.1, 1.0, 16)).validate()
-
-    def test_rejects_negative_fields_and_bad_top(self, params_default):
-        phi = np.full(16, 0.5)
-        phi[5] = -1e-9
-        with pytest.raises(ValidationError):
-            self._state(phi=phi).validate()
-        phi2 = np.full(16, 0.5)
-        phi2[-1] = 0.4
-        with pytest.raises(ValidationError):
-            self._state(phi=phi2).validate(params_default)
-
-
 class TestRunConfig:
     def test_defaults_valid(self):
         RunConfig()
@@ -151,6 +128,11 @@ class TestRunConfig:
             {"exp_clamp": 701.0},
             {"output_every": 0.0},
             {"h0": -0.1},
+            # constructed only: a run to t_end = inf would never end
+            {"t_end": math.inf},
+            {"dt": math.nan},
+            {"n_nodes": math.inf},
+            {"h0": "0.1"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

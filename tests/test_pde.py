@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,26 @@ class TestHdot:
         state = linear_top_state(p, phi_z_top=0.25)
         # 1 + (1/0.5) * 1 * (0.25 - 0.5) = 0.5
         assert hdot(state, p) == pytest.approx(0.5, rel=1e-12)
+
+
+class TestGridSpacing:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.r_[0.0, 0.1, 0.3, np.linspace(0.4, 1.0, 13)],
+            np.linspace(0.1, 1.0, 16),
+        ],
+        ids=["nonuniform", "not-from-zero"],
+    )
+    def test_stepper_rejects_bad_grid(self, params_default, x):
+        phi = np.full(x.size, params_default.phi0)
+        psi = np.full(x.size, params_default.psi0)
+        state = BasinState(t=0.0, h=1.0, x=x, phi=phi, psi=psi)
+        config = RunConfig(n_nodes=16, dt=5e-3, t_end=1.0, h0=1.0)
+        with pytest.raises(ValidationError, match="uniform grid"):
+            hdot(state, params_default)
+        with pytest.raises(ValidationError, match="uniform grid"):
+            step_predictor_corrector(state, config.dt, params_default, config)
 
 
 def transport_rates(state, params, hdot_value):
@@ -267,8 +288,8 @@ class TestTridiagonalElimination:
     def reactive_states(self, params_default):
         # past activation (h > zstar), so psi has a reaction front
         config = RunConfig(n_nodes=256, dt=5e-3, t_end=1.5, h0=0.1, output_every=0.1)
-        series = run_simulation(params_default, config, snapshot_every=1.4)
-        return series.snapshots[0], series.final_state
+        old = run_simulation(params_default, replace(config, t_end=1.4)).final_state
+        return old, run_simulation(params_default, config).final_state
 
     @pytest.mark.parametrize("compaction_only", [False, True], ids=["reactive", "compaction"])
     @pytest.mark.parametrize("theta", [1.0, 0.5])
@@ -331,11 +352,10 @@ class TestRunSimulation:
 
     def test_sampling_cadence_and_snapshots(self, params_default):
         config = RunConfig(n_nodes=64, dt=0.05, t_end=1.0, h0=0.1, output_every=0.25)
-        series = run_simulation(params_default, config, snapshot_every=0.5)
+        series = run_simulation(params_default, config)
         assert series.t == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-9)
-        assert len(series.snapshots) == 2
-        assert isinstance(series.snapshots[0], BasinState)
-        assert series.snapshots[0].t == pytest.approx(0.5, abs=1e-9)
+        assert isinstance(series.final_state, BasinState)
+        assert series.final_state.t == pytest.approx(1.0, abs=1e-9)
 
     def test_driver_halves_dt_on_rejection(self, params_default, monkeypatch):
         calls = {"n": 0}

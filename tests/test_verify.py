@@ -4,7 +4,6 @@ import pytest
 from basinwave import asymptotics as asym
 from basinwave import verify
 from basinwave.core import RunConfig, derive_params
-from basinwave.errors import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +62,24 @@ class TestCrossValidateSpeed:
 
 class TestConvergenceStudy:
     def test_manufactured_ladder(self, params_pure):
-        errors, orders = verify.manufactured_orders(params_pure, n_base=48, levels=3)
+        errors, orders = verify.manufactured_orders(params_pure)
         assert len(errors) == 3
         assert min(orders) >= 1.9
 
-    def test_levels_validated(self, params_default, short_config):
-        with pytest.raises(ValidationError):
-            verify.convergence_study(params_default, short_config, levels=2)
+    def test_each_run_is_made_once(self, params_pure, monkeypatch):
+        configs = []
+        real_run = verify.pde.run_simulation
+
+        def counting_run(params, config, **kwargs):
+            configs.append(config)
+            return real_run(params, config, **kwargs)
+
+        monkeypatch.setattr(verify.pde, "run_simulation", counting_run)
+        config = RunConfig(n_nodes=32, dt=0.01, t_end=0.1, output_every=0.05, h0=0.1)
+        verify.convergence_study(params_pure, config)
+        # three ladder levels plus the dt-halved run; level 0 is the dt-halving base
+        assert len(configs) == 4
+        assert len(set(configs)) == 4
 
     def test_study_entries_and_determinism(self, params_default):
         config = RunConfig(n_nodes=144, dt=2e-3, t_end=1.0, output_every=0.1, h0=0.1)
