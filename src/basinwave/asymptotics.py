@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import BasinParams
 from .errors import (
@@ -44,6 +43,37 @@ _POW_OVERFLOW_LIMIT = 700.0
 _MAX_ROOT_ITERS = 200
 # Stopping tolerance of both speed solvers, which must agree within 10 times it.
 _ROOT_TOL = 1e-12
+
+# Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 1980): stage nodes
+# C, stage weights A, fifth-order weights B, error weights E (fifth minus
+# fourth order, seven stages counting the FSAL derivative at the step end),
+# and the quartic dense-output matrix P of Shampine (Math. Comp. 46, 1986).
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 5, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+# Step-size controller: safety factor, bounds on the change of one step, and
+# the error exponent -1/(q+1) for the fourth-order error estimate.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
 
 
 @dataclass(frozen=True)
@@ -83,6 +113,105 @@ class MatchResult:
     iterations: int
     bracket: tuple[float, float]
     c_fixed_point: float
+
+
+def _initial_step(rhs, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
+    """First step size of Hairer, Norsett & Wanner (Solving ODEs I, Sec. II.4)."""
+    interval = abs(t_bound - t0)
+    scale = atol + abs(y0) * rtol
+    d0 = abs(y0) / scale
+    d1 = abs(f0) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = abs(f1 - f0) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: str) -> np.ndarray:
+    """Integrate the scalar ODE y' = rhs(t, y) with y(t_eval[0]) = y0 and
+    return y on every node of the monotone grid ``t_eval``.
+
+    Dormand-Prince 5(4) in plain floats with the step control of scipy's
+    RK45: the Hairer-Norsett-Wanner first step, error scaled by
+    atol + max(|y|, |y_new|) rtol, step factors within [0.2, 10], no growth
+    right after a rejection, and the last step clipped to t_eval[-1]. Each
+    accepted step is recorded and the quartic interpolant is evaluated for
+    all nodes in one pass at the end. A step that shrinks below 10 ulp of t
+    (as it does once the right-hand side turns NaN) raises SolverError.
+    """
+    t = float(t_eval[0])
+    t_bound = float(t_eval[-1])
+    direction = -1.0 if t_bound < t else 1.0
+    y = float(y0)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t_bound, direction, rtol, atol)
+    c1, c2, c3, c4, c5 = _DP_C[1:]
+    a10 = _DP_A[1][0]
+    a20, a21 = _DP_A[2][:2]
+    a30, a31, a32 = _DP_A[3][:3]
+    a40, a41, a42, a43 = _DP_A[4][:4]
+    a50, a51, a52, a53, a54 = _DP_A[5]
+    b0, _, b2, b3, b4, b5 = _DP_B
+    e0, _, e2, e3, e4, e5, e6 = _DP_E
+    starts, y_starts, steps, stages = [], [], [], []
+    while direction * (t - t_bound) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            # written so that a NaN step fails too
+            if not h_abs >= min_step:
+                raise SolverError(
+                    f"{label} integration failed: step size fell below 10 ulp at t = {t!r}"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0.0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = rhs(t + c1 * h, y + a10 * f * h)
+            k2 = rhs(t + c2 * h, y + (a20 * f + a21 * k1) * h)
+            k3 = rhs(t + c3 * h, y + (a30 * f + a31 * k1 + a32 * k2) * h)
+            k4 = rhs(t + c4 * h, y + (a40 * f + a41 * k1 + a42 * k2 + a43 * k3) * h)
+            k5 = rhs(t + c5 * h, y + (a50 * f + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4) * h)
+            y_new = y + h * (b0 * f + b2 * k2 + b3 * k3 + b4 * k4 + b5 * k5)
+            f_new = rhs(t + h, y_new)
+            err = (e0 * f + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * f_new) * h
+            error_norm = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        starts.append(t)
+        y_starts.append(y)
+        steps.append(h)
+        stages.append((f, k1, k2, k3, k4, k5, f_new))
+        t, y, f = t_new, y_new, f_new
+
+    starts = np.array(starts)
+    ends = np.append(starts[1:], t)
+    # node -> first step whose end reaches it, as solve_ivp assigns t_eval
+    i = np.searchsorted(direction * ends, direction * t_eval)
+    q = (np.array(stages) @ _DP_P)[i]
+    step = np.array(steps)[i]
+    x = (t_eval - starts[i]) / step
+    x2 = x * x
+    x3 = x2 * x
+    poly = q[:, 0] * x + q[:, 1] * x2 + q[:, 2] * x3 + q[:, 3] * (x3 * x)
+    return step * poly + np.array(y_starts)[i]
 
 
 def _inverse_permeability(phi: float, params: BasinParams) -> float:
@@ -141,21 +270,14 @@ def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np
     if c <= 0.0:
         raise ValidationError(f"outer profile needs c > 0, got {c}")
 
-    def rhs(_zeta, y):
-        return [outer_ode_rhs(y[0], c, params)]
-
-    sol = solve_ivp(
-        rhs,
-        (zeta_desc[0], zeta_desc[-1]),
-        [params.phi0],
-        t_eval=zeta_desc,
-        method="RK45",
+    phi = _rk45(
+        lambda _zeta, phi: outer_ode_rhs(phi, c, params),
+        params.phi0,
+        zeta_desc,
         rtol=1e-11,
         atol=1e-13,
+        label="outer profile",
     )
-    if not sol.success:
-        raise SolverError(f"outer profile integration failed: {sol.message}")
-    phi = sol.y[0]
     if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
         raise ProfileRangeError("outer porosity left the admissible range (0, phi0]")
     return phi
@@ -258,27 +380,22 @@ def _inner_on_nodes(c: float, params: BasinParams, C: float, eta_nodes: np.ndarr
     c_ps = c * params.phistar
     source_scale = c * params.a0 * C / params.A
 
-    def rhs(eta, y):
-        Phi = y[0]
+    def rhs(eta, Phi):
         if Phi < -600.0:
             raise StiffProfileError(
                 f"inner log-porosity underflowed (Phi = {Phi:.3g} at eta = {eta:.3g})"
             )
+        try:
+            e_Phi = math.exp(Phi)
+        except OverflowError:
+            raise StiffProfileError(
+                f"inner log-porosity overflowed (Phi = {Phi:.3g} at eta = {eta:.3g})"
+            ) from None
         s = _reaction_completion(eta, c)
-        return [(1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * math.exp(Phi))) / params.A]
+        return (1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * e_Phi)) / params.A
 
-    sol = solve_ivp(
-        rhs,
-        (eta_nodes[0], eta_nodes[-1]),
-        [phi_inf],
-        t_eval=eta_nodes,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise SolverError(f"inner profile integration failed: {sol.message}")
-    return eta_nodes, sol.y[0]
+    Phi = _rk45(rhs, phi_inf, eta_nodes, rtol=1e-10, atol=1e-12, label="inner profile")
+    return eta_nodes, Phi
 
 
 def inner_Phi_ode(
@@ -303,7 +420,7 @@ def inner_Phi_ode(
     return _inner_on_nodes(c, params, C, eta)
 
 
-def jump_residual(c: float, params: BasinParams, eta_span=None, n: int | None = None) -> float:
+def jump_residual(c: float, params: BasinParams, eta_span=None) -> float:
     """Defect of the reaction-zone jump condition.
 
     Evaluates c phistar Phi + lam phistar e^Phi (A Phi_eta - 1) at both ends
@@ -317,10 +434,9 @@ def jump_residual(c: float, params: BasinParams, eta_span=None, n: int | None = 
         return 0.0
     if eta_span is None:
         eta_span = default_inner_span(c, params)
-    if n is None:
-        # the end-node derivative comes from second-order differences; keep
-        # the sampling fine enough that its error stays below the 1e-6 scale
-        n = max(1201, int(math.ceil((eta_span[1] - eta_span[0]) * 400.0)))
+    # the end-node derivative comes from second-order differences; keep the
+    # sampling fine enough that its error stays below the 1e-6 scale
+    n = max(1201, int(math.ceil((eta_span[1] - eta_span[0]) * 400.0)))
     eta, Phi = inner_Phi_ode(c, params, C, eta_span=eta_span, n=n)
     Phi_eta = np.gradient(Phi, eta)
     bracket = (

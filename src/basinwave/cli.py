@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -23,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asymptotics, pde, verify
-from .core import BasinParams, RunConfig, check_layer_resolution, derive_params, rederive
+from .core import (
+    BasinParams,
+    RunConfig,
+    check_layer_resolution,
+    derive_params,
+    rederive,
+    resolution_nodes,
+)
 from .errors import BasinwaveError, SolverError, ValidationError
 
 PARAM_KEYS = {
@@ -77,9 +83,7 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     if auto_nodes:
         # validates h0 and t_end before they enter the resolution rule
         probe = RunConfig(n_nodes=16, **run_kwargs)
-        run_kwargs["n_nodes"] = max(
-            16, math.ceil(8.0 * params.beta * (probe.h0 + params.sdot * probe.t_end))
-        )
+        run_kwargs["n_nodes"] = max(16, resolution_nodes(params, probe))
     else:
         run_kwargs["n_nodes"] = int(run_kwargs["n_nodes"])
     config = RunConfig(**run_kwargs)

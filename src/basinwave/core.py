@@ -189,19 +189,34 @@ class RunConfig:
             )
 
 
+def resolution_nodes(params: BasinParams, config: RunConfig) -> int:
+    """Reaction-layer resolution rule ceil(8*beta*h_max), with the a-priori
+    depth bound h_max = h0 + sdot*t_end (the top cannot outrun
+    sedimentation). ``config.n_nodes`` is not read.
+
+    Raises :class:`ValidationError` when the product is not finite, as it
+    can be for finite but huge sdot or t_end.
+    """
+    needed = 8.0 * params.beta * (config.h0 + params.sdot * config.t_end)
+    if not math.isfinite(needed):
+        raise ValidationError(
+            f"resolution rule 8*beta*(h0 + sdot*t_end) is not finite for beta = "
+            f"{params.beta}, h0 = {config.h0}, sdot = {params.sdot}, t_end = {config.t_end}"
+        )
+    return math.ceil(needed)
+
+
 def check_layer_resolution(params: BasinParams, config: RunConfig) -> int:
     """Warn when the grid cannot resolve the O(1/beta) reaction zone.
 
-    Uses the a-priori depth bound h_max <= h0 + sdot*t_end (the top cannot
-    outrun sedimentation). Returns the recommended minimum node count.
+    Returns the recommended minimum node count, :func:`resolution_nodes`.
     Reactant-free runs (psi0 = 0) have no layer to resolve and never warn.
     """
-    h_bound = config.h0 + params.sdot * config.t_end
-    needed = int(math.ceil(8.0 * params.beta * h_bound))
+    needed = resolution_nodes(params, config)
     if params.psi0 > 0.0 and config.n_nodes < needed:
         warnings.warn(
             f"n_nodes = {config.n_nodes} may under-resolve the reaction zone: "
-            f"the guideline is >= 8*beta*h_max = {needed} for h_max <= {h_bound:.3g}",
+            f"the guideline is >= 8*beta*(h0 + sdot*t_end) = {needed}",
             UserWarning,
             stacklevel=2,
         )

@@ -1,9 +1,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from basinwave.core import RunConfig, derive_params
 from basinwave.pde import run_simulation
+
+# Tier-1 runs the same hypothesis examples every time.
+settings.register_profile("tier1", derandomize=True, max_examples=40, deadline=None)
+settings.load_profile("tier1")
 
 #: Wave speed of the default parameter set from the implicit matching
 #: equation, frozen from an independent 50-digit bisection on the

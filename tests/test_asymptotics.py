@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import RK45
 
 from basinwave import asymptotics as asym
 from basinwave.core import derive_params
 from basinwave.errors import (
+    BasinwaveError,
     NoRootError,
     SingularProfileError,
+    SolverError,
     StiffProfileError,
     ValidationError,
 )
@@ -286,3 +292,124 @@ class TestWaveProfile:
         phi_out = prof.phi[outer_idx[0]]
         defect = abs(phi_out - phi_in) / phi_out
         assert defect <= 2.0 * math.log(p.m) / p.m
+
+
+def _solve_ivp_rk45(rhs, y0, t_eval, rtol, atol, label):
+    """scipy's RK45 behind the signature of ``asymptotics._rk45``: the oracle."""
+    sol = solve_ivp(
+        lambda t, y: [rhs(t, y[0])],
+        (t_eval[0], t_eval[-1]),
+        [y0],
+        t_eval=t_eval,
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+    )
+    if not sol.success:
+        raise SolverError(f"{label} integration failed: {sol.message}")
+    return sol.y[0]
+
+
+def _agree(got, expected, rel):
+    return np.max(np.abs(got - expected) / np.abs(expected)) <= rel
+
+
+# default parameters and box points where both regional integrations succeed
+_BOX_POINTS = [
+    {},
+    dict(m=7, beta=10.0, phi0=0.6, psi0=0.1, sdot=1.5),
+    dict(m=20, beta=60.0, phi0=0.3, psi0=0.2, sdot=1.5),
+    dict(m=9, beta=60.0, phi0=0.55, psi0=0.4, sdot=0.5),
+    dict(m=12, beta=35.0, phi0=0.45, psi0=0.0, sdot=1.0),
+]
+
+
+@st.composite
+def box_params(draw):
+    """The validated parameter box: m 7-20, beta 10-60, phi0 0.3-0.6,
+    psi0 <= min(0.4, 1 - phi0), sdot 0.5-1.5."""
+    phi0 = draw(st.floats(0.3, 0.6))
+    return derive_params(
+        m=draw(st.integers(7, 20)),
+        beta=draw(st.floats(10.0, 60.0)),
+        phi0=phi0,
+        psi0=draw(st.floats(0.0, min(0.4, 1.0 - phi0))),
+        sdot=draw(st.floats(0.5, 1.5)),
+    )
+
+
+def _profile_outcome(match, params):
+    try:
+        return asym.build_wave_profile(match, params)
+    except BasinwaveError as exc:
+        return type(exc)
+
+
+class TestRk45:
+    def test_tableau_is_dormand_prince(self):
+        assert np.array_equal(np.array(asym._DP_C), RK45.C)
+        assert np.array_equal(np.array(asym._DP_A), RK45.A)
+        assert np.array_equal(np.array(asym._DP_B), RK45.B)
+        assert np.array_equal(np.array(asym._DP_E), RK45.E)
+        assert np.array_equal(asym._DP_P, RK45.P)
+
+    @pytest.mark.parametrize("point", _BOX_POINTS, ids=["default", "box1", "box2", "box3", "box4"])
+    def test_outer_matches_solve_ivp(self, point, monkeypatch):
+        p = derive_params(**point)
+        c = asym.solve_c_consistent(p).c
+        zeta_desc = np.linspace(p.zstar, p.zstar * 1e-6, 400)
+        got = asym._integrate_outer(c, p, zeta_desc)
+        monkeypatch.setattr(asym, "_rk45", _solve_ivp_rk45)
+        assert _agree(got, asym._integrate_outer(c, p, zeta_desc), 1e-12)
+
+    @pytest.mark.parametrize("point", _BOX_POINTS, ids=["default", "box1", "box2", "box3", "box4"])
+    def test_inner_matches_solve_ivp(self, point, monkeypatch):
+        p = derive_params(**point)
+        c = asym.solve_c(p).c
+        C = asym.inner_C(c, p)
+        eta, got = asym.inner_Phi_ode(c, p, C)
+        monkeypatch.setattr(asym, "_rk45", _solve_ivp_rk45)
+        assert _agree(got, asym.inner_Phi_ode(c, p, C)[1], 1e-12)
+
+    def test_nan_rhs_fails_like_solve_ivp(self, params_default, monkeypatch):
+        def rhs(t, y):
+            return -y if t < 0.5 else math.nan
+
+        t_eval = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(SolverError, match="test integration failed"):
+            asym._rk45(rhs, 1.0, t_eval, rtol=1e-10, atol=1e-12, label="test")
+        assert not solve_ivp(lambda t, y: [rhs(t, y[0])], (0.0, 1.0), [1.0], rtol=1e-10, atol=1e-12).success
+
+        # through the package: an outer right-hand side that turns NaN below
+        # phi = 0.49 (the default outer profile falls from 0.5 to about 0.48)
+        real_rhs = asym.outer_ode_rhs
+        monkeypatch.setattr(
+            asym, "outer_ode_rhs", lambda phi, c, p: real_rhs(phi, c, p) if phi > 0.49 else math.nan
+        )
+        with pytest.raises(SolverError, match="outer profile integration failed"):
+            asym.solve_outer(asym.solve_c(params_default).c, params_default)
+
+    def test_inner_overflow_is_typed(self):
+        # a box point where e^Phi overflows in the inner integration for both
+        # roots and for the jump check
+        p = derive_params(m=18, beta=24.51, phi0=0.48, psi0=0.06, sdot=1.18)
+        for solver in (asym.solve_c, asym.solve_c_consistent):
+            with pytest.raises(StiffProfileError, match="overflowed"):
+                asym.build_wave_profile(solver(p), p)
+        with pytest.raises(StiffProfileError, match="overflowed"):
+            asym.jump_residual(asym.solve_c(p).c, p)
+
+    @given(box_params())
+    def test_profile_matches_solve_ivp_across_box(self, params):
+        for solver in (asym.solve_c, asym.solve_c_consistent):
+            match = solver(params)
+            got = _profile_outcome(match, params)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(asym, "_rk45", _solve_ivp_rk45)
+                expected = _profile_outcome(match, params)
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert _agree(got.phi, expected.phi, 1e-12)
+                psi_scale = np.where(expected.psi == 0.0, 1.0, expected.psi)
+                assert np.max(np.abs(got.psi - expected.psi) / psi_scale) <= 1e-12

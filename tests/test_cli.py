@@ -183,6 +183,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
+        ['{"sdot": 1e308}', '{"sdot": 1e308, "n_nodes": 2000}'],
+        ids=["default-n_nodes", "given-n_nodes"],
+    )
+    def test_resolution_rule_overflow_is_1(self, tmp_path, capsys, text):
+        # finite inputs whose 8*beta*(h0 + sdot*t_end) overflows to inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
         [
             None,
             "{not json",

@@ -5,10 +5,12 @@ import pytest
 
 from basinwave.core import (
     RunConfig,
+    check_layer_resolution,
     derive_params,
     permeability_factor,
     reaction_rate,
     rederive,
+    resolution_nodes,
 )
 from basinwave.errors import ValidationError
 
@@ -138,3 +140,18 @@ class TestRunConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             RunConfig(**kwargs)
+
+
+class TestResolutionRule:
+    def test_default_rule(self, params_default):
+        # ceil(8 * 21 * (0.1 + 1 * 8)) = ceil(1360.8)
+        assert resolution_nodes(params_default, RunConfig()) == 1361
+        with pytest.warns(UserWarning, match="1361"):
+            assert check_layer_resolution(params_default, RunConfig()) == 1361
+
+    def test_overflowing_product_rejected(self):
+        huge = derive_params(sdot=1e308)
+        with pytest.raises(ValidationError, match="not finite"):
+            resolution_nodes(huge, RunConfig())
+        with pytest.raises(ValidationError, match="not finite"):
+            check_layer_resolution(huge, RunConfig(n_nodes=2000))
