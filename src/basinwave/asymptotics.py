@@ -111,7 +111,6 @@ class MatchResult:
     B: float
     residual: float
     iterations: int
-    bracket: tuple[float, float]
     c_fixed_point: float
 
 
@@ -372,8 +371,17 @@ def default_inner_span(c: float, params: BasinParams) -> tuple[float, float]:
     return (low, high)
 
 
-def _inner_on_nodes(c: float, params: BasinParams, C: float, eta_nodes: np.ndarray):
-    """Inner integration with output exactly on the requested node set."""
+def inner_Phi_ode(c: float, params: BasinParams, C: float, eta: np.ndarray) -> np.ndarray:
+    """Integrate the once-integrated inner porosity balance onto the nodes
+    ``eta`` (ascending) and return Phi there.
+
+    A Phi_eta = 1 + [B - c phistar Phi - (c a0 / A) C s(eta)] / (lam phistar e^Phi)
+
+    with s(eta) = exp(-(1/c) e^(-eta)), the exact integral of the reaction
+    term against the inner reactant profile, and Phi = Phi_inf at eta[0]
+    (where s vanishes double-exponentially, making Phi_inf a fixed point by
+    the construction of B).
+    """
     B = _B_constant(c, params)
     phi_inf = phi_infinity(c, params)
     lam_ps = params.lam * params.phistar
@@ -394,50 +402,26 @@ def _inner_on_nodes(c: float, params: BasinParams, C: float, eta_nodes: np.ndarr
         s = _reaction_completion(eta, c)
         return (1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * e_Phi)) / params.A
 
-    Phi = _rk45(rhs, phi_inf, eta_nodes, rtol=1e-10, atol=1e-12, label="inner profile")
-    return eta_nodes, Phi
+    return _rk45(rhs, phi_inf, eta, rtol=1e-10, atol=1e-12, label="inner profile")
 
 
-def inner_Phi_ode(
-    c: float,
-    params: BasinParams,
-    C: float,
-    eta_span: tuple[float, float] | None = None,
-    n: int = 1201,
-):
-    """Integrate the once-integrated inner porosity balance.
-
-    A Phi_eta = 1 + [B - c phistar Phi - (c a0 / A) C s(eta)] / (lam phistar e^Phi)
-
-    with s(eta) = exp(-(1/c) e^(-eta)), the exact integral of the reaction
-    term against the inner reactant profile, and Phi = Phi_inf at the lower
-    end (where s vanishes double-exponentially, making Phi_inf a fixed
-    point by the construction of B). Returns (eta, Phi) arrays.
-    """
-    if eta_span is None:
-        eta_span = default_inner_span(c, params)
-    eta = np.linspace(eta_span[0], eta_span[1], n)
-    return _inner_on_nodes(c, params, C, eta)
-
-
-def jump_residual(c: float, params: BasinParams, eta_span=None) -> float:
+def jump_residual(c: float, params: BasinParams) -> float:
     """Defect of the reaction-zone jump condition.
 
     Evaluates c phistar Phi + lam phistar e^Phi (A Phi_eta - 1) at both ends
-    of the integrated inner solution (Phi_eta by finite differences of the
-    numerical profile, keeping the check independent of the ODE algebra)
-    and subtracts the algebraic jump -c a0 C / A. Identically zero with no
-    reactant or no water yield.
+    of the inner solution integrated over :func:`default_inner_span`
+    (Phi_eta by finite differences of the numerical profile, keeping the
+    check independent of the ODE algebra) and subtracts the algebraic jump
+    -c a0 C / A. Identically zero with no reactant or no water yield.
     """
     C = inner_C(c, params)
     if params.a0 == 0.0 or C == 0.0:
         return 0.0
-    if eta_span is None:
-        eta_span = default_inner_span(c, params)
+    low, high = default_inner_span(c, params)
     # the end-node derivative comes from second-order differences; keep the
     # sampling fine enough that its error stays below the 1e-6 scale
-    n = max(1201, int(math.ceil((eta_span[1] - eta_span[0]) * 400.0)))
-    eta, Phi = inner_Phi_ode(c, params, C, eta_span=eta_span, n=n)
+    eta = np.linspace(low, high, max(1201, int(math.ceil((high - low) * 400.0))))
+    Phi = inner_Phi_ode(c, params, C, eta)
     Phi_eta = np.gradient(Phi, eta)
     bracket = (
         c * params.phistar * Phi
@@ -448,6 +432,13 @@ def jump_residual(c: float, params: BasinParams, eta_span=None) -> float:
 
 
 def _match_denominator(c: float, params: BasinParams) -> float:
+    """Denominator of the wave-speed selection equation.
+
+    With Phi_inf = ln(c/lam) substituted, the matching of outer and inner
+    flux invariants reduces to
+
+        c [1 + phistar - phistar ln(c/lam) + a0 C(c) / A] = sdot (1 - phi0).
+    """
     return (
         1.0
         + params.phistar
@@ -456,31 +447,8 @@ def _match_denominator(c: float, params: BasinParams) -> float:
     )
 
 
-def match_residual(c: float, params: BasinParams) -> float:
-    """Residual of the wave-speed selection equation.
-
-    With Phi_inf = ln(c/lam) substituted, the matching of outer and inner
-    flux invariants reduces to
-
-        c [1 + phistar - phistar ln(c/lam) + a0 C(c) / A] = sdot (1 - phi0).
-    """
-    if c <= 0.0:
-        raise ValidationError(f"wave speed must be positive, got {c}")
-    return c * _match_denominator(c, params) - params.sdot * (1.0 - params.phi0)
-
-
 def _consistent_denominator(c: float, params: BasinParams) -> float:
-    phi_inf = math.log(c / params.lam)
-    return (
-        1.0
-        - params.phistar
-        - (params.phistar / params.m) * (phi_inf - 1.0)
-        + params.a0 * inner_C(c, params) / (params.A * params.m)
-    )
-
-
-def consistent_match_residual(c: float, params: BasinParams) -> float:
-    """Residual of the conservation-consistent matching variant.
+    """Denominator of the conservation-consistent matching variant.
 
     Carrying the exact relation
 
@@ -495,11 +463,15 @@ def consistent_match_residual(c: float, params: BasinParams) -> float:
 
     whose root honors global solid conservation (c >= sdot (1 - phi0)) and
     tracks the simulated late-time boundary speed. Kept as a diagnostic
-    beside :func:`match_residual`.
+    beside :func:`_match_denominator`.
     """
-    if c <= 0.0:
-        raise ValidationError(f"wave speed must be positive, got {c}")
-    return c * _consistent_denominator(c, params) - params.sdot * (1.0 - params.phi0)
+    phi_inf = math.log(c / params.lam)
+    return (
+        1.0
+        - params.phistar
+        - (params.phistar / params.m) * (phi_inf - 1.0)
+        + params.a0 * inner_C(c, params) / (params.A * params.m)
+    )
 
 
 def _fixed_point_speed(params: BasinParams, denominator) -> tuple[float, int]:
@@ -518,7 +490,14 @@ def _fixed_point_speed(params: BasinParams, denominator) -> tuple[float, int]:
     raise SolverError(f"fixed-point iteration did not converge in {_MAX_ROOT_ITERS} steps")
 
 
-def _solve_speed(params: BasinParams, residual, denominator) -> MatchResult:
+def _solve_speed(params: BasinParams, denominator) -> MatchResult:
+    """Root of c * denominator(c) = sdot (1 - phi0) by bisection, checked
+    against the fixed-point iteration c <- sdot (1 - phi0) / denominator(c)."""
+    target = params.sdot * (1.0 - params.phi0)
+
+    def residual(c):
+        return c * denominator(c, params) - target
+
     if params.sdot <= 0.0:
         raise NoRootError(
             "matching equation has no positive root for sdot <= 0 "
@@ -526,24 +505,23 @@ def _solve_speed(params: BasinParams, residual, denominator) -> MatchResult:
         )
     lo = 1e-6
     hi = 10.0 * params.sdot
-    g_lo = residual(lo, params)
-    g_hi = residual(hi, params)
+    g_lo = residual(lo)
+    g_hi = residual(hi)
     while g_lo * g_hi > 0.0 and hi < 1e3 * params.sdot:
         hi *= 2.0
-        g_hi = residual(hi, params)
+        g_hi = residual(hi)
     if g_lo * g_hi > 0.0:
         raise NoRootError(
             f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})",
             bracket=(lo, hi),
             residuals=(g_lo, g_hi),
         )
-    bracket = (lo, hi)
 
     c_bis = None
     bis_iters = 0
     for bis_iters in range(1, _MAX_ROOT_ITERS + 1):
         mid = 0.5 * (lo + hi)
-        g_mid = residual(mid, params)
+        g_mid = residual(mid)
         if abs(g_mid) <= _ROOT_TOL:
             c_bis = mid
             break
@@ -555,11 +533,11 @@ def _solve_speed(params: BasinParams, residual, denominator) -> MatchResult:
             break
     if c_bis is None:
         mid = 0.5 * (lo + hi)
-        if abs(residual(mid, params)) <= _ROOT_TOL:
+        if abs(residual(mid)) <= _ROOT_TOL:
             c_bis = mid
         else:
             raise SolverError(
-                f"bisection stalled: residual {residual(mid, params):.3e} > tol "
+                f"bisection stalled: residual {residual(mid):.3e} > tol "
                 f"{_ROOT_TOL:.3e} after {bis_iters} iterations"
             )
 
@@ -574,9 +552,8 @@ def _solve_speed(params: BasinParams, residual, denominator) -> MatchResult:
         Phi_inf=phi_infinity(c_bis, params),
         C=inner_C(c_bis, params),
         B=_B_constant(c_bis, params),
-        residual=residual(c_bis, params),
+        residual=residual(c_bis),
         iterations=bis_iters + fp_iters,
-        bracket=bracket,
         c_fixed_point=c_fp,
     )
 
@@ -584,24 +561,25 @@ def _solve_speed(params: BasinParams, residual, denominator) -> MatchResult:
 def solve_c(params: BasinParams) -> MatchResult:
     """Wave speed from the implicit matching equation.
 
-    Primary method: safeguarded bisection on :func:`match_residual` over a
-    bracket grown geometrically from (1e-6, 10*sdot] until a sign change
-    (capped at 1e3*sdot). Secondary: the natural fixed-point iteration.
+    Primary method: safeguarded bisection on the residual
+    c * :func:`_match_denominator` - sdot (1 - phi0) over a bracket grown
+    geometrically from (1e-6, 10*sdot] until a sign change (capped at
+    1e3*sdot). Secondary: the natural fixed-point iteration.
     Both must agree within 1e-11. Note c < sdot in compacting regimes
     (Phi_inf < 0); no c >= sdot assumption is made anywhere.
     """
-    return _solve_speed(params, match_residual, _match_denominator)
+    return _solve_speed(params, _match_denominator)
 
 
 def solve_c_consistent(params: BasinParams) -> MatchResult:
     """Wave speed from the conservation-consistent matching variant.
 
     Same bisection/fixed-point machinery as :func:`solve_c`, applied to
-    :func:`consistent_match_residual`. This is the speed a resolved
+    :func:`_consistent_denominator`. This is the speed a resolved
     simulation actually selects (solid conservation forces
     c >= sdot*(1 - phi0), which the primary matching root can violate).
     """
-    return _solve_speed(params, consistent_match_residual, _consistent_denominator)
+    return _solve_speed(params, _consistent_denominator)
 
 
 def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWaveProfile:
@@ -644,7 +622,7 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     span = default_inner_span(c, params)
     eta_lo = min(span[0], eta_inner[0] - 2.0)
     eta_grid = np.concatenate(([eta_lo], eta_inner))
-    _eta, Phi = _inner_on_nodes(c, params, match.C, eta_grid)
+    Phi = inner_Phi_ode(c, params, match.C, eta_grid)
     phi[inner] = phi_from_Phi(Phi[1:], params)
     psi[inner] = inner_psi(eta_inner, c, match.C)
 

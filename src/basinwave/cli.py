@@ -42,7 +42,7 @@ PARAM_KEYS = {
     "zstar": "zstar",
     "sdot": "sdot",
 }
-RUN_KEYS = ("n_nodes", "dt", "t_end", "h0", "output_every", "exp_clamp")
+RUN_KEYS = ("n_nodes", "dt", "t_end", "h0", "output_every")
 _INTEGER_KEYS = {"m", "n_nodes"}
 
 
@@ -331,8 +331,16 @@ def cmd_sweep(args, params, config, out_dir: Path) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other config error, since exit 2
+    means a solver failure."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="basinwave",
         description="Reactive compaction in a sedimenting porous column: "
         "moving-boundary simulation and traveling-wave analysis.",
@@ -343,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", type=Path, default=Path("basinwave_out"), help="output directory"
     )
-    common.add_argument("--plot", action="store_true", help="emit a gnuplot script")
     common.add_argument(
         "--seed-manifest", type=Path, help="re-run from a previous manifest.json"
     )
@@ -358,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[common], help=desc)
         p.set_defaults(func=func)
+        if name in ("simulate", "wave", "sweep"):
+            p.add_argument("--plot", action="store_true", help="emit a gnuplot script")
         if name == "sweep":
             p.add_argument(
                 "--sweep",

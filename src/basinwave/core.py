@@ -14,16 +14,16 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
 
-#: Default clamp for exponent arguments in the reaction kernel. Once the
-#: rate exceeds e^50 the reactant is annihilated within any step, so a
-#: larger cap only risks overflow without changing results.
-DEFAULT_EXP_CLAMP = 50.0
+# Clamp for exponent arguments in the reaction kernel. Once the rate
+# exceeds e^50 the reactant is annihilated within any step, so a larger cap
+# only risks overflow without changing results.
+_EXP_CLAMP = 50.0
 
 #: beta below this is flagged: the reaction-zone analysis assumes beta >> 1.
 BETA_VALIDITY_FLOOR = 10.0
@@ -135,15 +135,15 @@ def permeability_factor(phi, params: BasinParams):
     return np.exp(params.m * np.log(phi / params.phi0))
 
 
-def reaction_rate(z, h, params: BasinParams, exp_clamp: float = DEFAULT_EXP_CLAMP):
+def reaction_rate(z, h, params: BasinParams):
     """Arrhenius-like dehydration rate e^{beta (h - z - zstar)}.
 
-    The exponent argument is clamped to ``[-exp_clamp, +exp_clamp]``; the
-    value is exact whenever the clamp is inactive. Equals 1 on the reaction
-    front z = h - zstar. Accepts scalars or arrays.
+    The exponent argument is clamped to [-50, 50]; the value is exact
+    whenever the clamp is inactive. Equals 1 on the reaction front
+    z = h - zstar. Accepts scalars or arrays.
     """
     arg = params.beta * (np.asarray(h, dtype=float) - np.asarray(z, dtype=float) - params.zstar)
-    return np.exp(np.clip(arg, -exp_clamp, exp_clamp))
+    return np.exp(np.clip(arg, -_EXP_CLAMP, _EXP_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -164,29 +164,23 @@ class RunConfig:
     n_nodes: int = 1056
     dt: float = 2e-3
     t_end: float = 8.0
-    exp_clamp: float = DEFAULT_EXP_CLAMP
     output_every: float = 0.05
     h0: float = 0.1
 
     def __post_init__(self):
-        positive = (
-            ("n_nodes", self.n_nodes),
-            ("dt", self.dt),
-            ("t_end", self.t_end),
-            ("exp_clamp", self.exp_clamp),
-            ("output_every", self.output_every),
-            ("h0", self.h0),
-        )
-        for name, value in positive:
-            # an infinite t_end would never end the run
-            if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-                raise ValidationError(f"config field {name} must be positive and finite, got {value!r}")
-        if self.n_nodes < 16:
-            raise ValidationError(f"n_nodes must be >= 16, got {self.n_nodes}")
-        if self.exp_clamp > 700.0:
-            raise ValidationError(
-                f"exp_clamp must be <= 700 to stay inside float range, got {self.exp_clamp}"
-            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an Integral; an infinite t_end would never end the run
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ValidationError(f"config field {f.name} must be positive and finite, got {value!r}")
+        if not isinstance(self.n_nodes, numbers.Integral) or self.n_nodes < 16:
+            raise ValidationError(f"n_nodes must be an integer >= 16, got {self.n_nodes!r}")
+
+
+def layer_nodes(params: BasinParams, h: float) -> float:
+    """Nodes needed to resolve the O(1/beta) reaction zone in a column of
+    depth h: 8*beta*h, eight nodes per layer width."""
+    return 8.0 * params.beta * h
 
 
 def resolution_nodes(params: BasinParams, config: RunConfig) -> int:
@@ -197,7 +191,7 @@ def resolution_nodes(params: BasinParams, config: RunConfig) -> int:
     Raises :class:`ValidationError` when the product is not finite, as it
     can be for finite but huge sdot or t_end.
     """
-    needed = 8.0 * params.beta * (config.h0 + params.sdot * config.t_end)
+    needed = layer_nodes(params, config.h0 + params.sdot * config.t_end)
     if not math.isfinite(needed):
         raise ValidationError(
             f"resolution rule 8*beta*(h0 + sdot*t_end) is not finite for beta = "

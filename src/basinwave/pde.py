@@ -39,6 +39,7 @@ from .core import (
     BasinParams,
     BasinState,
     RunConfig,
+    layer_nodes,
     permeability_factor,
     reaction_rate,
 )
@@ -219,7 +220,6 @@ def _sweep(
     hdot_c,
     h_bc,
     params,
-    config,
     mms_eval,
     compaction_only,
     t_now,
@@ -252,7 +252,7 @@ def _sweep(
         bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
         psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs, t_now)
         # exact per-step reaction integral, assuming R frozen over the step
-        rr = reaction_rate(x * h_c, h_c, params, config.exp_clamp)
+        rr = reaction_rate(x * h_c, h_c, params)
         consumed_fraction = -np.expm1(-rr * dt)
         source = (params.a0 / params.beta) * psi_transported * consumed_fraction / dt
         psi_new = psi_transported * np.exp(-rr * dt)
@@ -289,7 +289,6 @@ def step_predictor_corrector(
     state: BasinState,
     dt: float,
     params: BasinParams,
-    config: RunConfig,
     *,
     extra_phi_source=None,
     compaction_only: bool = False,
@@ -321,7 +320,7 @@ def step_predictor_corrector(
     h_pred = h_n + dt * hdot_n
     phi_p, psi_p = _sweep(
         x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred,
-        params, config, mms(1.0), compaction_only, t_n,
+        params, mms(1.0), compaction_only, t_n,
     )
     h_p = h_pred
 
@@ -334,7 +333,7 @@ def step_predictor_corrector(
         h_new = h_n + dt * hdot_bar
         phi_c, psi_c = _sweep(
             x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
-            params, config, mms(0.5), compaction_only, t_n,
+            params, mms(0.5), compaction_only, t_n,
         )
         update_norm = max(
             _rel_change(phi_c, phi_p),
@@ -398,7 +397,7 @@ def run_simulation(
     while state.t + dt_cur <= horizon:
         try:
             state = step_predictor_corrector(
-                state, dt_cur, params, config, compaction_only=compaction_only
+                state, dt_cur, params, compaction_only=compaction_only
             )
         except StepRejected as exc:
             dt_cur *= 0.5
@@ -420,11 +419,11 @@ def run_simulation(
             not resolution_warned
             and params.psi0 > 0.0
             and state.h > params.zstar
-            and config.n_nodes < 8.0 * params.beta * state.h
+            and config.n_nodes < layer_nodes(params, state.h)
         ):
             warnings.warn(
                 f"reaction layer under-resolved at t = {state.t:.4g}: "
-                f"n_nodes = {config.n_nodes} < 8*beta*h = {8.0 * params.beta * state.h:.0f}",
+                f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
                 UserWarning,
                 stacklevel=2,
             )

@@ -14,10 +14,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, pde
-from .core import BasinParams, BasinState, RunConfig, rederive
+from .core import BasinParams, BasinState, RunConfig, layer_nodes, rederive
 from .errors import ValidationError
 
 _FD_STEP = 1e-6
+
+# Sample counts of the two finite-difference residual scans.
+_DRAINAGE_SAMPLES = 100
+_INNER_PSI_SAMPLES = 200
 
 # Grid levels of each refinement ladder; three give two convergence ratios.
 _LADDER_LEVELS = 3
@@ -76,12 +80,12 @@ def _central_fd(f, u, step):
     return (f(u + step) - f(u - step)) / (2.0 * step)
 
 
-def below_zone_pde_residual(params: BasinParams, n_samples: int = 100, rng_seed: int = 0) -> float:
+def below_zone_pde_residual(params: BasinParams, rng_seed: int = 0) -> float:
     """Max finite-difference residual of Phi_t + lam e^Phi Phi_z at random
     (z, t) samples; the drainage solution satisfies it identically."""
     rng = np.random.default_rng(rng_seed)
-    z = rng.uniform(0.0, 5.0, n_samples)
-    t = rng.uniform(0.0, 5.0, n_samples)
+    z = rng.uniform(0.0, 5.0, _DRAINAGE_SAMPLES)
+    t = rng.uniform(0.0, 5.0, _DRAINAGE_SAMPLES)
     worst = 0.0
     for zi, ti in zip(z, t):
         phi_t = _central_fd(lambda u: asymptotics.below_zone_Phi(zi, u, params), ti, _FD_STEP * (1 + ti))
@@ -91,11 +95,11 @@ def below_zone_pde_residual(params: BasinParams, n_samples: int = 100, rng_seed:
     return worst
 
 
-def inner_psi_ode_residual(c: float, params: BasinParams, n_samples: int = 200) -> float:
+def inner_psi_ode_residual(c: float, params: BasinParams) -> float:
     """Max finite-difference residual of c psi_eta = e^(-eta) psi."""
     C = asymptotics.inner_C(c, params)
     worst = 0.0
-    for eta in np.linspace(-3.0, 10.0, n_samples):
+    for eta in np.linspace(-3.0, 10.0, _INNER_PSI_SAMPLES):
         psi_eta = _central_fd(lambda u: float(asymptotics.inner_psi(u, c, C)), eta, _FD_STEP)
         psi = float(asymptotics.inner_psi(eta, c, C))
         worst = max(worst, abs(c * psi_eta - math.exp(-eta) * psi))
@@ -146,9 +150,11 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     agreement = 10.0 * asymptotics._ROOT_TOL
     report.add("speed_solver_agreement", r, agreement, r <= agreement)
 
-    speeds = []
-    for sdot in (0.5 * params.sdot, params.sdot, 2.0 * params.sdot):
-        speeds.append(asymptotics.solve_c(rederive(params, sdot=sdot)).c)
+    speeds = [
+        asymptotics.solve_c(rederive(params, sdot=0.5 * params.sdot)).c,
+        c,
+        asymptotics.solve_c(rederive(params, sdot=2.0 * params.sdot)).c,
+    ]
     min_gain = min(np.diff(speeds))
     report.add(
         "monotone_sdot_response", min_gain, 0.0, min_gain > 0.0,
@@ -183,7 +189,7 @@ def cross_validate_speed(params: BasinParams, config: RunConfig) -> Verification
         "reaction_activated", h_max - params.zstar, 0.0, activated, tier="info",
         note="reaction never activated (basin shallower than zstar)" if not activated else "",
     )
-    needed = 8.0 * params.beta * h_max
+    needed = layer_nodes(params, h_max)
     report.add(
         "layer_resolution", config.n_nodes - needed, 0.0, config.n_nodes >= needed,
         tier="info", note=f"resolution rule wants n_nodes >= {needed:.0f}",
@@ -232,9 +238,8 @@ def manufactured_step_error(params: BasinParams, n_nodes: int) -> float:
         )
 
     state = BasinState(t=0.0, h=h0, x=x, phi=exact(0.0), psi=np.zeros(n_nodes))
-    config = RunConfig(n_nodes=n_nodes, dt=dt, t_end=dt, h0=h0)
     stepped = pde.step_predictor_corrector(
-        state, dt, params, config, extra_phi_source=source, compaction_only=True
+        state, dt, params, extra_phi_source=source, compaction_only=True
     )
     return float(np.max(np.abs(stepped.phi - exact(dt))))
 

@@ -39,7 +39,7 @@ def _trailing_spread(series, fraction=0.3):
 
 def test_criterion_1_exact_solution_residuals(params_default):
     start = time.perf_counter()
-    drainage = verify.below_zone_pde_residual(params_default, n_samples=100, rng_seed=7)
+    drainage = verify.below_zone_pde_residual(params_default, rng_seed=7)
     c = asym.solve_c(params_default).c
     reactant = verify.inner_psi_ode_residual(c, params_default)
     elapsed = time.perf_counter() - start
@@ -222,7 +222,7 @@ def test_criterion_9_positivity_and_boundary_fidelity(params_default):
     steps = 0
     while state.t + dt <= config.t_end:
         try:
-            state = step_predictor_corrector(state, dt, p, config)
+            state = step_predictor_corrector(state, dt, p)
         except pde.StepRejected:
             dt *= 0.5
             continue

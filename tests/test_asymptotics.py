@@ -168,13 +168,15 @@ class TestInnerPorosity:
         p = params_default
         c = 0.25
         phi_inf = asym.phi_infinity(c, p)
-        eta, Phi = asym.inner_Phi_ode(c, p, C=0.0)
+        eta = np.linspace(*asym.default_inner_span(c, p), 1201)
+        Phi = asym.inner_Phi_ode(c, p, 0.0, eta)
         assert np.max(np.abs(Phi - phi_inf)) <= 1e-9
 
     def test_lower_end_pinned_at_far_field(self, params_default):
         p = params_default
         c = asym.solve_c(p).c
-        eta, Phi = asym.inner_Phi_ode(c, p, C=asym.inner_C(c, p))
+        eta = np.linspace(*asym.default_inner_span(c, p), 1201)
+        Phi = asym.inner_Phi_ode(c, p, asym.inner_C(c, p), eta)
         phi_inf = asym.phi_infinity(c, p)
         assert Phi[0] == phi_inf
         assert abs(Phi[np.searchsorted(eta, eta[0] + 2.0)] - phi_inf) <= 1e-10
@@ -182,7 +184,14 @@ class TestInnerPorosity:
     def test_jump_matches_at_eta_12(self, params_default):
         p = params_default
         c = asym.solve_c(p).c
-        resid = asym.jump_residual(c, p, eta_span=(-math.log(c) - 12.0, 12.0))
+        C = asym.inner_C(c, p)
+        # jump_residual's node rule on a span ending at eta = 12
+        low, high = -math.log(c) - 12.0, 12.0
+        eta = np.linspace(low, high, max(1201, int(math.ceil((high - low) * 400.0))))
+        Phi = asym.inner_Phi_ode(c, p, C, eta)
+        Phi_eta = np.gradient(Phi, eta)
+        bracket = c * p.phistar * Phi + p.lam * p.phistar * np.exp(Phi) * (p.A * Phi_eta - 1.0)
+        resid = (bracket[-1] - bracket[0]) - (-c * p.a0 * C / p.A)
         assert abs(resid) <= 1e-6
 
     def test_jump_zero_without_yield_or_reactant(self, params_default, params_pure):
@@ -367,9 +376,10 @@ class TestRk45:
         p = derive_params(**point)
         c = asym.solve_c(p).c
         C = asym.inner_C(c, p)
-        eta, got = asym.inner_Phi_ode(c, p, C)
+        eta = np.linspace(*asym.default_inner_span(c, p), 1201)
+        got = asym.inner_Phi_ode(c, p, C, eta)
         monkeypatch.setattr(asym, "_rk45", _solve_ivp_rk45)
-        assert _agree(got, asym.inner_Phi_ode(c, p, C)[1], 1e-12)
+        assert _agree(got, asym.inner_Phi_ode(c, p, C, eta), 1e-12)
 
     def test_nan_rhs_fails_like_solve_ivp(self, params_default, monkeypatch):
         def rhs(t, y):

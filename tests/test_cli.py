@@ -47,6 +47,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="bogus"):
             parse_config('{"bogus": 1, "sdot": 1.0}')
 
+    def test_removed_exp_clamp_key_rejected(self):
+        # the reaction-kernel clamp is a fixed solver constant
+        with pytest.raises(ValidationError, match="unknown config keys: exp_clamp"):
+            parse_config('{"exp_clamp": 50.0}')
+
     def test_type_mismatch_names_key(self):
         with pytest.raises(ValidationError, match="sdot"):
             parse_config('{"sdot": "fast"}')
@@ -217,6 +222,30 @@ class TestExitCodes:
                     "config": asdict(RunConfig()),
                 }
             ),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "exp_clamp": 50.0},
+                }
+            ),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "n_nodes": 100.5},
+                }
+            ),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "n_nodes": 100.0},
+                }
+            ),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "dt": True},
+                }
+            ),
         ],
         ids=[
             "missing-file",
@@ -225,6 +254,10 @@ class TestExitCodes:
             "unknown-config-key",
             "removed-corrector-keys",
             "non-numeric-param",
+            "removed-exp-clamp-key",
+            "float-n-nodes",
+            "whole-float-n-nodes",
+            "bool-dt",
         ],
     )
     def test_malformed_manifest_is_1(self, tmp_path, capsys, text):
@@ -232,6 +265,21 @@ class TestExitCodes:
         if text is not None:
             manifest.write_text(text)
         code = main(["speed", "--seed-manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["speed", "--plot"], ["verify", "--plot"], ["speed", "--bogus"], []],
+        ids=["speed-plot", "verify-plot", "unknown-flag", "no-subcommand"],
+    )
+    def test_usage_error_is_1(self, tmp_path, capsys, argv):
+        # exit 2 is the solver-failure code, so argparse's own 2 is not used
+        argv = argv and [*argv, "--out", str(tmp_path / "o")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 

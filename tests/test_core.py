@@ -95,15 +95,15 @@ class TestReactionRate:
     def test_clamp_contract(self):
         p = derive_params(beta=1000.0, zstar=0.0)
         # exponent argument beta*(h - z) = 1000
-        assert reaction_rate(0.0, 1.0, p, exp_clamp=50.0) == math.exp(50.0)
-        assert reaction_rate(2.0, 1.0, p, exp_clamp=50.0) == math.exp(-50.0)
+        assert reaction_rate(0.0, 1.0, p) == math.exp(50.0)
+        assert reaction_rate(2.0, 1.0, p) == math.exp(-50.0)
 
     def test_monotone_in_depth_and_boundary(self, params_default):
         z = np.linspace(0.0, 1.0, 50)
-        rate = reaction_rate(z, 1.0, params_default, exp_clamp=700.0)
+        rate = reaction_rate(z, 1.0, params_default)
         assert np.all(np.diff(rate) < 0.0)
         h = np.linspace(0.5, 2.0, 50)
-        rate_h = reaction_rate(0.3, h, params_default, exp_clamp=700.0)
+        rate_h = reaction_rate(0.3, h, params_default)
         assert np.all(np.diff(rate_h) > 0.0)
 
 
@@ -127,7 +127,7 @@ class TestRunConfig:
             {"n_nodes": 8},
             {"dt": 0.0},
             {"t_end": -1.0},
-            {"exp_clamp": 701.0},
+            {"n_nodes": 100.5},
             {"output_every": 0.0},
             {"h0": -0.1},
             # constructed only: a run to t_end = inf would never end
@@ -135,6 +135,8 @@ class TestRunConfig:
             {"dt": math.nan},
             {"n_nodes": math.inf},
             {"h0": "0.1"},
+            {"n_nodes": 100.0},
+            {"dt": True},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

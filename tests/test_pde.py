@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from basinwave import pde
+from basinwave import core, pde
 from basinwave.core import (
     BasinState,
     RunConfig,
@@ -74,7 +74,7 @@ class TestGridSpacing:
         with pytest.raises(ValidationError, match="uniform grid"):
             hdot(state, params_default)
         with pytest.raises(ValidationError, match="uniform grid"):
-            step_predictor_corrector(state, config.dt, params_default, config)
+            step_predictor_corrector(state, config.dt, params_default)
 
 
 def transport_rates(state, params, hdot_value):
@@ -152,7 +152,7 @@ class TestStep:
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1)
         state = initial_state(params_pure, config)
         for _ in range(20):
-            state = step_predictor_corrector(state, config.dt, params_pure, config)
+            state = step_predictor_corrector(state, config.dt, params_pure)
         assert np.all(state.psi == 0.0)
         assert not np.all(state.phi == params_pure.phi0)  # compaction acted
 
@@ -160,25 +160,25 @@ class TestStep:
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1)
         state = initial_state(params_default, config)
         for _ in range(30):
-            state = step_predictor_corrector(state, config.dt, params_default, config)
+            state = step_predictor_corrector(state, config.dt, params_default)
             assert state.phi[-1] == params_default.phi0
             assert state.psi[-1] == params_default.psi0
 
     def test_clamped_reaction_is_identity_on_psi(self, params_default, monkeypatch):
-        # shallow basin: exponent <= -exp_clamp everywhere, so the reaction
+        # shallow basin: exponent <= -_EXP_CLAMP everywhere, so the reaction
         # factor rounds to exactly 1 and psi advances by transport alone
         p = derive_params(a0=0.0, zstar=10.0)
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1)
-        assert math.exp(-math.exp(-config.exp_clamp) * config.dt) == 1.0
+        assert math.exp(-math.exp(-core._EXP_CLAMP) * config.dt) == 1.0
         state = initial_state(p, config)
         for _ in range(5):
-            state = step_predictor_corrector(state, config.dt, p, config)
-        stepped = step_predictor_corrector(state, config.dt, p, config)
+            state = step_predictor_corrector(state, config.dt, p)
+        stepped = step_predictor_corrector(state, config.dt, p)
 
         monkeypatch.setattr(
-            pde, "reaction_rate", lambda z, h, params, exp_clamp: np.zeros(np.shape(z))
+            pde, "reaction_rate", lambda z, h, params: np.zeros(np.shape(z))
         )
-        stepped_no_reaction = step_predictor_corrector(state, config.dt, p, config)
+        stepped_no_reaction = step_predictor_corrector(state, config.dt, p)
         assert np.array_equal(stepped.psi, stepped_no_reaction.psi)
         assert np.array_equal(stepped.phi, stepped_no_reaction.phi)
 
@@ -201,7 +201,7 @@ class TestStep:
         with pytest.raises(StepRejected):
             pde._sweep(
                 x, dx, state.phi, state.psi, config.dt, 1.0,
-                bad_coeff, state.h, 0.0, state.h, params_default, config,
+                bad_coeff, state.h, 0.0, state.h, params_default,
                 None, False, 0.0,
             )
 
@@ -226,7 +226,7 @@ class TestStep:
 
 
 def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
-                           p, exp_clamp, compaction_only):
+                           p, compaction_only):
     """The sweep's linear systems assembled densely, bottom rows un-eliminated.
 
     Written row by row from the discretization in the pde module docstring:
@@ -259,7 +259,7 @@ def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
     ]
     lpsi[0, :3] = 0.5 * mu * np.array([3.0 * fluxes[0], -4.0 * fluxes[1], fluxes[2]])
     eye = np.eye(n)
-    rr = reaction_rate(x * h_c, h_c, p, exp_clamp)
+    rr = reaction_rate(x * h_c, h_c, p)
 
     source = np.zeros(n)
     psi_new = psi_n
@@ -298,7 +298,6 @@ class TestTridiagonalElimination:
     ):
         p = params_default
         old, coeff = reactive_states
-        config = RunConfig(n_nodes=old.x.size, dt=5e-3, t_end=1.5, h0=0.1)
         x = old.x
         dx = 1.0 / (x.size - 1)
         dt = 0.02
@@ -308,11 +307,9 @@ class TestTridiagonalElimination:
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
         args = (x, old.phi, old.psi, dt, theta, coeff.phi, h_c, hdot_c, h_bc)
         phi, psi = pde._sweep(
-            x, dx, *args[1:], p, config, None, compaction_only, old.t
+            x, dx, *args[1:], p, None, compaction_only, old.t
         )
-        phi_ref, psi_ref = _dense_reference_sweep(
-            *args, p, config.exp_clamp, compaction_only
-        )
+        phi_ref, psi_ref = _dense_reference_sweep(*args, p, compaction_only)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
 
@@ -361,11 +358,11 @@ class TestRunSimulation:
         calls = {"n": 0}
         real_step = pde.step_predictor_corrector
 
-        def flaky(state, dt, params, config, **kwargs):
+        def flaky(state, dt, params, **kwargs):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise StepRejected("synthetic rejection")
-            return real_step(state, dt, params, config, **kwargs)
+            return real_step(state, dt, params, **kwargs)
 
         monkeypatch.setattr(pde, "step_predictor_corrector", flaky)
         config = RunConfig(n_nodes=64, dt=0.2, t_end=0.4, h0=0.1, output_every=0.1)

@@ -33,6 +33,19 @@ class TestResidualBattery:
         b = verify.residual_battery(params_default)
         assert a.checks == b.checks
 
+    def test_each_speed_is_solved_once(self, params_default, monkeypatch):
+        sdots = []
+        real_solve = verify.asymptotics.solve_c
+
+        def counting_solve(params):
+            sdots.append(params.sdot)
+            return real_solve(params)
+
+        monkeypatch.setattr(verify.asymptotics, "solve_c", counting_solve)
+        verify.residual_battery(params_default)
+        # the supplied sdot and the halved and doubled sdot of the monotonicity check
+        assert sorted(sdots) == [0.5, 1.0, 2.0]
+
 
 class TestCrossValidateSpeed:
     def test_report_mechanics_on_short_run(self, params_default, short_config):
