@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asymptotics, pde, verify
-from .core import (
-    BasinParams,
-    RunConfig,
-    check_layer_resolution,
-    derive_params,
-    rederive,
-    resolution_nodes,
-)
+from .core import BasinParams, RunConfig, derive_params, rederive, resolution_nodes
 from .errors import BasinwaveError, SolverError, ValidationError
 
 PARAM_KEYS = {
@@ -79,30 +72,17 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     )
 
     run_kwargs = {k: doc[k] for k in RUN_KEYS if k in doc}
-    auto_nodes = "n_nodes" not in run_kwargs
-    if auto_nodes:
+    if "n_nodes" in run_kwargs:
+        run_kwargs["n_nodes"] = int(run_kwargs["n_nodes"])
+    else:
         # validates h0 and t_end before they enter the resolution rule
         probe = RunConfig(n_nodes=16, **run_kwargs)
         run_kwargs["n_nodes"] = max(16, resolution_nodes(params, probe))
-    else:
-        run_kwargs["n_nodes"] = int(run_kwargs["n_nodes"])
-    config = RunConfig(**run_kwargs)
-    if not auto_nodes:
-        check_layer_resolution(params, config)
-    return params, config
+    return params, RunConfig(**run_kwargs)
 
 
 def params_doc(params: BasinParams) -> dict:
-    return {
-        "lambda": params.lam,
-        "beta": params.beta,
-        "m": params.m,
-        "phi0": params.phi0,
-        "psi0": params.psi0,
-        "a0": params.a0,
-        "zstar": params.zstar,
-        "sdot": params.sdot,
-    }
+    return {key: getattr(params, attr) for key, attr in PARAM_KEYS.items()}
 
 
 def write_manifest(out_dir: Path, subcommand: str, params, config, outputs) -> Path:
@@ -152,108 +132,73 @@ def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     return path
 
 
-def _write_plot(out_dir: Path, stanzas: list[str]) -> Path:
-    lines = [
-        "# gnuplot script; run: gnuplot -p plot.gp",
-        'set datafile separator ","',
-        "set key autotitle columnhead",
+def _record(out_dir: Path, subcommand: str, params, config, tables, plot=None) -> None:
+    """Write each ``(file name, schema, columns, rows)`` table as a CSV, then
+    ``plot.gp`` from the gnuplot stanzas in ``plot`` if given, then the
+    manifest listing them in that order."""
+    outputs = [
+        write_csv(out_dir / name, schema, columns, rows)
+        for name, schema, columns, rows in tables
     ]
-    lines.extend(stanzas)
-    path = out_dir / "plot.gp"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    if plot:
+        path = out_dir / "plot.gp"
+        lines = [
+            "# gnuplot script; run: gnuplot -p plot.gp",
+            'set datafile separator ","',
+            "set key autotitle columnhead",
+            *plot,
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        outputs.append(path)
+    write_manifest(out_dir, subcommand, params, config, outputs)
 
 
 def cmd_simulate(args, params, config, out_dir: Path) -> int:
     series = pde.run_simulation(params, config)
-    outputs = [
-        write_csv(
-            out_dir / "timeseries.csv",
-            "timeseries",
-            ("t", "h", "hdot"),
-            zip(series.t, series.h, series.hdot),
-        )
-    ]
     final = series.final_state
-    outputs.append(
-        write_csv(
-            out_dir / "profile.csv",
-            "profile",
-            ("z", "phi", "psi"),
-            zip(final.x * final.h, final.phi, final.psi),
-        )
-    )
-    if args.plot:
-        outputs.append(
-            _write_plot(
-                out_dir,
-                [
-                    'set xlabel "t"',
-                    'plot "timeseries.csv" using 1:2 with lines title "h(t)", \\',
-                    '     "timeseries.csv" using 1:3 with lines title "dh/dt"',
-                ],
-            )
-        )
-    write_manifest(out_dir, "simulate", params, config, outputs)
+    tables = [
+        ("timeseries.csv", "timeseries", ("t", "h", "hdot"), zip(series.t, series.h, series.hdot)),
+        ("profile.csv", "profile", ("z", "phi", "psi"), zip(final.x * final.h, final.phi, final.psi)),
+    ]
+    plot = [
+        'set xlabel "t"',
+        'plot "timeseries.csv" using 1:2 with lines title "h(t)", \\',
+        '     "timeseries.csv" using 1:3 with lines title "dh/dt"',
+    ]
+    _record(out_dir, "simulate", params, config, tables, plot if args.plot else None)
     return 0
 
 
 def cmd_wave(args, params, config, out_dir: Path) -> int:
     match = asymptotics.solve_c(params)
     profile = asymptotics.build_wave_profile(match, params)
-    outputs = [
-        write_csv(
-            out_dir / "profile.csv",
-            "wave-profile",
-            ("zeta", "phi", "psi", "region"),
-            zip(profile.zeta, profile.phi, profile.psi, profile.region),
-        )
+    rows = zip(profile.zeta, profile.phi, profile.psi, profile.region)
+    plot = [
+        'set xlabel "zeta"',
+        'plot "profile.csv" using 1:2 with lines title "phi", \\',
+        '     "profile.csv" using 1:3 with lines title "psi"',
     ]
-    if args.plot:
-        outputs.append(
-            _write_plot(
-                out_dir,
-                [
-                    'set xlabel "zeta"',
-                    'plot "profile.csv" using 1:2 with lines title "phi", \\',
-                    '     "profile.csv" using 1:3 with lines title "psi"',
-                ],
-            )
-        )
-    write_manifest(out_dir, "wave", params, config, outputs)
+    table = ("profile.csv", "wave-profile", ("zeta", "phi", "psi", "region"), rows)
+    _record(out_dir, "wave", params, config, [table], plot if args.plot else None)
     return 0
 
 
-def _speed_rows(match) -> list[tuple]:
-    return [(match.c, match.Phi_inf, match.C, match.residual, match.iterations)]
+def _speed_table(match) -> tuple:
+    columns = ("c", "phi_inf", "C", "residual", "iterations")
+    rows = [(match.c, match.Phi_inf, match.C, match.residual, match.iterations)]
+    return ("speed.csv", "speed", columns, rows)
 
 
 def cmd_speed(args, params, config, out_dir: Path) -> int:
-    match = asymptotics.solve_c(params)
-    outputs = [
-        write_csv(
-            out_dir / "speed.csv",
-            "speed",
-            ("c", "phi_inf", "C", "residual", "iterations"),
-            _speed_rows(match),
-        )
-    ]
-    write_manifest(out_dir, "speed", params, config, outputs)
+    _record(out_dir, "speed", params, config, [_speed_table(asymptotics.solve_c(params))])
     return 0
 
 
 def cmd_verify(args, params, config, out_dir: Path) -> int:
     report = verify.residual_battery(params)
     report.extend(verify.cross_validate_speed(params, config))
-    outputs = [
-        write_csv(
-            out_dir / "report.csv",
-            "report",
-            ("check", "value", "tolerance", "pass"),
-            report.rows(),
-        )
-    ]
-    write_manifest(out_dir, "verify", params, config, outputs)
+    table = ("report.csv", "report", ("check", "value", "tolerance", "pass"), report.rows())
+    _record(out_dir, "verify", params, config, [table])
     print(report)
     if not report.all_passed("primary"):
         failed = ", ".join(c.name for c in report.failures("primary"))
@@ -262,8 +207,8 @@ def cmd_verify(args, params, config, out_dir: Path) -> int:
     return 0
 
 
-def _parse_sweep_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
-    axes = []
+def _parse_sweep_axes(specs: list[str]) -> dict[str, list[float]]:
+    axes = {}
     for axis in specs:
         key, _, values = axis.partition("=")
         key = key.strip()
@@ -272,16 +217,17 @@ def _parse_sweep_axes(specs: list[str]) -> list[tuple[str, list[float]]]:
                 f"cannot sweep '{key}': axes are the physical parameters "
                 + ", ".join(PARAM_KEYS)
             )
+        if key in axes:
+            raise ValidationError(f"sweep axis '{key}' is given more than once")
         if not values:
             raise ValidationError(f"sweep axis '{axis}' has no values")
         try:
-            parsed = [
+            axes[key] = [
                 int(v) if key in _INTEGER_KEYS else float(v)
                 for v in values.split(",")
             ]
         except ValueError as exc:
             raise ValidationError(f"sweep axis '{axis}': {exc}") from exc
-        axes.append((key, parsed))
     return axes
 
 
@@ -291,43 +237,21 @@ def cmd_sweep(args, params, config, out_dir: Path) -> int:
     axes = _parse_sweep_axes(args.sweep)
 
     rows = []
-    outputs = []
-    keys = [k for k, _ in axes]
-    for index, combo in enumerate(itertools.product(*(vals for _, vals in axes))):
+    keys = list(axes)
+    for index, combo in enumerate(itertools.product(*axes.values())):
         p_i = rederive(params, **{PARAM_KEYS[k]: v for k, v in zip(keys, combo)})
         match = asymptotics.solve_c(p_i)
         point_dir = out_dir / f"point_{index:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        point_outputs = [
-            write_csv(
-                point_dir / "speed.csv",
-                "speed",
-                ("c", "phi_inf", "C", "residual", "iterations"),
-                _speed_rows(match),
-            )
-        ]
-        write_manifest(point_dir, "speed", p_i, config, point_outputs)
+        _record(point_dir, "speed", p_i, config, [_speed_table(match)])
         rows.append((*combo, match.c, match.residual, match.iterations))
 
-    outputs.append(
-        write_csv(
-            out_dir / "sweep.csv",
-            "sweep",
-            (*keys, "c", "residual", "iterations"),
-            rows,
-        )
-    )
-    if args.plot:
-        outputs.append(
-            _write_plot(
-                out_dir,
-                [
-                    f'set xlabel "{keys[0]}"',
-                    f'plot "sweep.csv" using 1:{len(keys) + 1} with linespoints title "c"',
-                ],
-            )
-        )
-    write_manifest(out_dir, "sweep", params, config, outputs)
+    table = ("sweep.csv", "sweep", (*keys, "c", "residual", "iterations"), rows)
+    plot = [
+        f'set xlabel "{keys[0]}"',
+        f'plot "sweep.csv" using 1:{len(keys) + 1} with linespoints title "c"',
+    ]
+    _record(out_dir, "sweep", params, config, [table], plot if args.plot else None)
     return 0
 
 

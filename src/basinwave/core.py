@@ -199,19 +199,3 @@ def resolution_nodes(params: BasinParams, config: RunConfig) -> int:
         )
     return math.ceil(needed)
 
-
-def check_layer_resolution(params: BasinParams, config: RunConfig) -> int:
-    """Warn when the grid cannot resolve the O(1/beta) reaction zone.
-
-    Returns the recommended minimum node count, :func:`resolution_nodes`.
-    Reactant-free runs (psi0 = 0) have no layer to resolve and never warn.
-    """
-    needed = resolution_nodes(params, config)
-    if params.psi0 > 0.0 and config.n_nodes < needed:
-        warnings.warn(
-            f"n_nodes = {config.n_nodes} may under-resolve the reaction zone: "
-            f"the guideline is >= 8*beta*(h0 + sdot*t_end) = {needed}",
-            UserWarning,
-            stacklevel=2,
-        )
-    return needed
