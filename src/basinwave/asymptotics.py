@@ -43,6 +43,8 @@ _POW_OVERFLOW_LIMIT = 700.0
 _MAX_ROOT_ITERS = 200
 # Stopping tolerance of both speed solvers, which must agree within 10 times it.
 _ROOT_TOL = 1e-12
+# Bisection also stops once its bracket is this narrow relative to the midpoint.
+_BISECTION_REL_WIDTH = 8.0 * np.finfo(float).eps
 
 # Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 1980): stage nodes
 # C, stage weights A, fifth-order weights B, error weights E (fifth minus
@@ -213,14 +215,17 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     return step * poly + np.array(y_starts)[i]
 
 
+def _permeability_overflow(phi, arg) -> StiffProfileError:
+    return StiffProfileError(
+        f"(phi0/phi)^m overflows at phi = {phi!r}: exponent {arg:.3g} exceeds {_POW_OVERFLOW_LIMIT}"
+    )
+
+
 def _inverse_permeability(phi: float, params: BasinParams) -> float:
     """(phi0/phi)^m via exp(m ln(phi0/phi)), guarded against overflow."""
     arg = params.m * math.log(params.phi0 / phi)
     if arg > _POW_OVERFLOW_LIMIT:
-        raise StiffProfileError(
-            f"(phi0/phi)^m overflows at phi = {phi!r}: exponent {arg:.3g} exceeds "
-            f"{_POW_OVERFLOW_LIMIT}"
-        )
+        raise _permeability_overflow(phi, arg)
     return math.exp(arg)
 
 
@@ -286,8 +291,8 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     """Outer-region profile on (0, zstar], top-down adaptive integration.
 
     Porosity is integrated with an adaptive 4th/5th-order method from
-    phi(zstar) = phi0; the reactant is evaluated algebraically at each of
-    the 400 output nodes.
+    phi(zstar) = phi0; the reactant and the slope phi_zeta (the formula of
+    :func:`outer_ode_rhs`) are evaluated on all 400 output nodes at once.
     """
     if params.zstar <= 0.0:
         raise ValidationError("outer region is empty: zstar must be positive")
@@ -296,7 +301,12 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     zeta = zeta_desc[::-1].copy()
     phi = phi_desc[::-1].copy()
     psi = _psi_from_invariant(phi, c, params)
-    phi_zeta = np.array([outer_ode_rhs(p, c, params) for p in phi])
+    arg = params.m * np.log(params.phi0 / phi)
+    over = arg > _POW_OVERFLOW_LIMIT
+    if np.any(over):
+        raise _permeability_overflow(phi[over][0], arg[over][0])
+    bracket = c * (params.phi0 - phi) + (c - params.sdot) * (1.0 - params.phi0)
+    phi_zeta = phi + bracket * np.exp(arg) / params.lam
     return OuterProfile(zeta=zeta, phi=phi, psi=psi, phi_zeta=phi_zeta)
 
 
@@ -529,7 +539,7 @@ def _solve_speed(params: BasinParams, denominator) -> MatchResult:
             hi, g_hi = mid, g_mid
         else:
             lo, g_lo = mid, g_mid
-        if hi - lo <= 8.0 * np.finfo(float).eps * abs(mid):
+        if hi - lo <= _BISECTION_REL_WIDTH * abs(mid):
             break
     if c_bis is None:
         mid = 0.5 * (lo + hi)

@@ -376,9 +376,10 @@ def run_simulation(
     (recovering gradually after sustained acceptance); a step that would
     fall below dt/1024 raises :class:`SolverError`, since a run forced that
     far down has stalled rather than slowed. Stepper failures propagate as
-    :class:`SolverError` carrying the failing time. The final
-    step is never shrunk to land on t_end exactly, so t_end < dt yields a
-    series with only the initial sample.
+    :class:`SolverError` carrying the failing time, and so does a column
+    whose advection coefficient hdot/(2 h dx) is not finite at t = 0. The
+    final step is never shrunk to land on t_end exactly, so t_end < dt
+    yields a series with only the initial sample.
 
     A single run is strictly sequential; distinct runs share no mutable
     state and may execute in parallel.
@@ -388,6 +389,10 @@ def run_simulation(
     ts = [state.t]
     hs = [state.h]
     hds = [_hdot_from(state.phi, state.h, params, dx)]
+    if not math.isfinite(float(hds[0]) / (2.0 * state.h * dx)):
+        raise SolverError(
+            f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {hds[0]:.3g})"
+        )
 
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-10

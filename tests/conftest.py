@@ -1,8 +1,12 @@
+import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
+from basinwave import asymptotics, verify
 from basinwave.core import RunConfig, derive_params
 from basinwave.pde import run_simulation
 
@@ -31,6 +35,48 @@ def bottom_robin_residual(state, params):
         6.0 * dx * state.h
     )
     return abs(phi_z - phi[0])
+
+
+@st.composite
+def box_params(draw):
+    """The validated parameter box: m 7-20, beta 10-60, phi0 0.3-0.6,
+    psi0 <= min(0.4, 1 - phi0), sdot 0.5-1.5."""
+    phi0 = draw(st.floats(0.3, 0.6))
+    return derive_params(
+        m=draw(st.integers(7, 20)),
+        beta=draw(st.floats(10.0, 60.0)),
+        phi0=phi0,
+        psi0=draw(st.floats(0.0, min(0.4, 1.0 - phi0))),
+        sdot=draw(st.floats(0.5, 1.5)),
+    )
+
+
+def below_zone_pde_residual_loop(params, rng_seed=0):
+    """Reference for ``verify.below_zone_pde_residual``: the same samples
+    and steps, one scalar sample at a time."""
+    rng = np.random.default_rng(rng_seed)
+    z = rng.uniform(0.0, 5.0, verify._DRAINAGE_SAMPLES)
+    t = rng.uniform(0.0, 5.0, verify._DRAINAGE_SAMPLES)
+    worst = 0.0
+    for zi, ti in zip(z, t):
+        step_t = verify._FD_STEP * (1 + ti)
+        step_z = verify._FD_STEP * (1 + zi)
+        phi_t = verify._central_fd(lambda u: asymptotics.below_zone_Phi(zi, u, params), ti, step_t)
+        phi_z = verify._central_fd(lambda u: asymptotics.below_zone_Phi(u, ti, params), zi, step_z)
+        val = asymptotics.below_zone_Phi(zi, ti, params)
+        worst = max(worst, abs(phi_t + params.lam * math.exp(val) * phi_z))
+    return worst
+
+
+def inner_psi_ode_residual_loop(c, params):
+    """Reference for ``verify.inner_psi_ode_residual``, one node at a time."""
+    C = asymptotics.inner_C(c, params)
+    worst = 0.0
+    for eta in np.linspace(-3.0, 10.0, verify._INNER_PSI_SAMPLES):
+        psi_eta = verify._central_fd(lambda u: float(asymptotics.inner_psi(u, c, C)), eta, verify._FD_STEP)
+        psi = float(asymptotics.inner_psi(eta, c, C))
+        worst = max(worst, abs(c * psi_eta - math.exp(-eta) * psi))
+    return worst
 
 
 @pytest.fixture(scope="session")

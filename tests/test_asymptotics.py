@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
@@ -17,7 +16,7 @@ from basinwave.errors import (
     StiffProfileError,
     ValidationError,
 )
-from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE
+from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE, box_params
 
 
 class TestOuterOdeRhs:
@@ -44,6 +43,16 @@ class TestOuterOdeRhs:
         with pytest.raises(StiffProfileError, match="phi"):
             asym.outer_ode_rhs(1e-80, 0.25, params_default)
 
+    @given(box_params())
+    def test_solve_outer_slope_is_the_rhs_across_box(self, params):
+        c = asym.solve_c(params).c
+        try:
+            outer = asym.solve_outer(c, params)
+        except BasinwaveError:
+            return
+        expected = np.array([asym.outer_ode_rhs(phi, c, params) for phi in outer.phi])
+        assert np.max(np.abs(outer.phi_zeta - expected)) <= 1e-14 * np.max(np.abs(outer.phi))
+
 
 @pytest.fixture(scope="module")
 def solved(params_default):
@@ -52,6 +61,16 @@ def solved(params_default):
 
 
 class TestSolveOuter:
+    def test_slope_overflow_names_first_node(self, params_default, monkeypatch):
+        def integrated(c, params, zeta_desc):
+            phi = np.full(zeta_desc.size, params.phi0)
+            phi[[-3, -7]] = (1e-80, 1e-90)  # ascending order puts 1e-80 first
+            return phi
+
+        monkeypatch.setattr(asym, "_integrate_outer", integrated)
+        with pytest.raises(StiffProfileError, match=r"overflows at phi = np\.float64\(1e-80\)"):
+            asym.solve_outer(0.25, params_default)
+
     def test_reactant_equals_surface_value_at_top(self, solved):
         _, out = solved
         assert out.psi[-1] == pytest.approx(0.3, rel=1e-12)
@@ -331,20 +350,6 @@ _BOX_POINTS = [
     dict(m=9, beta=60.0, phi0=0.55, psi0=0.4, sdot=0.5),
     dict(m=12, beta=35.0, phi0=0.45, psi0=0.0, sdot=1.0),
 ]
-
-
-@st.composite
-def box_params(draw):
-    """The validated parameter box: m 7-20, beta 10-60, phi0 0.3-0.6,
-    psi0 <= min(0.4, 1 - phi0), sdot 0.5-1.5."""
-    phi0 = draw(st.floats(0.3, 0.6))
-    return derive_params(
-        m=draw(st.integers(7, 20)),
-        beta=draw(st.floats(10.0, 60.0)),
-        phi0=phi0,
-        psi0=draw(st.floats(0.0, min(0.4, 1.0 - phi0))),
-        sdot=draw(st.floats(0.5, 1.5)),
-    )
 
 
 def _profile_outcome(match, params):

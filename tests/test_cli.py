@@ -272,14 +272,15 @@ class TestExitCodes:
             ("speed", "no sign change"),
             ("wave", "no sign change"),
             ("verify", "no sign change"),
-            ("simulate", "time step collapsed"),
+            ("simulate", "advection hdot/(2 h dx) is not finite at t = 0"),
         ],
         ids=["speed", "wave", "verify", "simulate"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_huge_sdot_with_given_n_nodes_is_2(self, tmp_path, capsys, command, message):
         # an explicit n_nodes skips the resolution rule, so the solvers meet
-        # the overflowing sedimentation rate and fail with a typed error
+        # the overflowing sedimentation rate and fail with a typed error and
+        # no numpy warning; no time step makes the simulation's advection finite
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"sdot": 1e308, "n_nodes": 2000}')
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 from basinwave import asymptotics as asym
 from basinwave import verify
 from basinwave.core import RunConfig, derive_params
+from conftest import below_zone_pde_residual_loop, box_params, inner_psi_ode_residual_loop
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +49,46 @@ class TestResidualBattery:
         verify.residual_battery(params_default)
         # the supplied sdot and the halved and doubled sdot of the monotonicity check
         assert sorted(sdots) == [0.5, 1.0, 2.0]
+
+
+def _battery_check(params, name):
+    return {c.name: c for c in verify.residual_battery(params).checks}[name]
+
+
+class TestResidualScans:
+    @given(box_params())
+    def test_array_scans_match_scalar_loops_across_box(self, params):
+        c = asym.solve_c(params).c
+        for got, expected in (
+            (verify.below_zone_pde_residual(params), below_zone_pde_residual_loop(params)),
+            (verify.inner_psi_ode_residual(c, params), inner_psi_ode_residual_loop(c, params)),
+        ):
+            assert abs(got - expected) <= 1e-12
+            assert (got <= 1e-6) == (expected <= 1e-6)
+
+    def test_nan_drainage_sample_fails_its_check(self, params_default, monkeypatch):
+        real = asym.below_zone_Phi
+        z_bad = np.random.default_rng(0).uniform(0.0, 5.0, verify._DRAINAGE_SAMPLES)[17]
+
+        def poisoned(z, t, params):
+            return np.where(np.asarray(z) == z_bad, np.nan, real(z, t, params))
+
+        monkeypatch.setattr(asym, "below_zone_Phi", poisoned)
+        check = _battery_check(params_default, "below_zone_pde_residual")
+        assert math.isnan(check.value)
+        assert not check.passed
+
+    def test_nan_inner_psi_sample_fails_its_check(self, params_default, monkeypatch):
+        real = asym.inner_psi
+        eta_bad = np.linspace(-3.0, 10.0, verify._INNER_PSI_SAMPLES)[50]
+
+        def poisoned(eta, c, C):
+            return np.where(np.asarray(eta) == eta_bad, np.nan, real(eta, c, C))
+
+        monkeypatch.setattr(asym, "inner_psi", poisoned)
+        check = _battery_check(params_default, "inner_psi_ode_residual")
+        assert math.isnan(check.value)
+        assert not check.passed
 
 
 class TestCrossValidateSpeed:
