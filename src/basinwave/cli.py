@@ -85,22 +85,6 @@ def params_doc(params: BasinParams) -> dict:
     return {key: getattr(params, attr) for key, attr in PARAM_KEYS.items()}
 
 
-def write_manifest(out_dir: Path, subcommand: str, params, config, outputs) -> Path:
-    """Record the fully resolved inputs next to the outputs they produced."""
-    doc = {
-        "tool": "basinwave",
-        "version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "subcommand": subcommand,
-        "params": params_doc(params),
-        "config": asdict(config),
-        "outputs": [p.name for p in outputs],
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def load_manifest(path: Path) -> tuple[BasinParams, RunConfig]:
     """Resolved inputs of a previous run; a malformed manifest is a ValidationError."""
     try:
@@ -134,8 +118,9 @@ def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
 
 def _record(out_dir: Path, subcommand: str, params, config, tables, plot=None) -> None:
     """Write each ``(file name, schema, columns, rows)`` table as a CSV, then
-    ``plot.gp`` from the gnuplot stanzas in ``plot`` if given, then the
-    manifest listing them in that order."""
+    ``plot.gp`` from the gnuplot stanzas in ``plot`` if given, then
+    ``manifest.json``: the fully resolved inputs and the outputs they
+    produced, in that order."""
     outputs = [
         write_csv(out_dir / name, schema, columns, rows)
         for name, schema, columns, rows in tables
@@ -150,15 +135,25 @@ def _record(out_dir: Path, subcommand: str, params, config, tables, plot=None) -
         ]
         path.write_text("\n".join(lines) + "\n")
         outputs.append(path)
-    write_manifest(out_dir, subcommand, params, config, outputs)
+    doc = {
+        "tool": "basinwave",
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "subcommand": subcommand,
+        "params": params_doc(params),
+        "config": asdict(config),
+        "outputs": [p.name for p in outputs],
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args, params, config, out_dir: Path) -> int:
     series = pde.run_simulation(params, config)
     final = series.final_state
+    z = np.linspace(0.0, 1.0, config.n_nodes) * final.h
     tables = [
         ("timeseries.csv", "timeseries", ("t", "h", "hdot"), zip(series.t, series.h, series.hdot)),
-        ("profile.csv", "profile", ("z", "phi", "psi"), zip(final.x * final.h, final.phi, final.psi)),
+        ("profile.csv", "profile", ("z", "phi", "psi"), zip(z, final.phi, final.psi)),
     ]
     plot = [
         'set xlabel "t"',
@@ -195,6 +190,8 @@ def cmd_speed(args, params, config, out_dir: Path) -> int:
 
 
 def cmd_verify(args, params, config, out_dir: Path) -> int:
+    # a horizon with too few samples for the speed fit is refused before any solve
+    pde.speed_window(pde.sample_bound(config))
     report = verify.residual_battery(params)
     report.extend(verify.cross_validate_speed(params, config))
     table = ("report.csv", "report", ("check", "value", "tolerance", "pass"), report.rows())

@@ -148,11 +148,10 @@ def reaction_rate(z, h, params: BasinParams):
 
 @dataclass(frozen=True)
 class BasinState:
-    """Solution snapshot on the fixed computational grid x = z/h(t)."""
+    """Solution snapshot on the uniform grid x = z/h(t) = linspace(0, 1, phi.size)."""
 
     t: float
     h: float
-    x: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
 

@@ -64,6 +64,11 @@ _CORRECTOR_DIVERGENCE_LIMIT = 0.5
 # Consecutive accepted steps at a reduced dt before attempting recovery.
 _DT_RECOVERY_STEPS = 20
 
+# Trailing share of the samples the wave-speed fit uses, and the fewest
+# samples it accepts there.
+_SPEED_WINDOW = 0.3
+_SPEED_FIT_MIN_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -79,27 +84,19 @@ def initial_state(params: BasinParams, config: RunConfig) -> BasinState:
     """Uniform fresh-sediment column of depth h0.
 
     The traveling wave is an attractor, so the uniform start only affects
-    the transient.
+    the transient. Raises :class:`ValidationError` when numpy refuses to
+    allocate ``n_nodes`` nodes.
     """
-    x = np.linspace(0.0, 1.0, config.n_nodes)
-    return BasinState(
-        t=0.0,
-        h=config.h0,
-        x=x,
-        phi=np.full(config.n_nodes, params.phi0),
-        psi=np.full(config.n_nodes, params.psi0),
-    )
+    try:
+        phi = np.full(config.n_nodes, params.phi0)
+    except ValueError as exc:
+        raise ValidationError(f"n_nodes = {config.n_nodes} is too large to allocate: {exc}") from exc
+    return BasinState(t=0.0, h=config.h0, phi=phi, psi=np.full(config.n_nodes, params.psi0))
 
 
-def _grid_spacing(x: np.ndarray) -> float:
-    dx = 1.0 / (x.size - 1)
-    if np.max(np.abs(np.diff(x) - dx)) > 1e-12:
-        raise ValidationError("stepper requires a uniform grid on [0, 1]")
-    return dx
-
-
-def _hdot_from(phi: np.ndarray, h: float, params: BasinParams, dx: float) -> float:
+def _hdot_from(phi: np.ndarray, h: float, params: BasinParams) -> float:
     """Boundary velocity from the top-node flux, one-sided second order."""
+    dx = 1.0 / (phi.size - 1)
     phi_z = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * dx * h)
     k_top = float(permeability_factor(phi[-1], params))
     return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi[-1])
@@ -107,8 +104,7 @@ def _hdot_from(phi: np.ndarray, h: float, params: BasinParams, dx: float) -> flo
 
 def hdot(state: BasinState, params: BasinParams) -> float:
     """dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) at z = h."""
-    dx = _grid_spacing(state.x)
-    return _hdot_from(state.phi, state.h, params, dx)
+    return _hdot_from(state.phi, state.h, params)
 
 
 def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx):
@@ -221,7 +217,6 @@ def _sweep(
     h_bc,
     params,
     mms_eval,
-    compaction_only,
     t_now,
 ):
     """One implicit solve with coefficients frozen at (phi_c, h_c, hdot_c).
@@ -239,38 +234,33 @@ def _sweep(
     theta_dt = theta * dt
     explicit_dt = (1.0 - theta) * dt
 
-    if compaction_only:
-        psi_new = psi_n
-        source = None
-    else:
-        lo_s, di_s, up_s, row0 = _psi_operator(phi_c, k_half, adv, h_c, params, dx)
-        rhs = psi_n.copy()
-        if theta < 1.0:
-            rhs[0] += explicit_dt * (row0[0] * psi_n[0] + row0[1] * psi_n[1] + row0[2] * psi_n[2])
-            rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_n)
-        rhs[-1] = params.psi0
-        bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
-        psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs, t_now)
-        # exact per-step reaction integral, assuming R frozen over the step
-        rr = reaction_rate(x * h_c, h_c, params)
-        consumed_fraction = -np.expm1(-rr * dt)
-        source = (params.a0 / params.beta) * psi_transported * consumed_fraction / dt
-        psi_new = psi_transported * np.exp(-rr * dt)
-        # centered transport of the annihilated double-exponential tail can
-        # undershoot by dust (~1e-30 psi0); zero that, leave real negatives
-        # for the step-acceptance check
-        if params.psi0 > 0.0:
-            dust = (psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)
-            if dust.any():
-                psi_new[dust] = 0.0
-        psi_new[-1] = params.psi0
+    lo_s, di_s, up_s, row0 = _psi_operator(phi_c, k_half, adv, h_c, params, dx)
+    rhs = psi_n.copy()
+    if theta < 1.0:
+        rhs[0] += explicit_dt * (row0[0] * psi_n[0] + row0[1] * psi_n[1] + row0[2] * psi_n[2])
+        rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_n)
+    rhs[-1] = params.psi0
+    bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
+    psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs, t_now)
+    # exact per-step reaction integral, assuming R frozen over the step
+    rr = reaction_rate(x * h_c, h_c, params)
+    consumed_fraction = -np.expm1(-rr * dt)
+    source = (params.a0 / params.beta) * psi_transported * consumed_fraction / dt
+    psi_new = psi_transported * np.exp(-rr * dt)
+    # centered transport of the annihilated double-exponential tail can
+    # undershoot by dust (~1e-30 psi0); zero that, leave real negatives
+    # for the step-acceptance check
+    if params.psi0 > 0.0:
+        dust = (psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)
+        if dust.any():
+            psi_new[dust] = 0.0
+    psi_new[-1] = params.psi0
 
     lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx)
     rhs = phi_n.copy()
     if theta < 1.0:
         rhs[1:-1] += explicit_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
-    if source is not None:
-        rhs[1:-1] += dt * source[1:-1]
+    rhs[1:-1] += dt * source[1:-1]
     if mms_eval is not None:
         rhs[1:-1] += dt * mms_eval[1:-1]
     rhs[0] = 0.0
@@ -291,7 +281,6 @@ def step_predictor_corrector(
     params: BasinParams,
     *,
     extra_phi_source=None,
-    compaction_only: bool = False,
 ) -> BasinState:
     """Advance (phi, psi, h, t) by dt; returns the new state.
 
@@ -304,10 +293,10 @@ def step_predictor_corrector(
     :func:`basinwave.verify.manufactured_step_error` makes a known profile an
     exact solution of the forced system.
     """
-    x = state.x
-    dx = _grid_spacing(x)
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
-    hdot_n = _hdot_from(phi_n, h_n, params, dx)
+    x = np.linspace(0.0, 1.0, phi_n.size)
+    dx = 1.0 / (phi_n.size - 1)
+    hdot_n = _hdot_from(phi_n, h_n, params)
 
     def mms(theta):
         if extra_phi_source is None:
@@ -320,20 +309,20 @@ def step_predictor_corrector(
     h_pred = h_n + dt * hdot_n
     phi_p, psi_p = _sweep(
         x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred,
-        params, mms(1.0), compaction_only, t_n,
+        params, mms(1.0), t_n,
     )
     h_p = h_pred
 
     update_norm = math.inf
     for _ in range(_CORRECTOR_SWEEPS):
-        hdot_p = _hdot_from(phi_p, h_p, params, dx)
+        hdot_p = _hdot_from(phi_p, h_p, params)
         phi_bar = 0.5 * (phi_n + phi_p)
         h_bar = 0.5 * (h_n + h_p)
         hdot_bar = 0.5 * (hdot_n + hdot_p)
         h_new = h_n + dt * hdot_bar
         phi_c, psi_c = _sweep(
             x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
-            params, mms(0.5), compaction_only, t_n,
+            params, mms(0.5), t_n,
         )
         update_norm = max(
             _rel_change(phi_c, phi_p),
@@ -361,15 +350,10 @@ def step_predictor_corrector(
         raise StepRejected("porosity went non-positive", time=t_n)
     if np.any(psi_p < 0.0):
         raise StepRejected("reactant went negative", time=t_n)
-    return BasinState(t=t_n + dt, h=h_p, x=x, phi=phi_p, psi=psi_p)
+    return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
 
 
-def run_simulation(
-    params: BasinParams,
-    config: RunConfig,
-    *,
-    compaction_only: bool = False,
-) -> TimeSeries:
+def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     """March from the uniform initial column to t_end.
 
     Samples (t, h, dh/dt) every ``output_every``. Rejected steps halve dt
@@ -385,10 +369,10 @@ def run_simulation(
     state and may execute in parallel.
     """
     state = initial_state(params, config)
-    dx = _grid_spacing(state.x)
+    dx = 1.0 / (config.n_nodes - 1)
     ts = [state.t]
     hs = [state.h]
-    hds = [_hdot_from(state.phi, state.h, params, dx)]
+    hds = [_hdot_from(state.phi, state.h, params)]
     if not math.isfinite(float(hds[0]) / (2.0 * state.h * dx)):
         raise SolverError(
             f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {hds[0]:.3g})"
@@ -403,9 +387,7 @@ def run_simulation(
 
     while state.t + dt_cur <= horizon:
         try:
-            state = step_predictor_corrector(
-                state, dt_cur, params, compaction_only=compaction_only
-            )
+            state = step_predictor_corrector(state, dt_cur, params)
         except StepRejected as exc:
             dt_cur *= 0.5
             accepted_streak = 0
@@ -439,7 +421,7 @@ def run_simulation(
         if state.t >= next_sample - 1e-9 * config.output_every:
             ts.append(state.t)
             hs.append(state.h)
-            hds.append(_hdot_from(state.phi, state.h, params, dx))
+            hds.append(_hdot_from(state.phi, state.h, params))
             while next_sample <= state.t + 1e-9 * config.output_every:
                 next_sample += config.output_every
 
@@ -451,7 +433,28 @@ def run_simulation(
     )
 
 
-def estimate_wave_speed(series: TimeSeries, window_fraction: float = 0.3):
+def sample_bound(config: RunConfig) -> int:
+    """Most samples :func:`run_simulation` can return for ``config``: t = 0
+    plus at most one per ``output_every`` up to its horizon, with the
+    driver's tolerances."""
+    intervals = config.t_end * (1.0 + 1e-12) / config.output_every + 1e-9
+    # far beyond any run that can finish; keeps floor() off an infinite ratio
+    return math.floor(min(intervals, 2.0**53)) + 1
+
+
+def speed_window(n_samples: int, window_fraction: float = _SPEED_WINDOW) -> int:
+    """Trailing samples a speed fit over ``window_fraction`` of ``n_samples``
+    uses; raises :class:`ValidationError` when there are fewer than 10."""
+    k = int(math.ceil(window_fraction * n_samples))
+    if k < _SPEED_FIT_MIN_SAMPLES:
+        raise ValidationError(
+            f"speed fit needs >= {_SPEED_FIT_MIN_SAMPLES} samples in the window, got {k} "
+            f"({n_samples} total, window fraction {window_fraction})"
+        )
+    return k
+
+
+def estimate_wave_speed(series: TimeSeries, window_fraction: float = _SPEED_WINDOW):
     """Least-squares slope of h(t) over the trailing window.
 
     Returns ``(c_num, fit_quality)`` where fit_quality is the coefficient
@@ -459,15 +462,9 @@ def estimate_wave_speed(series: TimeSeries, window_fraction: float = 0.3):
     residual is also zero). Raises :class:`ValidationError` when the window
     holds fewer than 10 samples.
     """
-    n = series.t.size
-    k = int(math.ceil(window_fraction * n))
-    if k < 10:
-        raise ValidationError(
-            f"speed fit needs >= 10 samples in the window, got {k} "
-            f"({n} total, window fraction {window_fraction})"
-        )
-    t = series.t[n - k :]
-    h = series.h[n - k :]
+    k = speed_window(series.t.size, window_fraction)
+    t = series.t[-k:]
+    h = series.h[-k:]
     slope, intercept = np.polyfit(t, h, 1)
     residual = h - (slope * t + intercept)
     ss_res = float(np.sum(residual**2))

@@ -170,12 +170,9 @@ def cross_validate_speed(params: BasinParams, config: RunConfig) -> Verification
     the matching solve; reports the flatness and fit-quality metrics."""
     report = VerificationReport()
     series = pde.run_simulation(params, config)
-    window_fraction = 0.3
-    c_num, fit_quality = pde.estimate_wave_speed(series, window_fraction)
+    c_num, fit_quality = pde.estimate_wave_speed(series)
 
-    n = series.hdot.size
-    k = int(math.ceil(window_fraction * n))
-    window = series.hdot[n - k :]
+    window = series.hdot[-pde.speed_window(series.hdot.size) :]
     flatness = float((window.max() - window.min()) / abs(window.mean()))
 
     h_max = float(series.h.max())
@@ -232,10 +229,8 @@ def manufactured_step_error(params: BasinParams, n_nodes: int) -> float:
             (h0 + params.sdot * t) * (x_eval - 1.0)
         )
 
-    state = BasinState(t=0.0, h=h0, x=x, phi=exact(0.0), psi=np.zeros(n_nodes))
-    stepped = pde.step_predictor_corrector(
-        state, dt, params, extra_phi_source=source, compaction_only=True
-    )
+    state = BasinState(t=0.0, h=h0, phi=exact(0.0), psi=np.zeros(n_nodes))
+    stepped = pde.step_predictor_corrector(state, dt, params, extra_phi_source=source)
     return float(np.max(np.abs(stepped.phi - exact(dt))))
 
 

@@ -29,7 +29,7 @@ def bottom_robin_residual(state, params):
     The solve enforces the Robin condition through a second-order stencil;
     measuring with a higher-order one exposes the O(dx^2) closure error.
     """
-    dx = 1.0 / (state.x.size - 1)
+    dx = 1.0 / (state.phi.size - 1)
     phi = state.phi
     phi_z = (-11.0 * phi[0] + 18.0 * phi[1] - 9.0 * phi[2] + 2.0 * phi[3]) / (
         6.0 * dx * state.h
@@ -110,6 +110,7 @@ def sim_pure(params_pure, default_config):
 
 
 @pytest.fixture(scope="session")
-def sim_pure_compaction_only(params_pure, default_config):
-    """Same parameters through the reactant-free code path."""
-    return run_simulation(params_pure, default_config, compaction_only=True)
+def sim_inert_reactant(default_config):
+    """Reactant transported and consumed but releasing no water (a0 = 0,
+    psi0 = 0.3)."""
+    return run_simulation(derive_params(a0=0.0, psi0=0.3), default_config)

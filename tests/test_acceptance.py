@@ -177,16 +177,21 @@ def test_criterion_6_supporting_consistent_gap(params_default, params_pure, sim_
     assert gap_pure <= 0.15
 
 
-def test_criterion_7_reduction_equivalence(sim_pure, sim_pure_compaction_only):
-    full, reduced = sim_pure, sim_pure_compaction_only
-    phi_equal = np.array_equal(full.final_state.phi, reduced.final_state.phi)
-    h_equal = np.array_equal(full.h, reduced.h) and full.final_state.h == reduced.final_state.h
-    t_equal = np.array_equal(full.t, reduced.t)
-    ok = phi_equal and h_equal and t_equal
-    _line(7, ok, f"bit-for-bit phi: {phi_equal}, h: {h_equal}, t: {t_equal}")
+def test_criterion_7_reduction_equivalence(sim_pure, sim_inert_reactant):
+    # a reactant that releases no water (a0 = 0) must leave the compaction
+    # problem bit for bit as without any reactant; at the defaults no
+    # psi-driven step rejection changes dt
+    pure, inert = sim_pure, sim_inert_reactant
+    phi_equal = np.array_equal(pure.final_state.phi, inert.final_state.phi)
+    h_equal = np.array_equal(pure.h, inert.h) and pure.final_state.h == inert.final_state.h
+    t_equal = np.array_equal(pure.t, inert.t)
+    psi_max = float(inert.final_state.psi.max())
+    ok = phi_equal and h_equal and t_equal and psi_max > 0.0
+    _line(7, ok, f"bit-for-bit phi: {phi_equal}, h: {h_equal}, t: {t_equal}; inert max psi {psi_max:.3f}")
     assert phi_equal
     assert h_equal
     assert t_equal
+    assert psi_max > 0.0
 
 
 def test_criterion_8_convergence(params_default, params_pure):

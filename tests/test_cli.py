@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from basinwave import pde, verify
 from basinwave.cli import main, params_doc, parse_config
 from basinwave.core import RunConfig, derive_params
 from basinwave.errors import ValidationError
@@ -388,6 +389,31 @@ class TestExitCodes:
             "solver failure: time step collapsed below 1.953e-06 at t = 1.46438: "
             "reactant went negative"
         )
+
+    def test_verify_too_short_for_speed_fit_is_1_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # t_end / output_every allows at most 21 samples, 7 in the 0.3 window
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(verify, "residual_battery", unreachable)
+        monkeypatch.setattr(pde, "run_simulation", unreachable)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"t_end": 1.0, "dt": 0.002, "n_nodes": 288, "output_every": 0.05}')
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: speed fit needs >= 10 samples in the window, got 7 (21 total"
+        )
+        assert not (out / "report.csv").exists()
+
+    def test_unallocatable_n_nodes_is_1(self, tmp_path, capsys):
+        # numpy refuses 1e20 nodes without trying to allocate them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_nodes": 1e20, "t_end": 0.01}')
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: n_nodes = 100000000000000000000 ")
 
     def test_verify_failure_is_3(self, tmp_path, capsys):
         # a short horizon leaves the boundary speed far from the matching

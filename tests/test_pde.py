@@ -11,6 +11,7 @@ from basinwave.core import (
     derive_params,
     permeability_factor,
     reaction_rate,
+    rederive,
 )
 from basinwave.errors import StepRejected, ValidationError
 from basinwave.pde import (
@@ -28,14 +29,14 @@ def linear_top_state(params, phi_z_top, h=2.0, n=101):
     """State whose one-sided top derivative equals phi_z_top exactly."""
     x = np.linspace(0.0, 1.0, n)
     phi = params.phi0 + phi_z_top * h * (x - 1.0)
-    return BasinState(t=0.0, h=h, x=x, phi=phi, psi=np.full(n, params.psi0))
+    return BasinState(t=0.0, h=h, phi=phi, psi=np.full(n, params.psi0))
 
 
 def flux_null_state(params, h=1.0, n=201):
     """phi0 * e^(z - h): annihilates the compaction flux factor."""
     x = np.linspace(0.0, 1.0, n)
     phi = params.phi0 * np.exp(h * (x - 1.0))
-    return BasinState(t=0.0, h=h, x=x, phi=phi, psi=np.zeros(n))
+    return BasinState(t=0.0, h=h, phi=phi, psi=np.zeros(n))
 
 
 class TestHdot:
@@ -57,26 +58,6 @@ class TestHdot:
         assert hdot(state, p) == pytest.approx(0.5, rel=1e-12)
 
 
-class TestGridSpacing:
-    @pytest.mark.parametrize(
-        "x",
-        [
-            np.r_[0.0, 0.1, 0.3, np.linspace(0.4, 1.0, 13)],
-            np.linspace(0.1, 1.0, 16),
-        ],
-        ids=["nonuniform", "not-from-zero"],
-    )
-    def test_stepper_rejects_bad_grid(self, params_default, x):
-        phi = np.full(x.size, params_default.phi0)
-        psi = np.full(x.size, params_default.psi0)
-        state = BasinState(t=0.0, h=1.0, x=x, phi=phi, psi=psi)
-        config = RunConfig(n_nodes=16, dt=5e-3, t_end=1.0, h0=1.0)
-        with pytest.raises(ValidationError, match="uniform grid"):
-            hdot(state, params_default)
-        with pytest.raises(ValidationError, match="uniform grid"):
-            step_predictor_corrector(state, config.dt, params_default)
-
-
 def transport_rates(state, params, hdot_value):
     """Interior (phi, psi) rates of the assembled sigma-transformed operators.
 
@@ -84,7 +65,8 @@ def transport_rates(state, params, hdot_value):
     coefficients frozen at the state itself; the reaction terms are not
     included.
     """
-    x, phi, h = state.x, state.phi, state.h
+    phi, h = state.phi, state.h
+    x = np.linspace(0.0, 1.0, phi.size)
     dx = 1.0 / (x.size - 1)
     k_half, adv = pde._frozen_coefficients(phi, h, hdot_value, params, x, dx)
     dphi = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx), phi)
@@ -98,8 +80,7 @@ class TestSigmaTransformRates:
         # reaction exchange terms
         p = params_default
         n = 120
-        x = np.linspace(0.0, 1.0, n)
-        state = BasinState(t=0.0, h=1.5, x=x, phi=np.full(n, p.phi0), psi=np.full(n, p.psi0))
+        state = BasinState(t=0.0, h=1.5, phi=np.full(n, p.phi0), psi=np.full(n, p.psi0))
         dphi, dpsi = transport_rates(state, p, hdot_value=0.4)
         assert np.max(np.abs(dphi)) <= 1e-12
         assert np.max(np.abs(dpsi)) <= 1e-12
@@ -112,7 +93,7 @@ class TestSigmaTransformRates:
         for n in (101, 201, 401):
             state = flux_null_state(p, h=h, n=n)
             dphi, _ = transport_rates(state, p, hdot_value=p.sdot)
-            advective = state.x * p.sdot * state.phi
+            advective = np.linspace(0.0, 1.0, n) * p.sdot * state.phi
             resid[n] = np.max(np.abs(dphi - advective[1:-1]))
         for n in resid:
             dx = 1.0 / (n - 1)
@@ -196,13 +177,12 @@ class TestStep:
         state = initial_state(params_default, config)
         bad_coeff = state.phi.copy()
         bad_coeff[10] = bad
-        x = state.x
+        x = np.linspace(0.0, 1.0, config.n_nodes)
         dx = x[1] - x[0]
         with pytest.raises(StepRejected):
             pde._sweep(
                 x, dx, state.phi, state.psi, config.dt, 1.0,
-                bad_coeff, state.h, 0.0, state.h, params_default,
-                None, False, 0.0,
+                bad_coeff, state.h, 0.0, state.h, params_default, None, 0.0,
             )
 
     @pytest.mark.parametrize(
@@ -225,8 +205,7 @@ class TestStep:
         assert info.value.time == 0.25
 
 
-def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
-                           p, compaction_only):
+def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc, p):
     """The sweep's linear systems assembled densely, bottom rows un-eliminated.
 
     Written row by row from the discretization in the pde module docstring:
@@ -261,17 +240,14 @@ def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
     eye = np.eye(n)
     rr = reaction_rate(x * h_c, h_c, p)
 
-    source = np.zeros(n)
-    psi_new = psi_n
-    if not compaction_only:
-        mat = eye - theta * dt * lpsi
-        mat[-1] = eye[-1]
-        rhs = psi_n + (1.0 - theta) * dt * (lpsi @ psi_n)
-        rhs[-1] = p.psi0
-        psi_t = np.linalg.solve(mat, rhs)
-        source = (p.a0 / p.beta) * psi_t * -np.expm1(-rr * dt) / dt
-        psi_new = psi_t * np.exp(-rr * dt)
-        psi_new[-1] = p.psi0
+    mat = eye - theta * dt * lpsi
+    mat[-1] = eye[-1]
+    rhs = psi_n + (1.0 - theta) * dt * (lpsi @ psi_n)
+    rhs[-1] = p.psi0
+    psi_t = np.linalg.solve(mat, rhs)
+    source = (p.a0 / p.beta) * psi_t * -np.expm1(-rr * dt) / dt
+    psi_new = psi_t * np.exp(-rr * dt)
+    psi_new[-1] = p.psi0
 
     mat = eye - theta * dt * lphi
     mat[0] = 0.0
@@ -291,14 +267,16 @@ class TestTridiagonalElimination:
         old = run_simulation(params_default, replace(config, t_end=1.4)).final_state
         return old, run_simulation(params_default, config).final_state
 
-    @pytest.mark.parametrize("compaction_only", [False, True], ids=["reactive", "compaction"])
+    # a0 = 0 keeps the reactant moving but gives the phi solve an exactly
+    # zero source, the pure-compaction limit of the same sweep
+    @pytest.mark.parametrize("a0", [1.0, 0.0], ids=["reactive", "compaction"])
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_sweep_matches_dense_unreduced_solve(
-        self, params_default, reactive_states, theta, compaction_only
+        self, params_default, reactive_states, theta, a0
     ):
-        p = params_default
+        p = rederive(params_default, a0=a0)
         old, coeff = reactive_states
-        x = old.x
+        x = np.linspace(0.0, 1.0, old.phi.size)
         dx = 1.0 / (x.size - 1)
         dt = 0.02
         hdot_c = hdot(coeff, p)
@@ -306,10 +284,8 @@ class TestTridiagonalElimination:
         h_bc = old.h + dt * hdot_c
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
         args = (x, old.phi, old.psi, dt, theta, coeff.phi, h_c, hdot_c, h_bc)
-        phi, psi = pde._sweep(
-            x, dx, *args[1:], p, None, compaction_only, old.t
-        )
-        phi_ref, psi_ref = _dense_reference_sweep(*args, p, compaction_only)
+        phi, psi = pde._sweep(x, dx, *args[1:], p, None, old.t)
+        phi_ref, psi_ref = _dense_reference_sweep(*args, p)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
 
@@ -404,6 +380,32 @@ class TestEstimateWaveSpeed:
             estimate_wave_speed(self._series(t, t), 0.3)
 
 
+class TestSampleBound:
+    @pytest.mark.parametrize(
+        "dt, t_end, output_every",
+        [(0.005, 1.0, 0.05), (0.05, 1.0, 0.25), (0.03, 1.0, 0.05), (0.5, 0.3, 0.1)],
+        ids=["cadence", "coarse", "off-cadence-dt", "t_end-below-dt"],
+    )
+    def test_bounds_the_samples_a_run_returns(self, params_default, dt, t_end, output_every):
+        config = RunConfig(n_nodes=64, dt=dt, t_end=t_end, h0=0.1, output_every=output_every)
+        n = run_simulation(params_default, config).t.size
+        assert n <= pde.sample_bound(config)
+        if dt <= output_every and math.isclose(output_every / dt, round(output_every / dt)):
+            assert n == pde.sample_bound(config)
+
+    def test_short_horizon_fails_the_speed_window(self):
+        # 21 samples at most, so the 0.3 window holds 7 < 10
+        short = RunConfig(n_nodes=288, dt=0.002, t_end=1.0, output_every=0.05)
+        assert pde.sample_bound(short) == 21
+        with pytest.raises(ValidationError, match="got 7 \\(21 total"):
+            pde.speed_window(pde.sample_bound(short))
+        assert pde.speed_window(pde.sample_bound(replace(short, t_end=2.0))) == 13
+
+    def test_infinite_ratio_is_an_integer(self):
+        config = RunConfig(n_nodes=64, t_end=1e308, output_every=1e-300)
+        assert pde.sample_bound(config) == 2**53 + 1
+
+
 class TestIndependentOracle:
     def test_method_of_lines_cross_solver(self, params_pure):
         """Reaction-free run reproduced by an unrelated discretization.
@@ -455,7 +457,7 @@ class TestIndependentOracle:
         phi_mol, h_mol = unpack(sol.y[:, -1])
 
         config = RunConfig(n_nodes=n, dt=1e-3, t_end=t_end, output_every=0.1, h0=h0)
-        series = run_simulation(p, config, compaction_only=True)
+        series = run_simulation(p, config)
         assert abs(h_mol - series.h[-1]) / series.h[-1] <= 1e-3
         assert np.max(np.abs(phi_mol - series.final_state.phi)) <= 1e-4
         hdot_mol = rhs(t_end, sol.y[:, -1])[-1]
