@@ -428,9 +428,13 @@ def jump_residual(c: float, params: BasinParams) -> float:
     if params.a0 == 0.0 or C == 0.0:
         return 0.0
     low, high = default_inner_span(c, params)
-    # the end-node derivative comes from second-order differences; keep the
-    # sampling fine enough that its error stays below the 1e-6 scale
-    eta = np.linspace(low, high, max(1201, int(math.ceil((high - low) * 400.0))))
+    # Phi_eta at each end is the one-sided difference to the neighbouring
+    # node of an n-node uniform grid, fine enough that its error stays below
+    # the 1e-6 scale. Only those four nodes are integrated onto, placed as
+    # linspace places them; the integrator's steps do not depend on them.
+    n = max(1201, math.ceil((high - low) * 400.0))
+    eta = np.array([0.0, 1.0, n - 2.0, n - 1.0]) * ((high - low) / (n - 1)) + low
+    eta[-1] = high
     Phi = inner_Phi_ode(c, params, C, eta)
     Phi_eta = np.gradient(Phi, eta)
     bracket = (
@@ -521,11 +525,7 @@ def _solve_speed(params: BasinParams, denominator) -> MatchResult:
         hi *= 2.0
         g_hi = residual(hi)
     if g_lo * g_hi > 0.0:
-        raise NoRootError(
-            f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})",
-            bracket=(lo, hi),
-            residuals=(g_lo, g_hi),
-        )
+        raise NoRootError(f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})")
 
     c_bis = None
     bis_iters = 0
@@ -536,7 +536,7 @@ def _solve_speed(params: BasinParams, denominator) -> MatchResult:
             c_bis = mid
             break
         if g_lo * g_mid < 0.0:
-            hi, g_hi = mid, g_mid
+            hi = mid
         else:
             lo, g_lo = mid, g_mid
         if hi - lo <= _BISECTION_REL_WIDTH * abs(mid):

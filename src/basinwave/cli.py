@@ -197,8 +197,8 @@ def cmd_verify(args, params, config, out_dir: Path) -> int:
     table = ("report.csv", "report", ("check", "value", "tolerance", "pass"), report.rows())
     _record(out_dir, "verify", params, config, [table])
     print(report)
-    if not report.all_passed("primary"):
-        failed = ", ".join(c.name for c in report.failures("primary"))
+    if not report.all_passed():
+        failed = ", ".join(c.name for c in report.failures())
         print(f"verification failed: {failed}", file=sys.stderr)
         return 3
     return 0

@@ -63,7 +63,8 @@ def derive_params(
     """Validate raw constants and return a fully derived :class:`BasinParams`.
 
     Raises :class:`ValidationError` for non-numeric or non-finite values,
-    phi0 outside (0, 1), m < 7, negative parameters, or phi0 + psi0 > 1.
+    phi0 outside (0, 1), m < 7, lam or beta not positive, negative
+    parameters, or phi0 + psi0 > 1.
     Emits a ``UserWarning`` when beta is below the solver-validity
     threshold (the narrow-reaction-zone assumption needs beta >> 1).
     """
@@ -87,7 +88,9 @@ def derive_params(
         )
     if lam <= 0.0:
         raise ValidationError(f"compaction constant lam must be > 0, got {lam}")
-    for name, value in (("beta", beta), ("a0", a0), ("zstar", zstar), ("sdot", sdot)):
+    if beta <= 0.0:
+        raise ValidationError(f"activation energy beta must be > 0, got {beta}")
+    for name, value in (("a0", a0), ("zstar", zstar), ("sdot", sdot)):
         if value < 0.0:
             raise ValidationError(f"parameter {name} must be non-negative, got {value}")
     if beta < BETA_VALIDITY_FLOOR:

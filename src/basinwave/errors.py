@@ -13,22 +13,8 @@ class SolverError(BasinwaveError, RuntimeError):
     """A numerical solve failed to produce a usable result."""
 
 
-class CorrectorError(SolverError):
-    """Predictor-corrector sweeps diverged (non-finite or growing update)."""
-
-    def __init__(self, message, update_norm=None, time=None):
-        super().__init__(message)
-        self.update_norm = update_norm
-        self.time = time
-
-
 class NoRootError(SolverError):
     """Bracket expansion found no sign change for a scalar root."""
-
-    def __init__(self, message, bracket=None, residuals=None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.residuals = residuals
 
 
 class StiffProfileError(SolverError):
@@ -45,7 +31,3 @@ class ProfileRangeError(SolverError):
 
 class StepRejected(BasinwaveError):
     """Control-flow signal: retry the time step with a smaller dt."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time

@@ -43,12 +43,7 @@ from .core import (
     permeability_factor,
     reaction_rate,
 )
-from .errors import (
-    CorrectorError,
-    SolverError,
-    StepRejected,
-    ValidationError,
-)
+from .errors import SolverError, StepRejected, ValidationError
 
 # Trapezoidal corrector sweeps per step; they stop early once the relative
 # update falls below the tolerance.
@@ -94,17 +89,13 @@ def initial_state(params: BasinParams, config: RunConfig) -> BasinState:
     return BasinState(t=0.0, h=config.h0, phi=phi, psi=np.full(config.n_nodes, params.psi0))
 
 
-def _hdot_from(phi: np.ndarray, h: float, params: BasinParams) -> float:
-    """Boundary velocity from the top-node flux, one-sided second order."""
+def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
+    """dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) at z = h, from
+    the top-node flux with a one-sided second-order phi_z."""
     dx = 1.0 / (phi.size - 1)
     phi_z = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * dx * h)
     k_top = float(permeability_factor(phi[-1], params))
     return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi[-1])
-
-
-def hdot(state: BasinState, params: BasinParams) -> float:
-    """dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) at z = h."""
-    return _hdot_from(state.phi, state.h, params)
 
 
 def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx):
@@ -162,7 +153,7 @@ def _apply_tridiag(lo, di, up, f):
     return lo * f[:-2] + di * f[1:-1] + up * f[2:]
 
 
-def _solve_closed(theta_dt, lo, di, up, bottom, rhs, t_now):
+def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
     """Solve (I - theta_dt * L) u = rhs, overwriting rhs; returns u.
 
     Interior rows come from (lo, di, up); the top row is Dirichlet
@@ -188,7 +179,7 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs, t_now):
     b0, b1, b2 = bottom
     a12 = du[1]
     if a12 == 0.0 or not math.isfinite(a12):
-        raise StepRejected(f"bottom-row elimination pivot is {a12!r}", time=t_now)
+        raise StepRejected(f"bottom-row elimination pivot is {a12!r}")
     ratio = b2 / a12
     d[0] = b0 - ratio * dl[0]
     du[0] = b1 - ratio * d[1]
@@ -198,9 +189,9 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs, t_now):
         dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
     )
     if info > 0:
-        raise StepRejected(f"singular implicit system (zero pivot at row {info})", time=t_now)
+        raise StepRejected(f"singular implicit system (zero pivot at row {info})")
     if info < 0:
-        raise SolverError(f"gtsv rejected argument {-info} at t = {t_now:.6g}")
+        raise SolverError(f"gtsv rejected argument {-info}")
     return u
 
 
@@ -217,7 +208,6 @@ def _sweep(
     h_bc,
     params,
     mms_eval,
-    t_now,
 ):
     """One implicit solve with coefficients frozen at (phi_c, h_c, hdot_c).
 
@@ -229,7 +219,7 @@ def _sweep(
     """
     # also catches NaN coefficients, which would otherwise reach the solve
     if not np.all(phi_c > 0.0):
-        raise StepRejected("coefficient porosity non-positive or non-finite", time=t_now)
+        raise StepRejected("coefficient porosity non-positive or non-finite")
     k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx)
     theta_dt = theta * dt
     explicit_dt = (1.0 - theta) * dt
@@ -241,7 +231,7 @@ def _sweep(
         rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_n)
     rhs[-1] = params.psi0
     bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
-    psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs, t_now)
+    psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs)
     # exact per-step reaction integral, assuming R frozen over the step
     rr = reaction_rate(x * h_c, h_c, params)
     consumed_fraction = -np.expm1(-rr * dt)
@@ -266,7 +256,7 @@ def _sweep(
     rhs[0] = 0.0
     rhs[-1] = params.phi0
     bottom = (-3.0 - 2.0 * dx * h_bc, 4.0, -1.0)
-    phi_new = _solve_closed(theta_dt, lo_p, di_p, up_p, bottom, rhs, t_now)
+    phi_new = _solve_closed(theta_dt, lo_p, di_p, up_p, bottom, rhs)
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
@@ -286,7 +276,8 @@ def step_predictor_corrector(
 
     Raises :class:`StepRejected` when the step produces a non-positive
     porosity or negative reactant (the driver halves dt) and
-    :class:`CorrectorError` when the corrector sweeps diverge.
+    :class:`SolverError` when the corrector sweeps diverge or leave
+    non-finite fields.
 
     ``extra_phi_source`` is a manufactured forcing: a callable
     ``(x, t) -> array`` added to the porosity equation, through which
@@ -296,7 +287,7 @@ def step_predictor_corrector(
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
     x = np.linspace(0.0, 1.0, phi_n.size)
     dx = 1.0 / (phi_n.size - 1)
-    hdot_n = _hdot_from(phi_n, h_n, params)
+    hdot_n = hdot(phi_n, h_n, params)
 
     def mms(theta):
         if extra_phi_source is None:
@@ -309,20 +300,20 @@ def step_predictor_corrector(
     h_pred = h_n + dt * hdot_n
     phi_p, psi_p = _sweep(
         x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred,
-        params, mms(1.0), t_n,
+        params, mms(1.0),
     )
     h_p = h_pred
 
     update_norm = math.inf
     for _ in range(_CORRECTOR_SWEEPS):
-        hdot_p = _hdot_from(phi_p, h_p, params)
+        hdot_p = hdot(phi_p, h_p, params)
         phi_bar = 0.5 * (phi_n + phi_p)
         h_bar = 0.5 * (h_n + h_p)
         hdot_bar = 0.5 * (hdot_n + hdot_p)
         h_new = h_n + dt * hdot_bar
         phi_c, psi_c = _sweep(
             x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
-            params, mms(0.5), t_n,
+            params, mms(0.5),
         )
         update_norm = max(
             _rel_change(phi_c, phi_p),
@@ -334,22 +325,18 @@ def step_predictor_corrector(
             break
 
     if not math.isfinite(update_norm) or update_norm > _CORRECTOR_DIVERGENCE_LIMIT:
-        raise CorrectorError(
+        raise SolverError(
             f"corrector diverged at t = {t_n:.6g}: relative update {update_norm:.3e} "
-            f"after {_CORRECTOR_SWEEPS} sweeps",
-            update_norm=update_norm,
-            time=t_n,
+            f"after {_CORRECTOR_SWEEPS} sweeps"
         )
     if update_norm > _CORRECTOR_REJECT_LIMIT:
-        raise StepRejected(
-            f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}", time=t_n
-        )
+        raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
     if not (np.all(np.isfinite(phi_p)) and np.all(np.isfinite(psi_p))):
-        raise CorrectorError(f"non-finite fields after step at t = {t_n:.6g}", time=t_n)
+        raise SolverError(f"non-finite fields after step at t = {t_n:.6g}")
     if np.any(phi_p <= 0.0):
-        raise StepRejected("porosity went non-positive", time=t_n)
+        raise StepRejected("porosity went non-positive")
     if np.any(psi_p < 0.0):
-        raise StepRejected("reactant went negative", time=t_n)
+        raise StepRejected("reactant went negative")
     return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
 
 
@@ -360,7 +347,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     (recovering gradually after sustained acceptance); a step that would
     fall below dt/1024 raises :class:`SolverError`, since a run forced that
     far down has stalled rather than slowed. Stepper failures propagate as
-    :class:`SolverError` carrying the failing time, and so does a column
+    :class:`SolverError` naming the failing time, and so does a column
     whose advection coefficient hdot/(2 h dx) is not finite at t = 0. The
     final step is never shrunk to land on t_end exactly, so t_end < dt
     yields a series with only the initial sample.
@@ -372,7 +359,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     dx = 1.0 / (config.n_nodes - 1)
     ts = [state.t]
     hs = [state.h]
-    hds = [_hdot_from(state.phi, state.h, params)]
+    hds = [hdot(state.phi, state.h, params)]
     if not math.isfinite(float(hds[0]) / (2.0 * state.h * dx)):
         raise SolverError(
             f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {hds[0]:.3g})"
@@ -396,8 +383,6 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
                     f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {exc}"
                 ) from exc
             continue
-        except CorrectorError as exc:
-            raise SolverError(f"stepper failed at t = {state.t:.6g}: {exc}") from exc
 
         accepted_streak += 1
         if dt_cur < config.dt and accepted_streak >= _DT_RECOVERY_STEPS:
@@ -421,7 +406,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
         if state.t >= next_sample - 1e-9 * config.output_every:
             ts.append(state.t)
             hs.append(state.h)
-            hds.append(_hdot_from(state.phi, state.h, params))
+            hds.append(hdot(state.phi, state.h, params))
             while next_sample <= state.t + 1e-9 * config.output_every:
                 next_sample += config.output_every
 

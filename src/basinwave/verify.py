@@ -56,11 +56,11 @@ class VerificationReport:
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
 
-    def all_passed(self, tier: str = "primary") -> bool:
-        return all(c.passed for c in self.checks if c.tier == tier)
+    def all_passed(self) -> bool:
+        return not self.failures()
 
-    def failures(self, tier: str = "primary") -> list[CheckResult]:
-        return [c for c in self.checks if c.tier == tier and not c.passed]
+    def failures(self) -> list[CheckResult]:
+        return [c for c in self.checks if c.tier == "primary" and not c.passed]
 
     def rows(self) -> list[tuple]:
         return [(c.name, c.value, c.tolerance, c.passed) for c in self.checks]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from basinwave import asymptotics, verify
+from basinwave import asymptotics, pde, verify
 from basinwave.core import RunConfig, derive_params
 from basinwave.pde import run_simulation
 
@@ -21,6 +21,18 @@ C_MATCHED_DEFAULT = 0.24944962882133271
 
 #: Same oracle with the reaction terms removed (a0 = psi0 = 0).
 C_MATCHED_PURE = 0.26593108308039328
+
+
+def alter_corrector(monkeypatch, alter):
+    """Pass the fields of every trapezoidal corrector sweep (theta = 1/2)
+    through ``alter(phi, psi) -> (phi, psi)``; the predictor is untouched."""
+    real_sweep = pde._sweep
+
+    def sweep(*args):
+        phi, psi = real_sweep(*args)
+        return alter(phi, psi) if args[5] == 0.5 else (phi, psi)
+
+    monkeypatch.setattr(pde, "_sweep", sweep)
 
 
 def bottom_robin_residual(state, params):

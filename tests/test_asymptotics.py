@@ -218,6 +218,24 @@ class TestInnerPorosity:
         assert asym.jump_residual(0.25, p_noyield) == 0.0
         assert asym.jump_residual(0.25, params_pure) == 0.0
 
+    def test_jump_integrates_onto_four_linspace_nodes(self, params_default, monkeypatch):
+        # the bracket reads only the end nodes and their neighbours
+        p = params_default
+        c = asym.solve_c(p).c
+        seen = []
+        real = asym.inner_Phi_ode
+
+        def spy(c, params, C, eta):
+            seen.append(eta.copy())
+            return real(c, params, C, eta)
+
+        monkeypatch.setattr(asym, "inner_Phi_ode", spy)
+        asym.jump_residual(c, p)
+        low, high = asym.default_inner_span(c, p)
+        full = np.linspace(low, high, max(1201, math.ceil((high - low) * 400.0)))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], full[[0, 1, -2, -1]])
+
     def test_jump_small_at_solved_speed(self, params_default):
         c = asym.solve_c(params_default).c
         assert abs(asym.jump_residual(c, params_default)) <= 1e-6

@@ -9,6 +9,7 @@ from basinwave import pde, verify
 from basinwave.cli import main, params_doc, parse_config
 from basinwave.core import RunConfig, derive_params
 from basinwave.errors import ValidationError
+from conftest import alter_corrector
 
 
 def assert_replay_identical(first, second):
@@ -236,6 +237,13 @@ class TestExitCodes:
         cfg.write_text('{"m": 5}')
         assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("command", ["speed", "wave", "simulate"])
+    def test_zero_beta_is_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"beta": 0}')
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: activation energy beta must be > 0")
+
     def test_unreadable_config_is_1(self, tmp_path):
         assert main(["speed", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
 
@@ -376,6 +384,13 @@ class TestExitCodes:
         cfg = tmp_path / "env.json"
         cfg.write_text('{"sdot": 0.0}')
         assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_diverged_corrector_is_2(self, tmp_path, capsys, monkeypatch):
+        alter_corrector(monkeypatch, lambda phi, psi: (10.0 * phi, psi))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_nodes": 64, "t_end": 0.01}')
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("solver failure: corrector diverged at t = 0: ")
 
     def test_collapsed_time_step_is_2(self, tmp_path, capsys):
         # the coarse grid keeps rejecting steps once the layer is in the

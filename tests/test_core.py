@@ -50,6 +50,9 @@ class TestDeriveParams:
             {"m": math.inf},
             {"m": "abc"},
             {"beta": "21"},
+            # the matching takes log(beta) and the stepper divides by it
+            {"beta": 0.0},
+            {"beta": -1.0},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):

@@ -13,7 +13,7 @@ from basinwave.core import (
     reaction_rate,
     rederive,
 )
-from basinwave.errors import StepRejected, ValidationError
+from basinwave.errors import SolverError, StepRejected, ValidationError
 from basinwave.pde import (
     TimeSeries,
     estimate_wave_speed,
@@ -22,7 +22,7 @@ from basinwave.pde import (
     run_simulation,
     step_predictor_corrector,
 )
-from conftest import bottom_robin_residual
+from conftest import alter_corrector, bottom_robin_residual
 
 
 def linear_top_state(params, phi_z_top, h=2.0, n=101):
@@ -42,20 +42,20 @@ def flux_null_state(params, h=1.0, n=201):
 class TestHdot:
     def test_zero_flux_gives_sedimentation_rate(self, params_default):
         state = linear_top_state(params_default, phi_z_top=params_default.phi0)
-        assert hdot(state, params_default) == pytest.approx(params_default.sdot, rel=1e-12)
+        assert hdot(state.phi, state.h, params_default) == pytest.approx(params_default.sdot, rel=1e-12)
 
     def test_inversion_recovers_wave_speed(self, params_default):
         p = params_default
         c = 0.7
         slope = p.phi0 + (c - p.sdot) * (1.0 - p.phi0) / p.lam
         state = linear_top_state(p, phi_z_top=slope)
-        assert hdot(state, p) == pytest.approx(c, rel=1e-12)
+        assert hdot(state.phi, state.h, p) == pytest.approx(c, rel=1e-12)
 
     def test_direct_arithmetic(self):
         p = derive_params(sdot=1.0, lam=1.0, phi0=0.5)
         state = linear_top_state(p, phi_z_top=0.25)
         # 1 + (1/0.5) * 1 * (0.25 - 0.5) = 0.5
-        assert hdot(state, p) == pytest.approx(0.5, rel=1e-12)
+        assert hdot(state.phi, state.h, p) == pytest.approx(0.5, rel=1e-12)
 
 
 def transport_rates(state, params, hdot_value):
@@ -182,7 +182,7 @@ class TestStep:
         with pytest.raises(StepRejected):
             pde._sweep(
                 x, dx, state.phi, state.psi, config.dt, 1.0,
-                bad_coeff, state.h, 0.0, state.h, params_default, None, 0.0,
+                bad_coeff, state.h, 0.0, state.h, params_default, None,
             )
 
     @pytest.mark.parametrize(
@@ -200,9 +200,8 @@ class TestStep:
         up[row] = value
         if message == "singular":
             lo[row], di[row] = 0.0, 1.0
-        with pytest.raises(StepRejected, match=message) as info:
-            pde._solve_closed(1.0, lo, di, up, (1.0, 0.0, 1.0), np.ones(n), 0.25)
-        assert info.value.time == 0.25
+        with pytest.raises(StepRejected, match=message):
+            pde._solve_closed(1.0, lo, di, up, (1.0, 0.0, 1.0), np.ones(n))
 
 
 def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc, p):
@@ -279,12 +278,12 @@ class TestTridiagonalElimination:
         x = np.linspace(0.0, 1.0, old.phi.size)
         dx = 1.0 / (x.size - 1)
         dt = 0.02
-        hdot_c = hdot(coeff, p)
+        hdot_c = hdot(coeff.phi, coeff.h, p)
         h_c = 0.5 * (old.h + coeff.h)
         h_bc = old.h + dt * hdot_c
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
         args = (x, old.phi, old.psi, dt, theta, coeff.phi, h_c, hdot_c, h_bc)
-        phi, psi = pde._sweep(x, dx, *args[1:], p, None, old.t)
+        phi, psi = pde._sweep(x, dx, *args[1:], p, None)
         phi_ref, psi_ref = _dense_reference_sweep(*args, p)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
@@ -345,6 +344,23 @@ class TestRunSimulation:
         series = run_simulation(params_default, config)
         assert calls["n"] > 2
         assert series.final_state.t > 0.3
+
+    def test_diverged_corrector_stops_the_run(self, params_default, monkeypatch):
+        alter_corrector(monkeypatch, lambda phi, psi: (10.0 * phi, psi))
+        config = RunConfig(n_nodes=64, dt=2e-3, t_end=0.01, h0=0.1)
+        with pytest.raises(SolverError, match=r"^corrector diverged at t = 0: "):
+            run_simulation(params_default, config)
+
+    def test_non_finite_corrector_fields_stop_the_run(self, params_default, monkeypatch):
+        def poison(phi, psi):
+            psi = psi.copy()
+            psi[3] = np.nan
+            return phi, psi
+
+        alter_corrector(monkeypatch, poison)
+        config = RunConfig(n_nodes=64, dt=2e-3, t_end=0.01, h0=0.1)
+        with pytest.raises(SolverError, match=r"^non-finite fields after step at t = 0$"):
+            run_simulation(params_default, config)
 
 
 class TestEstimateWaveSpeed:
