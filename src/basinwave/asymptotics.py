@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BasinParams
+from .core import BasinParams, permeability_factor
 from .errors import (
     NoRootError,
     ProfileRangeError,
@@ -245,8 +245,7 @@ def outer_flux_invariant(phi, phi_zeta, params: BasinParams):
     combined with c*phi by the caller. Kept separate so checks do not reuse
     the inverted algebra of :func:`outer_ode_rhs`."""
     phi = np.asarray(phi, dtype=float)
-    k = np.exp(params.m * np.log(phi / params.phi0))
-    return params.lam * k * (np.asarray(phi_zeta) - phi)
+    return params.lam * permeability_factor(phi, params) * (np.asarray(phi_zeta) - phi)
 
 
 def _psi_from_invariant(phi, c: float, params: BasinParams):

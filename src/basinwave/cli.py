@@ -15,14 +15,14 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, asymptotics, pde, verify
-from .core import BasinParams, RunConfig, derive_params, rederive, resolution_nodes
+from .core import BasinParams, RunConfig, resolution_nodes
 from .errors import BasinwaveError, SolverError, ValidationError
 
 PARAM_KEYS = {
@@ -36,7 +36,6 @@ PARAM_KEYS = {
     "sdot": "sdot",
 }
 RUN_KEYS = ("n_nodes", "dt", "t_end", "h0", "output_every")
-_INTEGER_KEYS = {"m", "n_nodes"}
 
 
 def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
@@ -45,8 +44,8 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     Missing keys take the documented defaults (lambda=1, beta=21, m=7,
     phi0=0.5, psi0=0.3, a0=1, zstar=1, sdot=1; run controls from
     :class:`RunConfig`). n_nodes defaults to the reaction-layer resolution
-    rule 8*beta*(h0 + sdot*t_end). Unknown keys, type mismatches and
-    non-finite values are rejected.
+    rule 8*beta*(h0 + sdot*t_end). Unknown keys are rejected here; the
+    values are checked by :class:`BasinParams` and :class:`RunConfig`.
     """
     try:
         doc = json.loads(text) if text.strip() else {}
@@ -58,22 +57,16 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     unknown = sorted(set(doc) - set(PARAM_KEYS) - set(RUN_KEYS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    for key, val in doc.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ValidationError(
-                f"config key '{key}': expected a number, got {type(val).__name__}"
-            )
-        # is_integer() is False for NaN and infinities, where int() raises
-        if key in _INTEGER_KEYS and isinstance(val, float) and not val.is_integer():
-            raise ValidationError(f"config key '{key}': expected an integer, got {val}")
 
-    params = derive_params(
-        **{attr: doc[key] for key, attr in PARAM_KEYS.items() if key in doc}
-    )
+    params = BasinParams(**{attr: doc[key] for key, attr in PARAM_KEYS.items() if key in doc})
 
     run_kwargs = {k: doc[k] for k in RUN_KEYS if k in doc}
     if "n_nodes" in run_kwargs:
-        run_kwargs["n_nodes"] = int(run_kwargs["n_nodes"])
+        # a config may write 1e3 or 1000.0 for 1000; a fractional n_nodes
+        # reaches RunConfig and is refused there, never truncated
+        n_nodes = run_kwargs["n_nodes"]
+        if isinstance(n_nodes, float) and n_nodes.is_integer():
+            run_kwargs["n_nodes"] = int(n_nodes)
     else:
         # validates h0 and t_end before they enter the resolution rule
         probe = RunConfig(n_nodes=16, **run_kwargs)
@@ -89,9 +82,7 @@ def load_manifest(path: Path) -> tuple[BasinParams, RunConfig]:
     """Resolved inputs of a previous run; a malformed manifest is a ValidationError."""
     try:
         doc = json.loads(path.read_text())
-        params = derive_params(
-            **{attr: doc["params"][key] for key, attr in PARAM_KEYS.items()}
-        )
+        params = BasinParams(**{attr: doc["params"][key] for key, attr in PARAM_KEYS.items()})
         return params, RunConfig(**doc["config"])
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from exc
@@ -220,7 +211,7 @@ def _parse_sweep_axes(specs: list[str]) -> dict[str, list[float]]:
             raise ValidationError(f"sweep axis '{axis}' has no values")
         try:
             axes[key] = [
-                int(v) if key in _INTEGER_KEYS else float(v)
+                int(v) if key == "m" else float(v)
                 for v in values.split(",")
             ]
         except ValueError as exc:
@@ -236,7 +227,7 @@ def cmd_sweep(args, params, config, out_dir: Path) -> int:
     rows = []
     keys = list(axes)
     for index, combo in enumerate(itertools.product(*axes.values())):
-        p_i = rederive(params, **{PARAM_KEYS[k]: v for k, v in zip(keys, combo)})
+        p_i = replace(params, **{PARAM_KEYS[k]: v for k, v in zip(keys, combo)})
         match = asymptotics.solve_c(p_i)
         point_dir = out_dir / f"point_{index:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)

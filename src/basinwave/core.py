@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,99 +33,79 @@ BETA_VALIDITY_FLOOR = 10.0
 class BasinParams:
     """Physical constants of the compaction model plus derived quantities.
 
-    Prefer :func:`derive_params`, which validates and fills the derived
-    fields ``phistar`` (typical porosity below the reaction zone) and
-    ``A = beta / m``.
-    """
+    Construction validates the eight raw constants, stores ``m`` as ``int``
+    and the rest as ``float``, and fills ``phistar`` (typical porosity below
+    the reaction zone) and ``A = beta / m``;
+    ``dataclasses.replace(params, sdot=2.0)`` does all of this again.
 
-    lam: float       # compaction constant, O(1)
-    beta: float      # non-dimensional activation energy, >> 1
-    m: int           # permeability exponent, >= 7
-    phi0: float      # porosity of fresh sediment at the top boundary
-    psi0: float      # reactant fraction of fresh sediment
-    a0: float        # released-water yield of the reaction
-    zstar: float     # critical reaction depth below the top boundary
-    sdot: float      # sedimentation rate at the basin top
-    phistar: float   # phi0 * exp(-ln(m)/m)
-    A: float         # beta / m
-
-
-def derive_params(
-    lam: float = 1.0,
-    beta: float = 21.0,
-    m: int = 7,
-    phi0: float = 0.5,
-    psi0: float = 0.3,
-    a0: float = 1.0,
-    zstar: float = 1.0,
-    sdot: float = 1.0,
-) -> BasinParams:
-    """Validate raw constants and return a fully derived :class:`BasinParams`.
-
-    Raises :class:`ValidationError` for non-numeric or non-finite values,
-    phi0 outside (0, 1), m < 7, lam or beta not positive, negative
-    parameters, or phi0 + psi0 > 1.
+    Raises :class:`ValidationError` for non-numeric, boolean or non-finite
+    values, phi0 outside (0, 1), m not an integer >= 7, lam or beta not
+    positive, negative parameters, or phi0 + psi0 > 1.
     Emits a ``UserWarning`` when beta is below the solver-validity
     threshold (the narrow-reaction-zone assumption needs beta >> 1).
     """
-    raw = dict(lam=lam, beta=beta, m=m, phi0=phi0, psi0=psi0, a0=a0, zstar=zstar, sdot=sdot)
-    # NaN passes the sign checks below, and int(m) raises untyped errors
-    for name, value in raw.items():
-        if not isinstance(value, numbers.Real) or not -math.inf < value < math.inf:
-            raise ValidationError(f"parameter {name} must be a finite number, got {value!r}")
-    if isinstance(m, bool) or int(m) != m:
-        raise ValidationError(f"permeability exponent m must be an integer, got {m!r}")
-    m = int(m)
-    if m < 7:
-        raise ValidationError(f"permeability exponent m must be >= 7, got {m}")
-    if not 0.0 < phi0 < 1.0:
-        raise ValidationError(f"surface porosity phi0 must lie in (0, 1), got {phi0}")
-    if psi0 < 0.0:
-        raise ValidationError(f"surface reactant fraction psi0 must be >= 0, got {psi0}")
-    if phi0 + psi0 > 1.0:
-        raise ValidationError(
-            f"volume fractions exceed unity: phi0 + psi0 = {phi0 + psi0}"
-        )
-    if lam <= 0.0:
-        raise ValidationError(f"compaction constant lam must be > 0, got {lam}")
-    if beta <= 0.0:
-        raise ValidationError(f"activation energy beta must be > 0, got {beta}")
-    for name, value in (("a0", a0), ("zstar", zstar), ("sdot", sdot)):
-        if value < 0.0:
-            raise ValidationError(f"parameter {name} must be non-negative, got {value}")
-    if beta < BETA_VALIDITY_FLOOR:
-        warnings.warn(
-            f"beta = {beta} is below {BETA_VALIDITY_FLOOR}; the thin-reaction-zone "
-            "analysis assumes beta >> 1 and results may be unreliable",
-            UserWarning,
-            stacklevel=2,
-        )
-    phistar = phi0 * math.exp(-math.log(m) / m)
-    return BasinParams(
-        lam=float(lam),
-        beta=float(beta),
-        m=m,
-        phi0=float(phi0),
-        psi0=float(psi0),
-        a0=float(a0),
-        zstar=float(zstar),
-        sdot=float(sdot),
-        phistar=phistar,
-        A=float(beta) / m,
-    )
+
+    lam: float = 1.0     # compaction constant, O(1)
+    beta: float = 21.0   # non-dimensional activation energy, >> 1
+    m: int = 7           # permeability exponent, >= 7
+    phi0: float = 0.5    # porosity of fresh sediment at the top boundary
+    psi0: float = 0.3    # reactant fraction of fresh sediment
+    a0: float = 1.0      # released-water yield of the reaction
+    zstar: float = 1.0   # critical reaction depth below the top boundary
+    sdot: float = 1.0    # sedimentation rate at the basin top
+    phistar: float = field(init=False)   # phi0 * exp(-ln(m)/m)
+    A: float = field(init=False)         # beta / m
+
+    def __post_init__(self):
+        raw = {name: getattr(self, name) for name in _RAW_FIELDS}
+        # NaN passes the sign checks below, int(m) raises untyped errors,
+        # and bool is a Real that no parameter means
+        for name, value in raw.items():
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            ):
+                raise ValidationError(f"parameter {name} must be a finite number, got {value!r}")
+        lam, beta, m, phi0, psi0, a0, zstar, sdot = raw.values()
+        if int(m) != m:
+            raise ValidationError(f"permeability exponent m must be an integer, got {m!r}")
+        if m < 7:
+            raise ValidationError(f"permeability exponent m must be >= 7, got {m}")
+        if not 0.0 < phi0 < 1.0:
+            raise ValidationError(f"surface porosity phi0 must lie in (0, 1), got {phi0}")
+        if psi0 < 0.0:
+            raise ValidationError(f"surface reactant fraction psi0 must be >= 0, got {psi0}")
+        if phi0 + psi0 > 1.0:
+            raise ValidationError(
+                f"volume fractions exceed unity: phi0 + psi0 = {phi0 + psi0}"
+            )
+        if lam <= 0.0:
+            raise ValidationError(f"compaction constant lam must be > 0, got {lam}")
+        if beta <= 0.0:
+            raise ValidationError(f"activation energy beta must be > 0, got {beta}")
+        for name, value in (("a0", a0), ("zstar", zstar), ("sdot", sdot)):
+            if value < 0.0:
+                raise ValidationError(f"parameter {name} must be non-negative, got {value}")
+        if beta < BETA_VALIDITY_FLOOR:
+            warnings.warn(
+                f"beta = {beta} is below {BETA_VALIDITY_FLOOR}; the thin-reaction-zone "
+                "analysis assumes beta >> 1 and results may be unreliable",
+                UserWarning,
+                stacklevel=3,
+            )
+        # manifests and CSVs print the stored values, so keep their types exact
+        for name, value in raw.items():
+            kind = int if name == "m" else float
+            if type(value) is not kind:
+                object.__setattr__(self, name, kind(value))
+        object.__setattr__(self, "phistar", self.phi0 * math.exp(-math.log(self.m) / self.m))
+        object.__setattr__(self, "A", self.beta / self.m)
 
 
-def rederive(params: BasinParams, **changes) -> BasinParams:
-    """Re-validate ``params`` with the raw fields named in ``changes`` replaced.
+#: The eight constants a caller sets; ``phistar`` and ``A`` are derived from them.
+_RAW_FIELDS = tuple(f.name for f in fields(BasinParams) if f.init)
 
-    The derived ``phistar`` and ``A`` are recomputed by :func:`derive_params`,
-    so ``rederive(params)`` is bit-identical to ``params``.
-    """
-    raw = {
-        name: getattr(params, name)
-        for name in ("lam", "beta", "m", "phi0", "psi0", "a0", "zstar", "sdot")
-    }
-    return derive_params(**{**raw, **changes})
+#: The validating constructor under the name the library and its scripts use.
+derive_params = BasinParams
 
 
 def permeability_factor(phi, params: BasinParams):

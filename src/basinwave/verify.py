@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, pde
-from .core import BasinParams, BasinState, RunConfig, layer_nodes, rederive
+from .core import BasinParams, BasinState, RunConfig, layer_nodes
 from .errors import ValidationError
 
 _FD_STEP = 1e-6
@@ -146,9 +146,9 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     report.add("speed_solver_agreement", r, agreement, r <= agreement)
 
     speeds = [
-        asymptotics.solve_c(rederive(params, sdot=0.5 * params.sdot)).c,
+        asymptotics.solve_c(replace(params, sdot=0.5 * params.sdot)).c,
         c,
-        asymptotics.solve_c(rederive(params, sdot=2.0 * params.sdot)).c,
+        asymptotics.solve_c(replace(params, sdot=2.0 * params.sdot)).c,
     ]
     min_gain = min(np.diff(speeds))
     report.add(
@@ -246,7 +246,7 @@ def convergence_study(params: BasinParams, config: RunConfig) -> VerificationRep
     dt-halving sensitivity, all on the supplied (short) configuration."""
     report = VerificationReport()
 
-    p_mms = rederive(params, psi0=0.0, a0=0.0)
+    p_mms = replace(params, psi0=0.0, a0=0.0)
     errors, orders = manufactured_orders(p_mms)
     observed = min(orders)
     report.add(

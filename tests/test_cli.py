@@ -343,6 +343,12 @@ class TestExitCodes:
                     "config": {**asdict(RunConfig()), "dt": True},
                 }
             ),
+            json.dumps(
+                {
+                    "params": {**params_doc(derive_params()), "a0": True},
+                    "config": asdict(RunConfig()),
+                }
+            ),
         ],
         ids=[
             "missing-file",
@@ -355,6 +361,7 @@ class TestExitCodes:
             "float-n-nodes",
             "whole-float-n-nodes",
             "bool-dt",
+            "bool-param",
         ],
     )
     def test_malformed_manifest_is_1(self, tmp_path, capsys, text):

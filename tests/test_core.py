@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from basinwave.core import (
+    BasinParams,
     RunConfig,
     derive_params,
     permeability_factor,
     reaction_rate,
-    rederive,
     resolution_nodes,
 )
 from basinwave.errors import ValidationError
@@ -53,24 +54,34 @@ class TestDeriveParams:
             # the matching takes log(beta) and the stepper divides by it
             {"beta": 0.0},
             {"beta": -1.0},
+            # bool is a Real, but no parameter is a flag
+            {"lam": True},
+            {"psi0": False},
+            {"a0": True},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             derive_params(**kwargs)
 
+    def test_direct_construction_validates(self):
+        with pytest.raises(ValidationError, match="phi0"):
+            BasinParams(phi0=1.2)
+        with pytest.raises(ValidationError, match="phi0"):
+            replace(BasinParams(), phi0=1.2)
+
     def test_low_beta_warns(self):
         with pytest.warns(UserWarning, match="beta"):
             derive_params(beta=5.0)
 
-    def test_rederive_is_bit_identical(self):
+    def test_replace_is_bit_identical(self):
         p = derive_params(lam=1.3, beta=25.0, m=9, phi0=0.42, psi0=0.17)
-        q = rederive(p)
+        q = replace(p)
         assert q.phistar == p.phistar
         assert q.A == p.A
         assert q == p
-        # overrides re-derive phistar and A exactly as a direct call does
-        q = rederive(p, m=11, sdot=2.0)
+        # changes re-derive phistar and A exactly as a direct call does
+        q = replace(p, m=11, sdot=2.0)
         direct = derive_params(lam=1.3, beta=25.0, m=11, phi0=0.42, psi0=0.17, sdot=2.0)
         assert q.phistar == direct.phistar != p.phistar
         assert q.A == direct.A != p.A
