@@ -112,9 +112,9 @@ def permeability_factor(phi, params: BasinParams):
     """(phi/phi0)^m evaluated as exp(m*ln(phi/phi0)).
 
     The exp/log form stays smooth in the m >> 1 regime where direct integer
-    powers of a near-unity ratio lose accuracy. ``phi`` must be positive.
+    powers of a near-unity ratio lose accuracy. ``phi`` must be positive:
+    a float or a float array.
     """
-    phi = np.asarray(phi, dtype=float)
     return np.exp(params.m * np.log(phi / params.phi0))
 
 
@@ -126,7 +126,8 @@ def reaction_rate(z, h, params: BasinParams):
     z = h - zstar. Accepts scalars or arrays.
     """
     arg = params.beta * (np.asarray(h, dtype=float) - np.asarray(z, dtype=float) - params.zstar)
-    return np.exp(np.clip(arg, -_EXP_CLAMP, _EXP_CLAMP))
+    # np.clip would give the same values through three Python wrappers
+    return np.exp(np.minimum(np.maximum(arg, -_EXP_CLAMP), _EXP_CLAMP))
 
 
 @dataclass(frozen=True)

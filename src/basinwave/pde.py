@@ -28,6 +28,7 @@ cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -89,20 +90,32 @@ def initial_state(params: BasinParams, config: RunConfig) -> BasinState:
     return BasinState(t=0.0, h=config.h0, phi=phi, psi=np.full(config.n_nodes, params.psi0))
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(n: int) -> np.ndarray:
+    """The uniform grid x = linspace(0, 1, n), read-only so that every step
+    on n nodes can share it."""
+    x = np.linspace(0.0, 1.0, n)
+    x.flags.writeable = False
+    return x
+
+
 def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
     """dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) at z = h, from
     the top-node flux with a one-sided second-order phi_z."""
     dx = 1.0 / (phi.size - 1)
-    phi_z = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * dx * h)
-    k_top = float(permeability_factor(phi[-1], params))
-    return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi[-1])
+    phi_3, phi_2, phi_1 = phi[-3:].tolist()
+    phi_z = (3.0 * phi_1 - 4.0 * phi_2 + phi_3) / (2.0 * dx * h)
+    k_top = float(permeability_factor(phi_1, params))
+    return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi_1)
 
 
 def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx):
-    """Half-node permeabilities and interior advection shared by both operators."""
-    k_half = permeability_factor(0.5 * (phi_c[:-1] + phi_c[1:]), params)
+    """Half-node porosities and permeabilities and the interior advection,
+    shared by both operators."""
+    phi_half = 0.5 * (phi_c[:-1] + phi_c[1:])
+    k_half = permeability_factor(phi_half, params)
     adv = x[1:-1] * hdot_c / (2.0 * h_c * dx)
-    return k_half, adv
+    return phi_half, k_half, adv
 
 
 def _phi_operator(k_half, adv, h_c, params, dx):
@@ -110,17 +123,20 @@ def _phi_operator(k_half, adv, h_c, params, dx):
 
     Coefficients are frozen through ``k_half`` and ``adv`` from
     :func:`_frozen_coefficients`; the boundary rows belong to the closures.
+    Each scaled half-node permeability is formed once and feeds the two
+    rows it couples.
     """
     inv = 1.0 / (h_c * dx)
-    k_up = (params.lam * inv) * k_half[1:]
-    k_lo = (params.lam * inv) * k_half[:-1]
-    up = k_up * (inv - 0.5) + adv
-    lo = k_lo * (inv + 0.5) - adv
-    di = -(k_up * (inv + 0.5) + k_lo * (inv - 0.5))
+    k_scaled = (params.lam * inv) * k_half
+    k_minus = k_scaled * (inv - 0.5)
+    k_plus = k_scaled * (inv + 0.5)
+    up = k_minus[1:] + adv
+    lo = k_plus[:-1] - adv
+    di = -(k_plus[1:] + k_minus[:-1])
     return lo, di, up
 
 
-def _psi_operator(phi_c, k_half, adv, h_c, params, dx):
+def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx):
     """Reactant transport operator: half-node flux form plus advection.
 
     Returns (lo, di, up, row0): interior rows as for :func:`_phi_operator`
@@ -130,27 +146,29 @@ def _psi_operator(phi_c, k_half, adv, h_c, params, dx):
     entry outside the tridiagonal band.
     """
     inv = 1.0 / (h_c * dx)
-    f_half = k_half * ((phi_c[1:] - phi_c[:-1]) * inv - 0.5 * (phi_c[:-1] + phi_c[1:]))
+    f_half = k_half * ((phi_c[1:] - phi_c[:-1]) * inv - phi_half)
     nu = 0.5 * params.lam / ((1.0 - params.phi0) * h_c * dx)
     g = nu * f_half
     up = adv - g[1:]
     lo = g[:-1] - adv
     di = g[:-1] - g[1:]
 
-    phi_z0 = (-3.0 * phi_c[0] + 4.0 * phi_c[1] - phi_c[2]) * inv / 2.0
-    phi_z1 = (phi_c[2] - phi_c[0]) * inv / 2.0
-    phi_z2 = (phi_c[3] - phi_c[1]) * inv / 2.0
-    k_nodal = permeability_factor(phi_c[:3], params)
-    f0 = k_nodal[0] * (phi_z0 - phi_c[0])
-    f1 = k_nodal[1] * (phi_z1 - phi_c[1])
-    f2 = k_nodal[2] * (phi_z2 - phi_c[2])
+    # the bottom row is scalar work: Python floats round exactly as numpy's
+    p0, p1, p2, p3 = phi_c[:4].tolist()
+    k0, k1, k2 = permeability_factor(phi_c[:3], params).tolist()
+    f0 = k0 * ((-3.0 * p0 + 4.0 * p1 - p2) * inv / 2.0 - p0)
+    f1 = k1 * ((p2 - p0) * inv / 2.0 - p1)
+    f2 = k2 * ((p3 - p1) * inv / 2.0 - p2)
     row0 = (3.0 * nu * f0, -4.0 * nu * f1, nu * f2)
     return lo, di, up, row0
 
 
 def _apply_tridiag(lo, di, up, f):
     """Interior rows of the operator applied to the nodal field f."""
-    return lo * f[:-2] + di * f[1:-1] + up * f[2:]
+    out = lo * f[:-2]
+    out += di * f[1:-1]
+    out += up * f[2:]
+    return out
 
 
 def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
@@ -218,41 +236,41 @@ def _sweep(
     released equals a0/beta times the reactant consumed.
     """
     # also catches NaN coefficients, which would otherwise reach the solve
-    if not np.all(phi_c > 0.0):
+    if not phi_c.min() > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx)
+    phi_half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx)
     theta_dt = theta * dt
     explicit_dt = (1.0 - theta) * dt
 
-    lo_s, di_s, up_s, row0 = _psi_operator(phi_c, k_half, adv, h_c, params, dx)
+    lo_s, di_s, up_s, row0 = _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx)
     rhs = psi_n.copy()
     if theta < 1.0:
-        rhs[0] += explicit_dt * (row0[0] * psi_n[0] + row0[1] * psi_n[1] + row0[2] * psi_n[2])
+        s0, s1, s2 = psi_n[:3].tolist()
+        rhs[0] = s0 + explicit_dt * (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
         rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_n)
     rhs[-1] = params.psi0
     bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
     psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs)
-    # exact per-step reaction integral, assuming R frozen over the step
-    rr = reaction_rate(x * h_c, h_c, params)
-    consumed_fraction = -np.expm1(-rr * dt)
-    source = (params.a0 / params.beta) * psi_transported * consumed_fraction / dt
-    psi_new = psi_transported * np.exp(-rr * dt)
+    # exact per-step reaction integral, assuming R frozen over the step; the
+    # consumed fraction -expm1(-R dt) takes its sign from the divisor -dt
+    decay = reaction_rate(x * h_c, h_c, params) * -dt
+    source = (params.a0 / params.beta) * psi_transported * np.expm1(decay) / -dt
+    psi_new = psi_transported * np.exp(decay)
     # centered transport of the annihilated double-exponential tail can
     # undershoot by dust (~1e-30 psi0); zero that, leave real negatives
     # for the step-acceptance check
-    if params.psi0 > 0.0:
-        dust = (psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)
-        if dust.any():
-            psi_new[dust] = 0.0
+    if params.psi0 > 0.0 and psi_new.min() < 0.0:
+        psi_new[(psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)] = 0.0
     psi_new[-1] = params.psi0
 
     lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx)
     rhs = phi_n.copy()
+    interior = rhs[1:-1]
     if theta < 1.0:
-        rhs[1:-1] += explicit_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
-    rhs[1:-1] += dt * source[1:-1]
+        interior += explicit_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
+    interior += dt * source[1:-1]
     if mms_eval is not None:
-        rhs[1:-1] += dt * mms_eval[1:-1]
+        interior += dt * mms_eval[1:-1]
     rhs[0] = 0.0
     rhs[-1] = params.phi0
     bottom = (-3.0 - 2.0 * dx * h_bc, 4.0, -1.0)
@@ -262,7 +280,14 @@ def _sweep(
 
 
 def _rel_change(new, old):
-    return float(np.max(np.abs(new - old)) / (np.max(np.abs(new)) + 1e-300))
+    """max|new - old| / max|new|, or None when ``new`` holds a NaN or an inf
+    (the array max carries either into max|new|)."""
+    diff = new - old
+    np.abs(diff, out=diff)
+    change = diff.max()
+    np.abs(new, out=diff)
+    scale = diff.max()
+    return float(change / (scale + 1e-300)) if math.isfinite(scale) else None
 
 
 def step_predictor_corrector(
@@ -285,7 +310,7 @@ def step_predictor_corrector(
     exact solution of the forced system.
     """
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
-    x = np.linspace(0.0, 1.0, phi_n.size)
+    x = _grid(phi_n.size)
     dx = 1.0 / (phi_n.size - 1)
     hdot_n = hdot(phi_n, h_n, params)
 
@@ -314,14 +339,12 @@ def step_predictor_corrector(
             x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
             params, mms_corr,
         )
+        phi_change = _rel_change(phi_c, phi_p)
+        psi_change = _rel_change(psi_c, psi_p)
         # max() below would drop a NaN that is not its first argument
-        if not (np.isfinite(phi_c).all() and np.isfinite(psi_c).all()):
+        if phi_change is None or psi_change is None:
             raise SolverError(f"non-finite fields after step at t = {t_n:.6g}")
-        update_norm = max(
-            _rel_change(phi_c, phi_p),
-            _rel_change(psi_c, psi_p),
-            abs(h_new - h_p) / abs(h_new),
-        )
+        update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
         phi_p, psi_p, h_p = phi_c, psi_c, h_new
         if update_norm < _CORRECTOR_TOL:
             break
@@ -333,9 +356,9 @@ def step_predictor_corrector(
         )
     if update_norm > _CORRECTOR_REJECT_LIMIT:
         raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
-    if np.any(phi_p <= 0.0):
+    if phi_p.min() <= 0.0:
         raise StepRejected("porosity went non-positive")
-    if np.any(psi_p < 0.0):
+    if psi_p.min() < 0.0:
         raise StepRejected("reactant went negative")
     return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
 

@@ -120,6 +120,36 @@ class TestReactionRate:
         assert np.all(np.diff(rate_h) > 0.0)
 
 
+def clipped_reaction_rate(z, h, params):
+    """The kernel as it was written with np.clip, kept as the reference."""
+    arg = params.beta * (np.asarray(h, dtype=float) - np.asarray(z, dtype=float) - params.zstar)
+    return np.exp(np.clip(arg, -50.0, 50.0))
+
+
+class TestReactionRateClamp:
+    def test_array_matches_clip_bit_for_bit(self, params_default):
+        p = params_default
+        h = 4.0
+        z = np.append(np.linspace(-1.0, h + 4.0, 5001), h - p.zstar)
+        arg = p.beta * (h - z - p.zstar)
+        # both clamps and the exact front are exercised
+        assert arg.min() < -50.0 and arg.max() > 50.0 and np.any(arg == 0.0)
+        got = reaction_rate(z, h, p)
+        assert got.tobytes() == clipped_reaction_rate(z, h, p).tobytes()
+
+    @pytest.mark.parametrize("z", [-10.0, 0.0, 3.0, 3.5, 8.0])
+    def test_scalar_matches_clip_bit_for_bit(self, params_default, z):
+        got = reaction_rate(z, 4.0, params_default)
+        want = clipped_reaction_rate(z, 4.0, params_default)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_nan_propagates(self, params_default):
+        assert math.isnan(reaction_rate(np.nan, 4.0, params_default))
+        rate = reaction_rate(np.array([0.0, np.nan, 3.5]), 4.0, params_default)
+        assert np.isnan(rate).tolist() == [False, True, False]
+
+
 class TestPermeabilityFactor:
     def test_unity_at_phi0(self, params_default):
         assert permeability_factor(params_default.phi0, params_default) == 1.0

@@ -67,9 +67,9 @@ def transport_rates(state, params, hdot_value):
     phi, h = state.phi, state.h
     x = np.linspace(0.0, 1.0, phi.size)
     dx = 1.0 / (x.size - 1)
-    k_half, adv = pde._frozen_coefficients(phi, h, hdot_value, params, x, dx)
+    phi_half, k_half, adv = pde._frozen_coefficients(phi, h, hdot_value, params, x, dx)
     dphi = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx), phi)
-    lo, di, up, _row0 = pde._psi_operator(phi, k_half, adv, h, params, dx)
+    lo, di, up, _row0 = pde._psi_operator(phi, phi_half, k_half, adv, h, params, dx)
     return dphi, pde._apply_tridiag(lo, di, up, state.psi)
 
 
@@ -169,6 +169,32 @@ class TestStep:
         without = run_simulation(derive_params(a0=0.0, psi0=0.0, zstar=10.0), RunConfig(**base))
         assert np.array_equal(with_psi.final_state.phi, without.final_state.phi)
         assert with_psi.final_state.h == without.final_state.h
+
+    @staticmethod
+    def planted_state(params, value, n=64, node=50):
+        """A uniform column, steady under transport, with one reactant node
+        set to ``value``. The whole column lies above the reaction front
+        (h < zstar), and a step of 1e-10 moves that node by about 1e-17."""
+        psi = np.full(n, params.psi0)
+        psi[node] = value
+        return BasinState(t=0.0, h=0.5, phi=np.full(n, params.phi0), psi=psi)
+
+    def test_dust_undershoot_is_zeroed(self, params_default):
+        p = params_default
+        stepped = step_predictor_corrector(self.planted_state(p, -1e-15 * p.psi0), 1e-10, p)
+        assert stepped.psi[50] == 0.0
+        assert stepped.psi.min() == 0.0
+
+    def test_undershoot_beyond_dust_rejects_the_step(self, params_default):
+        p = params_default
+        with pytest.raises(StepRejected, match="reactant went negative"):
+            step_predictor_corrector(self.planted_state(p, -1e-13 * p.psi0), 1e-10, p)
+
+    def test_no_dust_allowance_without_reactant(self):
+        # at psi0 = 0 the dust band is empty: any undershoot is a negative
+        p = derive_params(psi0=0.0)
+        with pytest.raises(StepRejected, match="reactant went negative"):
+            step_predictor_corrector(self.planted_state(p, -1e-30), 1e-10, p)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
     def test_sweep_guard_rejects_nonpositive_coefficients(self, params_default, bad):
@@ -296,8 +322,8 @@ class TestAdvectionCorrection:
         frozen = pde._frozen_coefficients
 
         def reversed_advection(*args):
-            k_half, adv = frozen(*args)
-            return k_half, -adv
+            phi_half, k_half, adv = frozen(*args)
+            return phi_half, k_half, -adv
 
         monkeypatch.setattr(pde, "_frozen_coefficients", reversed_advection)
         err_flipped = manufactured_step_error(params_pure, 96)
@@ -354,15 +380,25 @@ class TestRunSimulation:
     # field must be caught before the update norm is taken
     @pytest.mark.parametrize("field", ["phi", "psi"])
     def test_non_finite_corrector_fields_stop_the_run(self, params_default, monkeypatch, field):
+        self.assert_poisoned_corrector_stops(params_default, monkeypatch, field, np.nan)
+
+    # the update norm's scale max|new| is what sees an inf
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("field", ["phi", "psi"])
+    def test_infinite_corrector_fields_stop_the_run(self, params_default, monkeypatch, field, bad):
+        self.assert_poisoned_corrector_stops(params_default, monkeypatch, field, bad)
+
+    @staticmethod
+    def assert_poisoned_corrector_stops(params, monkeypatch, field, bad):
         def poison(phi, psi):
             fields = {"phi": phi.copy(), "psi": psi.copy()}
-            fields[field][3] = np.nan
+            fields[field][3] = bad
             return fields["phi"], fields["psi"]
 
         alter_corrector(monkeypatch, poison)
         config = RunConfig(n_nodes=64, dt=2e-3, t_end=0.01, h0=0.1)
         with pytest.raises(SolverError, match=r"^non-finite fields after step at t = 0$"):
-            run_simulation(params_default, config)
+            run_simulation(params, config)
 
 
 class TestEstimateWaveSpeed:
