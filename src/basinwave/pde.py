@@ -13,11 +13,13 @@ with R the clamped reaction kernel, a Robin condition phi_z - phi = 0 at
 the basement z = 0, Dirichlet data (phi0, psi0) in the fresh sediment at
 z = h(t), and dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) there.
 
-Time stepping is an implicit predictor/corrector: a backward-Euler
-predictor with nonlinear coefficients frozen at the old time, then
-trapezoidal corrector sweeps that re-evaluate coefficients, the reaction
-factor, and the boundary velocity at the average of old and new states.
-The stiff reactant annihilation is integrated with its exact per-step
+Time stepping is an implicit predictor/corrector: trapezoidal corrector
+sweeps re-evaluate coefficients, the reaction factor, and the boundary
+velocity at the average of the old and the predicted new state. The
+prediction extrapolates the last two accepted states linearly; the first
+step, and any step whose extrapolated attempt fails, predicts instead with
+a backward-Euler sweep whose nonlinear coefficients are frozen at the old
+time. The stiff reactant annihilation is integrated with its exact per-step
 integrating factor so psi stays non-negative for any dt.
 
 Each sweep solves one linear system per field. The one-sided bottom rows
@@ -290,19 +292,52 @@ def _rel_change(new, old):
     return float(change / (scale + 1e-300)) if math.isfinite(scale) else None
 
 
+def _extrapolate(state: BasinState, previous: BasinState, dt: float):
+    """(phi, psi, h) at t_n + dt on the line through ``previous`` and
+    ``state``: y_n + r (y_n - y_prev) with r = dt / (t_n - t_prev).
+
+    Raises :class:`ValidationError` when ``previous`` is not strictly
+    earlier than ``state`` or has another node count.
+    """
+    if not previous.t < state.t:
+        raise ValidationError(
+            f"previous state at t = {previous.t!r} is not earlier than the state at t = {state.t!r}"
+        )
+    if previous.phi.size != state.phi.size:
+        raise ValidationError(
+            f"previous state has {previous.phi.size} nodes, the state has {state.phi.size}"
+        )
+    r = dt / (state.t - previous.t)
+    return (
+        state.phi + r * (state.phi - previous.phi),
+        state.psi + r * (state.psi - previous.psi),
+        state.h + r * (state.h - previous.h),
+    )
+
+
 def step_predictor_corrector(
     state: BasinState,
     dt: float,
     params: BasinParams,
     *,
+    previous: BasinState | None = None,
     extra_phi_source=None,
 ) -> BasinState:
     """Advance (phi, psi, h, t) by dt; returns the new state.
 
+    The trapezoidal corrector sweeps start from a predicted end state.
+    Given ``previous``, the accepted state before ``state``, the prediction
+    extrapolates the two linearly (see :func:`_extrapolate`), which costs
+    no solve; if the corrector then rejects or diverges, the step is
+    retaken at the same dt from the backward-Euler predictor, which is the
+    only predictor when ``previous`` is None. A step therefore fails only
+    where the backward-Euler start fails too.
+
     Raises :class:`StepRejected` when the step produces a non-positive
-    porosity or negative reactant (the driver halves dt) and
+    porosity or negative reactant (the driver halves dt),
     :class:`SolverError` when the corrector sweeps diverge or leave
-    non-finite fields.
+    non-finite fields, and :class:`ValidationError` for a ``previous``
+    that :func:`_extrapolate` cannot use.
 
     ``extra_phi_source`` is a manufactured forcing: a callable
     ``(x, t) -> array`` added to the porosity equation, through which
@@ -320,55 +355,67 @@ def step_predictor_corrector(
         mms_pred = extra_phi_source(x, t_n + dt)
         mms_corr = 0.5 * (extra_phi_source(x, t_n) + mms_pred)
 
+    def correct(phi_p, psi_p, h_p):
+        """Corrector sweeps from the predicted end state, then the
+        end-of-step checks."""
+        update_norm = math.inf
+        for _ in range(_CORRECTOR_SWEEPS):
+            hdot_p = hdot(phi_p, h_p, params)
+            phi_bar = 0.5 * (phi_n + phi_p)
+            h_bar = 0.5 * (h_n + h_p)
+            hdot_bar = 0.5 * (hdot_n + hdot_p)
+            h_new = h_n + dt * hdot_bar
+            phi_c, psi_c = _sweep(
+                x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
+                params, mms_corr,
+            )
+            phi_change = _rel_change(phi_c, phi_p)
+            psi_change = _rel_change(psi_c, psi_p)
+            # max() below would drop a NaN that is not its first argument
+            if phi_change is None or psi_change is None:
+                raise SolverError(f"non-finite fields after step at t = {t_n:.6g}")
+            update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
+            phi_p, psi_p, h_p = phi_c, psi_c, h_new
+            if update_norm < _CORRECTOR_TOL:
+                break
+
+        if not math.isfinite(update_norm) or update_norm > _CORRECTOR_DIVERGENCE_LIMIT:
+            raise SolverError(
+                f"corrector diverged at t = {t_n:.6g}: relative update {update_norm:.3e} "
+                f"after {_CORRECTOR_SWEEPS} sweeps"
+            )
+        if update_norm > _CORRECTOR_REJECT_LIMIT:
+            raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
+        if phi_p.min() <= 0.0:
+            raise StepRejected("porosity went non-positive")
+        if psi_p.min() < 0.0:
+            raise StepRejected("reactant went negative")
+        return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
+
+    if previous is not None:
+        predicted = _extrapolate(state, previous, dt)
+        try:
+            return correct(*predicted)
+        except (StepRejected, SolverError):
+            pass  # retaken below from the backward-Euler predictor
+
     # predictor: backward Euler, coefficients and hdot from time n
     h_pred = h_n + dt * hdot_n
     phi_p, psi_p = _sweep(
         x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred,
         params, mms_pred,
     )
-    h_p = h_pred
-
-    update_norm = math.inf
-    for _ in range(_CORRECTOR_SWEEPS):
-        hdot_p = hdot(phi_p, h_p, params)
-        phi_bar = 0.5 * (phi_n + phi_p)
-        h_bar = 0.5 * (h_n + h_p)
-        hdot_bar = 0.5 * (hdot_n + hdot_p)
-        h_new = h_n + dt * hdot_bar
-        phi_c, psi_c = _sweep(
-            x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
-            params, mms_corr,
-        )
-        phi_change = _rel_change(phi_c, phi_p)
-        psi_change = _rel_change(psi_c, psi_p)
-        # max() below would drop a NaN that is not its first argument
-        if phi_change is None or psi_change is None:
-            raise SolverError(f"non-finite fields after step at t = {t_n:.6g}")
-        update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
-        phi_p, psi_p, h_p = phi_c, psi_c, h_new
-        if update_norm < _CORRECTOR_TOL:
-            break
-
-    if not math.isfinite(update_norm) or update_norm > _CORRECTOR_DIVERGENCE_LIMIT:
-        raise SolverError(
-            f"corrector diverged at t = {t_n:.6g}: relative update {update_norm:.3e} "
-            f"after {_CORRECTOR_SWEEPS} sweeps"
-        )
-    if update_norm > _CORRECTOR_REJECT_LIMIT:
-        raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
-    if phi_p.min() <= 0.0:
-        raise StepRejected("porosity went non-positive")
-    if psi_p.min() < 0.0:
-        raise StepRejected("reactant went negative")
-    return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
+    return correct(phi_p, psi_p, h_pred)
 
 
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     """March from the uniform initial column to t_end.
 
-    Samples (t, h, dh/dt) every ``output_every``. Rejected steps halve dt
-    (recovering gradually after sustained acceptance); a step that would
-    fall below dt/1024 raises :class:`SolverError`, since a run forced that
+    Samples (t, h, dh/dt) every ``output_every``. Every step after the
+    first passes the accepted state before it to the stepper as
+    ``previous``. Rejected steps halve dt (recovering gradually after
+    sustained acceptance) and keep ``previous``; a step that would fall
+    below dt/1024 raises :class:`SolverError`, since a run forced that
     far down has stalled rather than slowed. Stepper failures propagate as
     :class:`SolverError` naming the failing time, and so does a column
     whose advection coefficient hdot/(2 h dx) is not finite at t = 0. The
@@ -395,9 +442,10 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     horizon = config.t_end * (1.0 + 1e-12)
     resolution_warned = False
 
+    previous = None
     while state.t + dt_cur <= horizon:
         try:
-            state = step_predictor_corrector(state, dt_cur, params)
+            stepped = step_predictor_corrector(state, dt_cur, params, previous=previous)
         except StepRejected as exc:
             dt_cur *= 0.5
             accepted_streak = 0
@@ -407,6 +455,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
                 ) from exc
             continue
 
+        previous, state = state, stepped
         accepted_streak += 1
         if dt_cur < config.dt and accepted_streak >= _DT_RECOVERY_STEPS:
             dt_cur = min(config.dt, 2.0 * dt_cur)

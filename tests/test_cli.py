@@ -408,7 +408,7 @@ class TestExitCodes:
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "solver failure: time step collapsed below 1.953e-06 at t = 1.46438: "
+            "solver failure: time step collapsed below 1.953e-06 at t = 1.4644: "
             "reactant went negative"
         )
 

@@ -401,6 +401,159 @@ class TestRunSimulation:
             run_simulation(params, config)
 
 
+class TestExtrapolatedPredictor:
+    CONFIG = RunConfig(n_nodes=64, dt=5e-3, t_end=0.5, h0=0.1, output_every=0.1)
+
+    @classmethod
+    def history(cls, params):
+        """Two accepted states, stepped without history from the start."""
+        previous = initial_state(params, cls.CONFIG)
+        for _ in range(3):
+            previous = step_predictor_corrector(previous, cls.CONFIG.dt, params)
+        return previous, step_predictor_corrector(previous, cls.CONFIG.dt, params)
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        """Count every ``_sweep`` call and the backward-Euler ones among them."""
+        counts = {"sweeps": 0, "backward_euler": 0}
+        real_sweep = pde._sweep
+
+        def sweep(*args):
+            counts["sweeps"] += 1
+            counts["backward_euler"] += args[5] == 1.0
+            return real_sweep(*args)
+
+        monkeypatch.setattr(pde, "_sweep", sweep)
+        return counts
+
+    @staticmethod
+    def spoil_extrapolated_attempts(monkeypatch, failure):
+        """Make every extrapolated attempt fail: its corrector sweeps (those
+        before the step's backward-Euler sweep) either raise StepRejected
+        or return a porosity that makes the corrector diverge."""
+        seen = {"spoiled": 0, "backward_euler": 0}
+        in_fallback = {"now": False}
+        real_step, real_sweep = pde.step_predictor_corrector, pde._sweep
+
+        def step(*args, **kwargs):
+            in_fallback["now"] = False
+            return real_step(*args, **kwargs)
+
+        def sweep(*args):
+            if args[5] == 1.0:
+                in_fallback["now"] = True
+                seen["backward_euler"] += 1
+            phi, psi = real_sweep(*args)
+            if in_fallback["now"]:
+                return phi, psi
+            seen["spoiled"] += 1
+            if failure == "rejected":
+                raise StepRejected("synthetic rejection")
+            return 10.0 * phi, psi
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        monkeypatch.setattr(pde, "_sweep", sweep)
+        return seen
+
+    # a run of k accepted, unrejected steps: only the first, which has no
+    # history, runs the backward-Euler sweep; 4000 steps at the defaults
+    @pytest.mark.parametrize("config, steps", [(CONFIG, 100), (RunConfig(), 4000)], ids=["small", "default"])
+    def test_run_makes_at_most_two_sweeps_per_step(self, params_default, monkeypatch, config, steps):
+        counts = self.count_sweeps(monkeypatch)
+        series = run_simulation(params_default, config)
+        assert series.final_state.t == pytest.approx(steps * config.dt, abs=1e-9)
+        assert counts["backward_euler"] == 1
+        assert counts["sweeps"] <= 2 * steps + 1
+
+    @pytest.mark.parametrize("failure", ["rejected", "diverged"])
+    def test_failed_extrapolation_is_retaken_without_history(
+        self, params_default, monkeypatch, failure
+    ):
+        previous, state = self.history(params_default)
+        dt = self.CONFIG.dt
+        expected = step_predictor_corrector(state, dt, params_default)
+        seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
+        stepped = pde.step_predictor_corrector(state, dt, params_default, previous=previous)
+        assert seen["spoiled"] >= 1
+        assert seen["backward_euler"] == 1
+        assert stepped.t == expected.t
+        assert stepped.h == expected.h
+        assert np.array_equal(stepped.phi, expected.phi)
+        assert np.array_equal(stepped.psi, expected.psi)
+
+    @pytest.mark.parametrize("failure", ["rejected", "diverged"])
+    def test_driver_keeps_dt_when_extrapolation_fails(self, params_default, monkeypatch, failure):
+        # every step retaken from backward Euler is the stepper without history
+        calls = {"n": 0}
+        real_step = pde.step_predictor_corrector
+
+        def without_history(state, dt, params, previous=None):
+            calls["n"] += 1
+            return real_step(state, dt, params)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pde, "step_predictor_corrector", without_history)
+            expected = run_simulation(params_default, self.CONFIG)
+        assert calls["n"] == 100
+
+        seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
+        series = run_simulation(params_default, self.CONFIG)
+        assert seen["backward_euler"] == 100
+        assert seen["spoiled"] >= 99
+        assert np.array_equal(series.t, expected.t)
+        assert np.array_equal(series.h, expected.h)
+        assert np.array_equal(series.final_state.phi, expected.final_state.phi)
+        assert np.array_equal(series.final_state.psi, expected.final_state.psi)
+
+    def test_prediction_after_rejection_uses_the_real_interval(self, params_default, monkeypatch):
+        steps, predictions = [], []
+        real_step, real_extrapolate = pde.step_predictor_corrector, pde._extrapolate
+
+        def flaky(state, dt, params, previous=None):
+            steps.append((state, previous, dt))
+            if len(steps) == 4:
+                raise StepRejected("synthetic rejection")
+            return real_step(state, dt, params, previous=previous)
+
+        def extrapolate(state, previous, dt):
+            predicted = real_extrapolate(state, previous, dt)
+            predictions.append((state, previous, dt, predicted))
+            return predicted
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", flaky)
+        monkeypatch.setattr(pde, "_extrapolate", extrapolate)
+        config = replace(self.CONFIG, t_end=0.03)
+        run_simulation(params_default, config)
+
+        # the rejected attempt and its retry share the state and its history
+        (state, previous, dt), (retry_state, retry_previous, retry_dt) = steps[3:5]
+        assert retry_state is state and retry_previous is previous
+        assert retry_dt == 0.5 * dt == 0.5 * config.dt
+        # calls 2 and 3 predicted at r = 1; call 4 was rejected before it
+        # could, so the third prediction is the retry's
+        assert [dt / (s.t - prev.t) for s, prev, dt, _ in predictions[:2]] == pytest.approx([1.0, 1.0])
+        state, previous, dt, (phi_p, psi_p, h_p) = predictions[2]
+        assert state is retry_state and dt == retry_dt
+        r = dt / (state.t - previous.t)
+        assert r == pytest.approx(0.5, rel=1e-12)
+        assert h_p == state.h + r * (state.h - previous.h)
+        assert np.array_equal(phi_p, state.phi + r * (state.phi - previous.phi))
+        assert np.array_equal(psi_p, state.psi + r * (state.psi - previous.psi))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3], ids=["same-time", "later"])
+    def test_previous_must_be_earlier(self, params_default, offset):
+        previous, state = self.history(params_default)
+        not_earlier = replace(previous, t=state.t + offset)
+        with pytest.raises(ValidationError, match="is not earlier than the state"):
+            step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=not_earlier)
+
+    def test_previous_must_have_the_same_node_count(self, params_default):
+        previous, state = self.history(params_default)
+        coarser = replace(previous, phi=previous.phi[::3], psi=previous.psi[::3])
+        with pytest.raises(ValidationError, match="previous state has 22 nodes, the state has 64"):
+            step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=coarser)
+
+
 class TestEstimateWaveSpeed:
     @staticmethod
     def _series(t, h):
