@@ -32,7 +32,6 @@ from .asymptotics import (
 )
 from .verify import (
     VerificationReport,
-    convergence_study,
     cross_validate_speed,
     residual_battery,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "solve_c_consistent",
     "solve_outer",
     "VerificationReport",
-    "convergence_study",
     "cross_validate_speed",
     "residual_battery",
     "__version__",

@@ -92,7 +92,6 @@ class OuterProfile:
 class TravellingWaveProfile:
     """Composite wave profile on a shared zeta grid with region tags."""
 
-    c: float
     zeta: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
@@ -110,7 +109,6 @@ class MatchResult:
     c: float
     Phi_inf: float
     C: float
-    B: float
     residual: float
     iterations: int
     c_fixed_point: float
@@ -560,7 +558,6 @@ def _solve_speed(params: BasinParams, denominator) -> MatchResult:
         c=c_bis,
         Phi_inf=phi_infinity(c_bis, params),
         C=inner_C(c_bis, params),
-        B=_B_constant(c_bis, params),
         residual=residual(c_bis),
         iterations=bis_iters + fp_iters,
         c_fixed_point=c_fp,
@@ -639,4 +636,4 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     phi[below] = phi_from_Phi(match.Phi_inf, params)
     psi[below] = inner_psi(eta_below, c, match.C)
 
-    return TravellingWaveProfile(c=c, zeta=zeta, phi=phi, psi=psi, region=region)
+    return TravellingWaveProfile(zeta=zeta, phi=phi, psi=psi, region=region)

@@ -67,6 +67,10 @@ _DT_RECOVERY_STEPS = 20
 _SPEED_WINDOW = 0.3
 _SPEED_FIT_MIN_SAMPLES = 10
 
+# Driver slacks, shared with sample_bound: on t_end, and on sample times per output_every.
+_HORIZON_SLACK = 1e-12
+_SAMPLE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -439,7 +443,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     dt_floor = config.dt * 2.0**-10
     accepted_streak = 0
     next_sample = config.output_every
-    horizon = config.t_end * (1.0 + 1e-12)
+    horizon = config.t_end * (1.0 + _HORIZON_SLACK)
     resolution_warned = False
 
     previous = None
@@ -475,11 +479,11 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             )
             resolution_warned = True
 
-        if state.t >= next_sample - 1e-9 * config.output_every:
+        if state.t >= next_sample - _SAMPLE_SLACK * config.output_every:
             ts.append(state.t)
             hs.append(state.h)
             hds.append(hdot(state.phi, state.h, params))
-            while next_sample <= state.t + 1e-9 * config.output_every:
+            while next_sample <= state.t + _SAMPLE_SLACK * config.output_every:
                 next_sample += config.output_every
 
     return TimeSeries(
@@ -494,7 +498,7 @@ def sample_bound(config: RunConfig) -> int:
     """Most samples :func:`run_simulation` can return for ``config``: t = 0
     plus at most one per ``output_every`` up to its horizon, with the
     driver's tolerances."""
-    intervals = config.t_end * (1.0 + 1e-12) / config.output_every + 1e-9
+    intervals = config.t_end * (1.0 + _HORIZON_SLACK) / config.output_every + _SAMPLE_SLACK
     # far beyond any run that can finish; keeps floor() off an infinite ratio
     return math.floor(min(intervals, 2.0**53)) + 1
 

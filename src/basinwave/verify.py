@@ -1,5 +1,5 @@
 """Cross-validation batteries: exact-solution residuals, solver agreement,
-simulation-vs-matching speed comparison, and convergence studies.
+simulation-vs-matching speed comparison, and the manufactured-solution reference.
 
 Every check carries an explicit tolerance and a machine-checkable pass
 flag; "primary" checks gate the verification exit status, "info" entries
@@ -22,9 +22,6 @@ _FD_STEP = 1e-6
 # Sample counts of the two finite-difference residual scans; a NaN sample fails its scan.
 _DRAINAGE_SAMPLES = 100
 _INNER_PSI_SAMPLES = 200
-
-# Grid levels of each refinement ladder; three give two convergence ratios.
-_LADDER_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -235,46 +232,8 @@ def manufactured_step_error(params: BasinParams, n_nodes: int) -> float:
 
 
 def manufactured_orders(params: BasinParams):
-    """Observed convergence orders over a manufactured refinement ladder."""
-    errors = [manufactured_step_error(params, 48 * 2**k) for k in range(_LADDER_LEVELS)]
-    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(_LADDER_LEVELS - 1)]
+    """Observed convergence orders over a three-level manufactured refinement ladder."""
+    errors = [manufactured_step_error(params, 48 * 2**k) for k in range(3)]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     return errors, orders
 
-
-def convergence_study(params: BasinParams, config: RunConfig) -> VerificationReport:
-    """Manufactured-profile spatial order, full-run Richardson ratios, and
-    dt-halving sensitivity, all on the supplied (short) configuration."""
-    report = VerificationReport()
-
-    p_mms = replace(params, psi0=0.0, a0=0.0)
-    errors, orders = manufactured_orders(p_mms)
-    observed = min(orders)
-    report.add(
-        "manufactured_order", observed, 1.9, observed >= 1.9,
-        note="pass when value >= tolerance; errors "
-        + ", ".join(f"{e:.2e}" for e in errors),
-    )
-
-    ladder = [
-        pde.run_simulation(params, replace(config, n_nodes=config.n_nodes * 2**k))
-        for k in range(_LADDER_LEVELS)
-    ]
-    h_end = [series.h[-1] for series in ladder]
-    d1 = abs(h_end[0] - h_end[1])
-    d2 = abs(h_end[1] - h_end[2])
-    if d2 == 0.0 or d1 == 0.0:
-        report.add("richardson_order_h", math.nan, math.inf, True, tier="info",
-                   note="differences vanished; ladder too fine to rate")
-    else:
-        order_h = math.log2(d1 / d2)
-        monotone = d1 > d2
-        report.add(
-            "richardson_order_h", order_h, math.inf, True, tier="info",
-            note="monotone refinement" if monotone else "non-monotone differences",
-        )
-
-    # ladder level 0 is the run at the supplied config
-    series_dt2 = pde.run_simulation(params, replace(config, dt=0.5 * config.dt))
-    shift = abs(ladder[0].hdot[-1] - series_dt2.hdot[-1]) / abs(series_dt2.hdot[-1])
-    report.add("dt_halving_hdot_shift", shift, 1e-3, shift <= 1e-3)
-    return report

@@ -329,7 +329,7 @@ class TestWaveProfile:
         p = params_default
         # the construction matches flux invariants exactly at the solved c
         outer_const = match.c * p.phi0 + (match.c - p.sdot) * (1.0 - p.phi0)
-        inner_const = match.B - match.c * p.a0 * match.C / p.A
+        inner_const = asym._B_constant(match.c, p) - match.c * p.a0 * match.C / p.A
         assert abs(outer_const - inner_const) <= 1e-9
         # the phi-level seam defect sits at its O(ln m / m) scale
         inner_idx = np.flatnonzero(prof.region == "inner")

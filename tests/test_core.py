@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import basinwave
 from basinwave.core import (
     BasinParams,
     RunConfig,
@@ -196,3 +197,12 @@ class TestResolutionRule:
         huge = derive_params(sdot=1e308)
         with pytest.raises(ValidationError, match="not finite"):
             resolution_nodes(huge, RunConfig())
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves_and_star_imports(self):
+        for name in basinwave.__all__:
+            assert hasattr(basinwave, name), name
+        namespace = {}
+        exec("from basinwave import *", namespace)
+        assert set(basinwave.__all__) <= namespace.keys()

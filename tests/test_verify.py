@@ -117,36 +117,11 @@ class TestCrossValidateSpeed:
         assert "never activated" in flag.note
 
 
-class TestConvergenceStudy:
+class TestManufacturedOrders:
     def test_manufactured_ladder(self, params_pure):
         errors, orders = verify.manufactured_orders(params_pure)
         assert len(errors) == 3
         assert min(orders) >= 1.9
-
-    def test_each_run_is_made_once(self, params_pure, monkeypatch):
-        configs = []
-        real_run = verify.pde.run_simulation
-
-        def counting_run(params, config, **kwargs):
-            configs.append(config)
-            return real_run(params, config, **kwargs)
-
-        monkeypatch.setattr(verify.pde, "run_simulation", counting_run)
-        config = RunConfig(n_nodes=32, dt=0.01, t_end=0.1, output_every=0.05, h0=0.1)
-        verify.convergence_study(params_pure, config)
-        # three ladder levels plus the dt-halved run; level 0 is the dt-halving base
-        assert len(configs) == 4
-        assert len(set(configs)) == 4
-
-    def test_study_entries_and_determinism(self, params_default):
-        config = RunConfig(n_nodes=144, dt=2e-3, t_end=1.0, output_every=0.1, h0=0.1)
-        a = verify.convergence_study(params_default, config)
-        by_name = {c.name: c for c in a.checks}
-        assert by_name["manufactured_order"].passed
-        assert by_name["dt_halving_hdot_shift"].passed
-        assert by_name["richardson_order_h"].tier == "info"
-        b = verify.convergence_study(params_default, config)
-        assert a.checks == b.checks
 
 
 class TestReportType:
