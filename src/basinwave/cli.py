@@ -107,11 +107,12 @@ def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     return path
 
 
-def _record(out_dir: Path, subcommand: str, params, config, tables, plot=None) -> None:
+def _record(out_dir: Path, subcommand: str, params, config, tables, plot=None, stats=None) -> None:
     """Write each ``(file name, schema, columns, rows)`` table as a CSV, then
     ``plot.gp`` from the gnuplot stanzas in ``plot`` if given, then
     ``manifest.json``: the fully resolved inputs and the outputs they
-    produced, in that order."""
+    produced, in that order, and the run's :class:`pde.RunStats` if given.
+    The stats never enter a CSV, so replayed CSVs stay byte-identical."""
     outputs = [
         write_csv(out_dir / name, schema, columns, rows)
         for name, schema, columns, rows in tables
@@ -135,6 +136,8 @@ def _record(out_dir: Path, subcommand: str, params, config, tables, plot=None) -
         "config": asdict(config),
         "outputs": [p.name for p in outputs],
     }
+    if stats is not None:
+        doc["stats"] = asdict(stats)
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -151,7 +154,7 @@ def cmd_simulate(args, params, config, out_dir: Path) -> int:
         'plot "timeseries.csv" using 1:2 with lines title "h(t)", \\',
         '     "timeseries.csv" using 1:3 with lines title "dh/dt"',
     ]
-    _record(out_dir, "simulate", params, config, tables, plot if args.plot else None)
+    _record(out_dir, "simulate", params, config, tables, plot if args.plot else None, series.stats)
     return 0
 
 

@@ -174,6 +174,17 @@ class TestSimulateCommand:
         assert len(rows) == 96
         assert "timeseries.csv" in (out / "plot.gp").read_text()
 
+    def test_manifest_carries_the_run_stats(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"t_end": 1.0, "dt": 0.005, "n_nodes": 64, "output_every": 0.075}')
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        _, config = parse_config(cfg.read_text())
+        assert stats == asdict(pde.run_simulation(derive_params(), config).stats)
+        assert stats["steps_rejected"] == 0
+        assert stats["dt_min"] < config.dt < stats["dt_max"]
+
     def test_simulate_replay_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"t_end": 0.5, "dt": 0.005, "n_nodes": 256, "output_every": 0.1}')
@@ -213,14 +224,14 @@ class TestReplay:
 
 
 class TestResolutionWarning:
-    # the layer enters the column (h > zstar) at t = 1.13, where
-    # 8*beta*h = 168 exceeds the 160 nodes
+    # the layer enters the column (h > zstar) at t = 1.14, where
+    # 8*beta*h = 169 exceeds the 160 nodes
     CONFIG = '{"n_nodes": 160, "dt": 0.005, "t_end": 1.2, "output_every": 0.1}'
 
     def test_simulate_warns_once_layer_is_in_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(self.CONFIG)
-        with pytest.warns(UserWarning, match="reaction layer under-resolved at t = 1.13"):
+        with pytest.warns(UserWarning, match="reaction layer under-resolved at t = 1.14"):
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_speed_ignores_n_nodes(self, tmp_path):
@@ -408,7 +419,7 @@ class TestExitCodes:
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "solver failure: time step collapsed below 1.953e-06 at t = 1.4644: "
+            "solver failure: time step collapsed below 1.953e-06 at t = 1.46917: "
             "reactant went negative"
         )
 

@@ -331,12 +331,13 @@ class TestAdvectionCorrection:
 
 
 class TestRunSimulation:
-    def test_horizon_shorter_than_dt_keeps_only_initial_sample(self, params_default):
+    def test_dt_longer_than_horizon_lands_on_t_end(self, params_default):
+        # no step crosses a sample time, so every step is shortened to one
         config = RunConfig(n_nodes=64, dt=0.5, t_end=0.3, h0=0.1, output_every=0.1)
         series = run_simulation(params_default, config)
-        assert series.t.size == 1
-        assert series.t[0] == 0.0
+        assert series.t == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-12)
         assert series.h[0] == config.h0
+        assert series.final_state.t == pytest.approx(0.3, abs=1e-12)
 
     def test_deterministic_bitwise(self, params_default):
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1, output_every=0.1)
@@ -494,12 +495,13 @@ class TestExtrapolatedPredictor:
         with monkeypatch.context() as patch:
             patch.setattr(pde, "step_predictor_corrector", without_history)
             expected = run_simulation(params_default, self.CONFIG)
-        assert calls["n"] == 100
+        # 60 steps at dt through the start-up transient, then 20 at 2 dt
+        assert calls["n"] == 80
 
         seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
         series = run_simulation(params_default, self.CONFIG)
-        assert seen["backward_euler"] == 100
-        assert seen["spoiled"] >= 99
+        assert seen["backward_euler"] == 80
+        assert seen["spoiled"] >= 79
         assert np.array_equal(series.t, expected.t)
         assert np.array_equal(series.h, expected.h)
         assert np.array_equal(series.final_state.phi, expected.final_state.phi)
@@ -554,6 +556,126 @@ class TestExtrapolatedPredictor:
             step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=coarser)
 
 
+class TestStepGrowth:
+    # grows to 1e-2 and 2e-2; 0.075 is no multiple of either, so steps are
+    # shortened to land on samples
+    CONFIG = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1, output_every=0.075)
+
+    @staticmethod
+    def record_attempts(monkeypatch, reject=lambda attempts: False, alter=lambda state: state):
+        """Record (t, dt) of every step attempt. ``reject(attempts)`` makes
+        the latest attempt raise StepRejected; ``alter`` maps each accepted
+        state before the driver sees it."""
+        attempts = []
+        real_step = pde.step_predictor_corrector
+
+        def step(state, dt, params, previous=None):
+            attempts.append((state.t, dt))
+            if reject(attempts):
+                raise StepRejected("synthetic rejection")
+            return alter(real_step(state, dt, params, previous=previous))
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        return attempts
+
+    @pytest.mark.parametrize("limit, doublings", [(math.inf, 1), (0.0, 0)], ids=["always", "never"])
+    def test_dt_doubles_only_after_a_full_window_the_limit_allows(
+        self, params_default, monkeypatch, limit, doublings
+    ):
+        monkeypatch.setattr(pde, "_DT_GROWTH_LIMIT", limit)
+        attempts = self.record_attempts(monkeypatch)
+        config = RunConfig(n_nodes=64, dt=1e-3, t_end=0.06, h0=0.1, output_every=0.06)
+        series = run_simulation(params_default, config)
+        steps = [config.dt] * 20 + [2.0**doublings * config.dt] * (40 // 2**doublings)
+        assert [dt for _, dt in attempts] == pytest.approx(steps, rel=1e-9)
+        assert series.final_state.t == pytest.approx(config.t_end, abs=1e-12)
+
+    def test_rejection_restarts_the_window(self, params_default, monkeypatch):
+        # the fifth step at 2 dt is rejected: 20 steps at dt follow before
+        # dt doubles again, not the 16 that would complete its window
+        monkeypatch.setattr(pde, "_DT_GROWTH_LIMIT", math.inf)
+        attempts = self.record_attempts(monkeypatch, reject=lambda attempts: len(attempts) == 25)
+        config = RunConfig(n_nodes=64, dt=1e-3, t_end=0.06, h0=0.1, output_every=0.06)
+        run_simulation(params_default, config)
+        steps = [1e-3] * 20 + [2e-3] * 5 + [1e-3] * 20 + [2e-3] * 6
+        assert [dt for _, dt in attempts] == pytest.approx(steps, rel=1e-9)
+
+    def test_start_up_window_is_at_config_dt(self, params_default, monkeypatch):
+        attempts = self.record_attempts(monkeypatch)
+        run_simulation(params_default, self.CONFIG)
+        # the start-up transient's estimates keep the first window from
+        # doubling dt; the step landing on t = 0.075 is dt to the last bits
+        assert [dt for _, dt in attempts[:21]] == pytest.approx([self.CONFIG.dt] * 21, rel=1e-12)
+
+    def test_default_run_grows_its_steps(self, sim_default, default_config):
+        stats = sim_default[0].stats
+        assert stats.steps_accepted <= 1000
+        assert stats.steps_rejected == 0
+        assert stats.dt_max >= 4.0 * default_config.dt
+
+    @pytest.mark.parametrize("which", ["small", "default"])
+    def test_samples_land_on_multiples_of_output_every(self, params_default, sim_default, default_config, which):
+        if which == "default":
+            series, config = sim_default[0], default_config
+        else:
+            config = self.CONFIG
+            series = run_simulation(params_default, config)
+        assert series.stats.dt_max > config.dt
+        k = np.arange(series.t.size)
+        assert np.abs(series.t - k * config.output_every).max() <= 1e-12
+        assert series.t.size == pde.sample_bound(config)
+        assert series.final_state.t == pytest.approx(config.t_end, abs=1e-12)
+
+    # the first step tried at a grown dt, or the first one shortened to
+    # land on a sample after dt has grown
+    @pytest.mark.parametrize("which", ["grown", "shortened"])
+    def test_rejection_halves_the_step_tried(self, params_default, monkeypatch, which):
+        dt = self.CONFIG.dt
+        first = {"at": None}
+
+        def reject(attempts):
+            tried = attempts[-1][1]
+            before = attempts[-2][1] if len(attempts) > 1 else dt
+            if which == "grown":
+                hit = tried > 1.5 * dt
+            else:
+                hit = before > 1.5 * dt and tried < 0.9 * before
+            if hit and first["at"] is None:
+                first["at"] = len(attempts) - 1
+                return True
+            return False
+
+        attempts = self.record_attempts(monkeypatch, reject=reject)
+        series = run_simulation(params_default, self.CONFIG)
+        i = first["at"]
+        assert i is not None
+        (t, tried), (retry_t, retry_dt) = attempts[i], attempts[i + 1]
+        assert retry_t == t
+        assert retry_dt == 0.5 * tried
+        assert series.stats.steps_rejected == 1
+        assert series.final_state.t == pytest.approx(self.CONFIG.t_end, abs=1e-12)
+
+    def test_reactant_cannot_change_the_step_sizes(self, monkeypatch):
+        # a reactant that releases no water leaves phi and h alone; spoiling
+        # its extrapolation by 1e-3 on every other step must not move dt
+        inert = derive_params(a0=0.0, psi0=0.3)
+        with monkeypatch.context() as patch:
+            expected_attempts = self.record_attempts(patch)
+            expected = run_simulation(inert, self.CONFIG)
+        accepted = {"n": 0}
+
+        def spoil(state):
+            accepted["n"] += 1
+            return replace(state, psi=state.psi * (1.0 + 1e-3 * (accepted["n"] % 2)))
+
+        attempts = self.record_attempts(monkeypatch, alter=spoil)
+        series = run_simulation(inert, self.CONFIG)
+        assert expected.stats.dt_max > self.CONFIG.dt
+        assert attempts == expected_attempts
+        assert np.array_equal(series.final_state.phi, expected.final_state.phi)
+        assert not np.array_equal(series.final_state.psi, expected.final_state.psi)
+
+
 class TestEstimateWaveSpeed:
     @staticmethod
     def _series(t, h):
@@ -595,10 +717,7 @@ class TestSampleBound:
     )
     def test_bounds_the_samples_a_run_returns(self, params_default, dt, t_end, output_every):
         config = RunConfig(n_nodes=64, dt=dt, t_end=t_end, h0=0.1, output_every=output_every)
-        n = run_simulation(params_default, config).t.size
-        assert n <= pde.sample_bound(config)
-        if dt <= output_every and math.isclose(output_every / dt, round(output_every / dt)):
-            assert n == pde.sample_bound(config)
+        assert run_simulation(params_default, config).t.size == pde.sample_bound(config)
 
     def test_short_horizon_fails_the_speed_window(self):
         # 21 samples at most, so the 0.3 window holds 7 < 10
