@@ -72,7 +72,7 @@ _CORRECTOR_DIVERGENCE_LIMIT = 0.5
 # h(t_end) and c_num by 2.0e-5 and 3.0e-5 relative to fixed steps; 1e-4 takes
 # 6% more steps for the same shift; 5e-4 moves c_num by 5.9e-5, too near the
 # 1e-4 accuracy gate.
-_DT_RECOVERY_STEPS = 20
+_DT_GROWTH_WINDOW = 20
 _DT_GROWTH_LIMIT = 2e-4
 
 # Trailing share of the samples the wave-speed fit uses, and the fewest
@@ -80,7 +80,11 @@ _DT_GROWTH_LIMIT = 2e-4
 _SPEED_WINDOW = 0.3
 _SPEED_FIT_MIN_SAMPLES = 10
 
-# Driver slacks, shared with sample_bound: on t_end, and on sample times per output_every.
+# Driver slacks, shared with sample_bound: on t_end, and on sample times per
+# output_every. The run stops once t >= t_end*(1 - slack), so a landing on
+# t_end that misses it by rounding is not followed by a sliver step, and
+# sample_bound counts the sample times up to t_end*(1 + slack), so a sample
+# that lands on t_end within rounding is counted.
 _HORIZON_SLACK = 1e-12
 _SAMPLE_SLACK = 1e-9
 
@@ -437,30 +441,19 @@ def step_predictor_corrector(
     return correct(phi_p, psi_p, h_pred)
 
 
-def _milne_estimate(stepped: BasinState, state: BasinState, previous: BasinState, dt: float) -> float:
-    """Local error estimate of the step of length dt from ``state`` to
-    ``stepped``: the relative max-difference of the accepted phi and h from
-    their linear extrapolation through ``previous`` and ``state``, the line
-    :func:`_extrapolate` draws.
-
-    psi is left out: a reactant that releases no water (a0 = 0) then leaves
-    the step sizes, like phi and h, as without any reactant.
-    """
-    r = dt / (state.t - previous.t)
-    phi_line = state.phi + r * (state.phi - previous.phi)
-    h_line = state.h + r * (state.h - previous.h)
-    return max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
-
-
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     """March from the uniform initial column to t_end.
 
     Samples (t, h, dh/dt) at every multiple of ``output_every``. ``config.dt``
-    is the start step. After every _DT_RECOVERY_STEPS accepted steps dt
-    doubles if four times the largest :func:`_milne_estimate` over those
-    steps stays below _DT_GROWTH_LIMIT, so steps grow once the start-up
-    transient has passed. No step crosses the next sample time or t_end:
-    a step is shortened to land on it, and the run ends on t_end. Every step
+    is the start step. After every _DT_GROWTH_WINDOW accepted steps dt
+    doubles if four times the largest Milne-style estimate over those steps
+    (the distance of the accepted phi and h from the line
+    :func:`_extrapolate` draws) stays below _DT_GROWTH_LIMIT, so steps grow
+    once the start-up transient has passed. The estimate only gates growth:
+    a grown dt never shrinks on a large estimate, only on a rejected step,
+    so a late fast phase keeps the grown dt unless the corrector rejects
+    it. No step crosses the next sample time or t_end: a step is shortened
+    to land on it, and the run ends on t_end. Every step
     after the first passes the accepted state before it to the stepper as
     ``previous``. A rejected step halves the step it tried, restarts the
     growth window and keeps ``previous``; a step that would fall below
@@ -511,12 +504,18 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             continue
 
         if previous is not None:
-            window_estimate = max(window_estimate, _milne_estimate(stepped, state, previous, dt_step))
+            # Milne-style estimate: the accepted phi and h against the line
+            # the extrapolated predictor draws; psi is left out, so a
+            # reactant that releases no water (a0 = 0) leaves the step sizes
+            # as without any reactant
+            phi_line, _, h_line = _extrapolate(state, previous, dt_step)
+            estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
+            window_estimate = max(window_estimate, estimate)
         previous, state = state, stepped
         accepted += 1
         dt_min, dt_max = min(dt_min, dt_step), max(dt_max, dt_step)
         accepted_streak += 1
-        if accepted_streak >= _DT_RECOVERY_STEPS:
+        if accepted_streak >= _DT_GROWTH_WINDOW:
             if 4.0 * window_estimate < _DT_GROWTH_LIMIT:
                 dt_cur *= 2.0
             accepted_streak = 0
@@ -552,9 +551,9 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
 
 
 def sample_bound(config: RunConfig) -> int:
-    """Most samples :func:`run_simulation` can return for ``config``: t = 0
-    plus at most one per ``output_every`` up to its horizon, with the
-    driver's tolerances."""
+    """Samples :func:`run_simulation` returns for ``config`` when it
+    finishes: t = 0 plus exactly one per ``output_every`` up to its
+    horizon, with the driver's tolerances."""
     intervals = config.t_end * (1.0 + _HORIZON_SLACK) / config.output_every + _SAMPLE_SLACK
     # far beyond any run that can finish; keeps floor() off an infinite ratio
     return math.floor(min(intervals, 2.0**53)) + 1
