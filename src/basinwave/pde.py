@@ -171,6 +171,13 @@ def _phi_operator(k_half, adv, h_c, params, dx):
     return lo, di, up
 
 
+def _robin_row(dx, h):
+    """Bottom row (b0, b1, b2) of the porosity solve on nodes 0-2: the
+    Robin condition phi_z - phi = 0 with a second-order one-sided phi_z,
+    scaled by 2*dx*h so the row stays O(1)."""
+    return (-3.0 - 2.0 * dx * h, 4.0, -1.0)
+
+
 def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx):
     """Reactant transport operator: half-node flux form plus advection.
 
@@ -211,9 +218,8 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
 
     Interior rows come from (lo, di, up); the top row is Dirichlet
     (u = rhs[-1]). ``bottom`` is the full bottom row (b0, b1, b2) on nodes
-    0-2: the Robin stencil for phi (scaled by 2*dx*h so the row stays
-    O(1)) or the one-sided transport row for psi. Its b2 entry, the only
-    one outside the tridiagonal band, is cancelled by
+    0-2: :func:`_robin_row` for phi or the one-sided transport row for psi.
+    Its b2 entry, the only one outside the tridiagonal band, is cancelled by
     row0 <- row0 - (b2/a12) row1 (right-hand side included) before
     ``gtsv``. A zero or non-finite pivot a12, or a singular system, raises
     :class:`StepRejected` so :func:`run_simulation` retries with a smaller dt.
@@ -260,7 +266,6 @@ def _sweep(
     hdot_c,
     h_bc,
     params,
-    mms_eval,
 ):
     """One implicit solve with coefficients frozen at (phi_c, h_c, hdot_c).
 
@@ -304,12 +309,9 @@ def _sweep(
     if theta < 1.0:
         interior += explicit_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
     interior += dt * source[1:-1]
-    if mms_eval is not None:
-        interior += dt * mms_eval[1:-1]
     rhs[0] = 0.0
     rhs[-1] = params.phi0
-    bottom = (-3.0 - 2.0 * dx * h_bc, 4.0, -1.0)
-    phi_new = _solve_closed(theta_dt, lo_p, di_p, up_p, bottom, rhs)
+    phi_new = _solve_closed(theta_dt, lo_p, di_p, up_p, _robin_row(dx, h_bc), rhs)
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
@@ -354,7 +356,6 @@ def step_predictor_corrector(
     params: BasinParams,
     *,
     previous: BasinState | None = None,
-    extra_phi_source=None,
 ) -> BasinState:
     """Advance (phi, psi, h, t) by dt; returns the new state.
 
@@ -371,22 +372,11 @@ def step_predictor_corrector(
     :class:`SolverError` when the corrector sweeps diverge or leave
     non-finite fields, and :class:`ValidationError` for a ``previous``
     that :func:`_extrapolate` cannot use.
-
-    ``extra_phi_source`` is a manufactured forcing: a callable
-    ``(x, t) -> array`` added to the porosity equation, through which
-    :func:`basinwave.verify.manufactured_step_error` makes a known profile an
-    exact solution of the forced system.
     """
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
     x = _grid(phi_n.size)
     dx = 1.0 / (phi_n.size - 1)
     hdot_n = hdot(phi_n, h_n, params)
-
-    # the forcing at the predictor's time level, then its trapezoidal average
-    mms_pred = mms_corr = None
-    if extra_phi_source is not None:
-        mms_pred = extra_phi_source(x, t_n + dt)
-        mms_corr = 0.5 * (extra_phi_source(x, t_n) + mms_pred)
 
     def correct(phi_p, psi_p, h_p):
         """Corrector sweeps from the predicted end state, then the
@@ -399,8 +389,7 @@ def step_predictor_corrector(
             hdot_bar = 0.5 * (hdot_n + hdot_p)
             h_new = h_n + dt * hdot_bar
             phi_c, psi_c = _sweep(
-                x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new,
-                params, mms_corr,
+                x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new, params
             )
             phi_change = _rel_change(phi_c, phi_p)
             psi_change = _rel_change(psi_c, psi_p)
@@ -434,10 +423,7 @@ def step_predictor_corrector(
 
     # predictor: backward Euler, coefficients and hdot from time n
     h_pred = h_n + dt * hdot_n
-    phi_p, psi_p = _sweep(
-        x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred,
-        params, mms_pred,
-    )
+    phi_p, psi_p = _sweep(x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred, params)
     return correct(phi_p, psi_p, h_pred)
 
 

@@ -1,5 +1,7 @@
 """Cross-validation batteries: exact-solution residuals, solver agreement,
-simulation-vs-matching speed comparison, and the manufactured-solution reference.
+and the simulation-vs-matching speed comparison. The spatial order of the
+stepper's discretization is checked in the test suite, which applies the
+assembled operators to an exact profile on a refinement ladder.
 
 Every check carries an explicit tolerance and a machine-checkable pass
 flag; "primary" checks gate the verification exit status, "info" entries
@@ -14,8 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, pde
-from .core import BasinParams, BasinState, RunConfig, layer_nodes
-from .errors import ValidationError
+from .core import BasinParams, RunConfig, layer_nodes
 
 _FD_STEP = 1e-6
 
@@ -202,38 +203,3 @@ def cross_validate_speed(params: BasinParams, config: RunConfig) -> Verification
         note="pass when value >= tolerance",
     )
     return report
-
-
-def manufactured_step_error(params: BasinParams, n_nodes: int) -> float:
-    """Single-step max-norm error on the flux-null manufactured profile.
-
-    The profile phi = phi0 e^(z - h) annihilates the compaction flux, and
-    injecting its analytic defect source S = -hdot*phi makes it an exact
-    solution of the forced system; the remaining error isolates the spatial
-    discretization (flux stencils, advective correction, boundary rows).
-    """
-    if params.psi0 != 0.0:
-        raise ValidationError("manufactured test runs reactant-free (psi0 = 0)")
-    dt = 1e-5
-    h0 = 1.0
-    x = np.linspace(0.0, 1.0, n_nodes)
-
-    def exact(t):
-        return params.phi0 * np.exp((h0 + params.sdot * t) * (x - 1.0))
-
-    def source(x_eval, t):
-        return -params.sdot * params.phi0 * np.exp(
-            (h0 + params.sdot * t) * (x_eval - 1.0)
-        )
-
-    state = BasinState(t=0.0, h=h0, phi=exact(0.0), psi=np.zeros(n_nodes))
-    stepped = pde.step_predictor_corrector(state, dt, params, extra_phi_source=source)
-    return float(np.max(np.abs(stepped.phi - exact(dt))))
-
-
-def manufactured_orders(params: BasinParams):
-    """Observed convergence orders over a three-level manufactured refinement ladder."""
-    errors = [manufactured_step_error(params, 48 * 2**k) for k in range(3)]
-    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-    return errors, orders
-

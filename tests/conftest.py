@@ -49,6 +49,39 @@ def bottom_robin_residual(state, params):
     return abs(phi_z - phi[0])
 
 
+def flux_null_defects(params, n):
+    """Defects of the assembled porosity discretization on n nodes, applied
+    to the flux-null profile phi = phi0 e^((x - 1) h) with h = 1.
+
+    The profile has phi_z = phi, so the compaction flux and its divergence
+    vanish, the Robin condition phi_z - phi = 0 holds at the basement and
+    dh/dt = sdot at the top. Returns (interior, robin, top): the max-norm of
+    the interior operator (with hdot = sdot) minus the analytic advective
+    correction x*sdot*phi, the production bottom row applied to the profile
+    divided by its 2*dx*h scale, and hdot minus sdot. Each is O(dx^2) for a
+    second-order scheme.
+    """
+    h = 1.0
+    x = np.linspace(0.0, 1.0, n)
+    dx = 1.0 / (n - 1)
+    phi = params.phi0 * np.exp((x - 1.0) * h)
+    _, k_half, adv = pde._frozen_coefficients(phi, h, params.sdot, params, x, dx)
+    rates = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx), phi)
+    interior = float(np.max(np.abs(rates - x[1:-1] * params.sdot * phi[1:-1])))
+    b0, b1, b2 = pde._robin_row(dx, h)
+    robin = float(abs(b0 * phi[0] + b1 * phi[1] + b2 * phi[2])) / (2.0 * dx * h)
+    top = abs(pde.hdot(phi, h, params) - params.sdot)
+    return interior, robin, top
+
+
+def spatial_order_ladder(params):
+    """Largest flux-null defect on n = 48 * 2^k, k = 0..2, and the observed
+    orders between successive levels (criterion 8's spatial check)."""
+    largest = [max(flux_null_defects(params, 48 * 2**k)) for k in range(3)]
+    orders = [math.log2(a / b) for a, b in zip(largest, largest[1:])]
+    return largest, orders
+
+
 @st.composite
 def box_params(draw):
     """The validated parameter box: m 7-20, beta 10-60, phi0 0.3-0.6,

@@ -23,7 +23,12 @@ from basinwave.pde import (
     run_simulation,
     step_predictor_corrector,
 )
-from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE, bottom_robin_residual
+from conftest import (
+    C_MATCHED_DEFAULT,
+    C_MATCHED_PURE,
+    bottom_robin_residual,
+    spatial_order_ladder,
+)
 
 
 def _line(criterion, ok, detail):
@@ -194,8 +199,10 @@ def test_criterion_7_reduction_equivalence(sim_pure, sim_inert_reactant):
     assert psi_max > 0.0
 
 
-def test_criterion_8_convergence(params_default, params_pure):
-    errors, orders = verify.manufactured_orders(params_pure)
+def test_criterion_8_convergence(params_default):
+    # spatial order: the assembled operators, Robin row and top velocity
+    # applied to an exact flux-null profile on a refinement ladder
+    defects, orders = spatial_order_ladder(params_default)
     observed = min(orders)
 
     config = RunConfig(n_nodes=288, dt=2e-3, t_end=2.0, output_every=0.1, h0=0.1)
@@ -208,7 +215,7 @@ def test_criterion_8_convergence(params_default, params_pure):
     _line(
         8,
         ok,
-        f"manufactured order {observed:.2f} (errors {', '.join(f'{e:.1e}' for e in errors)}), "
+        f"spatial order {observed:.2f} (largest defects {', '.join(f'{e:.1e}' for e in defects)}), "
         f"dt-halving shift {shift:.2e}",
     )
     assert observed >= 1.9

@@ -21,7 +21,12 @@ from basinwave.pde import (
     run_simulation,
     step_predictor_corrector,
 )
-from conftest import alter_corrector, bottom_robin_residual
+from conftest import (
+    alter_corrector,
+    bottom_robin_residual,
+    flux_null_defects,
+    spatial_order_ladder,
+)
 
 
 def linear_top_state(params, phi_z_top, h=2.0, n=101):
@@ -29,13 +34,6 @@ def linear_top_state(params, phi_z_top, h=2.0, n=101):
     x = np.linspace(0.0, 1.0, n)
     phi = params.phi0 + phi_z_top * h * (x - 1.0)
     return BasinState(t=0.0, h=h, phi=phi, psi=np.full(n, params.psi0))
-
-
-def flux_null_state(params, h=1.0, n=201):
-    """phi0 * e^(z - h): annihilates the compaction flux factor."""
-    x = np.linspace(0.0, 1.0, n)
-    phi = params.phi0 * np.exp(h * (x - 1.0))
-    return BasinState(t=0.0, h=h, phi=phi, psi=np.zeros(n))
 
 
 class TestHdot:
@@ -86,14 +84,7 @@ class TestSigmaTransformRates:
 
     def test_flux_terms_vanish_on_manufactured_profile(self, params_default):
         # residual against the pure advective correction must be O(dx^2)
-        p = params_default
-        h = 1.0
-        resid = {}
-        for n in (101, 201, 401):
-            state = flux_null_state(p, h=h, n=n)
-            dphi, _ = transport_rates(state, p, hdot_value=p.sdot)
-            advective = np.linspace(0.0, 1.0, n) * p.sdot * state.phi
-            resid[n] = np.max(np.abs(dphi - advective[1:-1]))
+        resid = {n: flux_null_defects(params_default, n)[0] for n in (101, 201, 401)}
         for n in resid:
             dx = 1.0 / (n - 1)
             assert resid[n] <= 2.0 * dx**2
@@ -101,19 +92,15 @@ class TestSigmaTransformRates:
 
 
 class TestBoundaryClosure:
-    def test_exponential_profile_satisfies_bottom_row(self, params_default):
-        # phi = K e^z has phi_z = phi identically; the second-order one-sided
-        # row must agree to its truncation order
+    def test_exponential_profile_satisfies_bottom_row(self, params_pure):
+        # phi = phi0 e^(z - 1) has phi_z = phi identically; the production
+        # one-sided row must agree to its truncation order
         for n in (65, 129, 257):
             dx = 1.0 / (n - 1)
-            h = 1.0
-            x = np.linspace(0.0, 1.0, n)
-            for k in (0.2, 0.7):
-                phi = k * np.exp(x * h)
-                row = -(3.0 + 2.0 * dx * h) * phi[0] + 4.0 * phi[1] - phi[2]
-                # row is the Robin stencil scaled by 2*dx*h
-                residual = abs(row) / (2.0 * dx * h)
-                assert residual <= 10.0 * dx**2 * np.max(np.abs(phi))
+            for phi0 in (0.2, 0.7):
+                _, robin, _ = flux_null_defects(replace(params_pure, phi0=phi0), n)
+                # phi0 is max|phi| of the profile
+                assert robin <= 10.0 * dx**2 * phi0
 
     def test_quasi_steady_bottom_region(self, params_default):
         # before permeability shuts the bottom down, the column relaxes to
@@ -207,7 +194,7 @@ class TestStep:
         with pytest.raises(StepRejected):
             pde._sweep(
                 x, dx, state.phi, state.psi, config.dt, 1.0,
-                bad_coeff, state.h, 0.0, state.h, params_default, None,
+                bad_coeff, state.h, 0.0, state.h, params_default,
             )
 
     @pytest.mark.parametrize(
@@ -308,26 +295,37 @@ class TestTridiagonalElimination:
         h_bc = old.h + dt * hdot_c
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
         args = (x, old.phi, old.psi, dt, theta, coeff.phi, h_c, hdot_c, h_bc)
-        phi, psi = pde._sweep(x, dx, *args[1:], p, None)
+        phi, psi = pde._sweep(x, dx, *args[1:], p)
         phi_ref, psi_ref = _dense_reference_sweep(*args, p)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
 
 
-class TestAdvectionCorrection:
-    def test_sign_reversal_breaks_manufactured_step(self, params_pure, monkeypatch):
-        from basinwave.verify import manufactured_step_error
+def _advection_times(factor):
+    real = pde._frozen_coefficients
 
-        err_correct = manufactured_step_error(params_pure, 96)
-        frozen = pde._frozen_coefficients
+    def mutated(*args):
+        phi_half, k_half, adv = real(*args)
+        return phi_half, k_half, factor * adv
 
-        def reversed_advection(*args):
-            phi_half, k_half, adv = frozen(*args)
-            return phi_half, k_half, -adv
+    return mutated
 
-        monkeypatch.setattr(pde, "_frozen_coefficients", reversed_advection)
-        err_flipped = manufactured_step_error(params_pure, 96)
-        assert err_flipped > 10.0 * err_correct
+
+class TestSpatialOrderGuard:
+    # each mutation must break criterion 8's spatial check (order >= 1.9)
+    @pytest.mark.parametrize(
+        "name, mutated",
+        [
+            ("_frozen_coefficients", _advection_times(-1.0)),
+            ("_frozen_coefficients", _advection_times(0.0)),
+            ("_robin_row", lambda dx, h: (-2.0 - 2.0 * dx * h, 2.0, 0.0)),
+        ],
+        ids=["advection-flipped", "advection-dropped", "first-order-robin"],
+    )
+    def test_mutation_fails_criterion_8_spatial_check(self, params_default, monkeypatch, name, mutated):
+        monkeypatch.setattr(pde, name, mutated)
+        _, orders = spatial_order_ladder(params_default)
+        assert min(orders) < 1.9
 
 
 class TestRunSimulation:

@@ -117,13 +117,6 @@ class TestCrossValidateSpeed:
         assert "never activated" in flag.note
 
 
-class TestManufacturedOrders:
-    def test_manufactured_ladder(self, params_pure):
-        errors, orders = verify.manufactured_orders(params_pure)
-        assert len(errors) == 3
-        assert min(orders) >= 1.9
-
-
 class TestReportType:
     def test_rows_and_failures(self):
         report = verify.VerificationReport()
