@@ -19,14 +19,17 @@ velocity at the average of the old and the predicted new state. The
 prediction extrapolates the last two accepted states linearly; the first
 step, and any step whose extrapolated attempt fails, predicts instead with
 a backward-Euler sweep whose nonlinear coefficients are frozen at the old
-time. The stiff reactant annihilation is integrated with its exact per-step
-integrating factor so psi stays non-negative for any dt.
+time. The stiff reactant annihilation is Strang-split around the transport
+solve: half a step of its exact factor exp(-R dt/2), transport, and another
+half step, so psi stays non-negative for any dt and the splitting error is
+second order in dt.
 
 The driver starts at ``RunConfig.dt``. Nearly all of the time error is made
 in the start-up transient, so once a window of accepted steps shows a small
 Milne-style error estimate (the distance of the accepted phi and h from the
 line through the two states before them) it doubles the step; a rejected
-step halves it. Steps are shortened to land on every sample time and on
+step halves it. Each sample interval is stepped in the fewest equal steps
+no longer than the current dt, so steps land on every sample time and on
 t_end.
 
 Each sweep solves one linear system per field. The one-sided bottom rows
@@ -69,9 +72,9 @@ _CORRECTOR_DIVERGENCE_LIMIT = 0.5
 # Accepted steps in one growth window: after each window dt doubles if four
 # times the window's largest local error estimate (doubling dt about
 # quadruples it) stays below the growth limit. At the defaults 2e-4 moves
-# h(t_end) and c_num by 2.0e-5 and 3.0e-5 relative to fixed steps; 1e-4 takes
-# 6% more steps for the same shift; 5e-4 moves c_num by 5.9e-5, too near the
-# 1e-4 accuracy gate.
+# h(t_end) and c_num by 1.1e-5 and 2.6e-5 relative to fixed steps in 362
+# steps; 1e-4 takes 530 steps to move them 5.0e-6 and 9.1e-6; 5e-4 takes 309
+# steps to move them 1.6e-5 and 2.5e-5.
 _DT_GROWTH_WINDOW = 20
 _DT_GROWTH_LIMIT = 2e-4
 
@@ -92,7 +95,7 @@ _SAMPLE_SLACK = 1e-9
 @dataclass(frozen=True)
 class RunStats:
     """What a run did: accepted and rejected steps, and the shortest and
-    longest accepted step (steps shortened to land on a sample included)."""
+    longest accepted step."""
 
     steps_accepted: int
     steps_rejected: int
@@ -270,10 +273,11 @@ def _sweep(
     """One implicit solve with coefficients frozen at (phi_c, h_c, hdot_c).
 
     theta = 1 gives the backward-Euler predictor, theta = 1/2 a trapezoidal
-    corrector. The reactant is advanced by transport (implicit tridiagonal
-    solve) followed by the exact reaction integrating factor; the porosity
-    source uses the matching per-step reaction integral so the water
-    released equals a0/beta times the reactant consumed.
+    corrector. The reactant is Strang-split: the exact reaction factor over
+    half the step, the transport solve (implicit, tridiagonal), then the
+    factor over the other half, with one reaction rate R at h_c for both
+    halves. The porosity source is a0/beta times the reactant the two halves
+    consume, per unit time, so the water released balances it exactly.
     """
     # also catches NaN coefficients, which would otherwise reach the solve
     if not phi_c.min() > 0.0:
@@ -282,20 +286,22 @@ def _sweep(
     theta_dt = theta * dt
     explicit_dt = (1.0 - theta) * dt
 
+    half_decay = reaction_rate(x * h_c, h_c, params) * (-0.5 * dt)
+    half_keep = np.exp(half_decay)
+    psi_reacted = psi_n * half_keep
     lo_s, di_s, up_s, row0 = _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx)
-    rhs = psi_n.copy()
+    rhs = psi_reacted.copy()
     if theta < 1.0:
-        s0, s1, s2 = psi_n[:3].tolist()
+        s0, s1, s2 = psi_reacted[:3].tolist()
         rhs[0] = s0 + explicit_dt * (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
-        rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_n)
+        rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_reacted)
     rhs[-1] = params.psi0
     bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
     psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs)
-    # exact per-step reaction integral, assuming R frozen over the step; the
-    # consumed fraction -expm1(-R dt) takes its sign from the divisor -dt
-    decay = reaction_rate(x * h_c, h_c, params) * -dt
-    source = (params.a0 / params.beta) * psi_transported * np.expm1(decay) / -dt
-    psi_new = psi_transported * np.exp(decay)
+    # the consumed fraction -expm1(-R dt/2) of each half takes its sign from
+    # the divisor -dt
+    source = (params.a0 / params.beta) * (psi_n + psi_transported) * np.expm1(half_decay) / -dt
+    psi_new = psi_transported * half_keep
     # centered transport of the annihilated double-exponential tail can
     # undershoot by dust (~1e-30 psi0); zero that, leave real negatives
     # for the step-acceptance check
@@ -438,10 +444,12 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     once the start-up transient has passed. The estimate only gates growth:
     a grown dt never shrinks on a large estimate, only on a rejected step,
     so a late fast phase keeps the grown dt unless the corrector rejects
-    it. No step crosses the next sample time or t_end: a step is shortened
-    to land on it, and the run ends on t_end. Every step
-    after the first passes the accepted state before it to the stepper as
-    ``previous``. A rejected step halves the step it tried, restarts the
+    it. No step crosses the next sample time or t_end: what is left of the
+    interval to it is stepped in the fewest equal steps no longer than dt
+    (beyond the sample slack), recounted on every step so that growth or a
+    rejection part-way re-splits the rest, and the run ends on t_end. Every
+    step after the first passes the accepted state before it to the stepper
+    as ``previous``. A rejected step halves the step it tried, restarts the
     growth window and keeps ``previous``; a step that would fall below
     ``config.dt``/1024 raises :class:`SolverError`, since a run forced that
     far down has stalled rather than slowed. Stepper failures propagate as
@@ -475,7 +483,9 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     previous = None
     while state.t < end:
         gap = min(samples * config.output_every, config.t_end) - state.t
-        dt_step = gap if dt_cur >= gap - landing_slack else dt_cur
+        # max(): a gap inside landing_slack, left where a sample falls just
+        # below t_end, is taken as one sliver step
+        dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
         try:
             stepped = step_predictor_corrector(state, dt_step, params, previous=previous)
         except StepRejected as exc:

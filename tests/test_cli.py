@@ -176,7 +176,8 @@ class TestSimulateCommand:
 
     def test_manifest_carries_the_run_stats(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"t_end": 1.0, "dt": 0.005, "n_nodes": 64, "output_every": 0.075}')
+        # 0.0725 is 14.5 steps of dt, so steps landing on a sample are shorter
+        cfg.write_text('{"t_end": 1.0, "dt": 0.005, "n_nodes": 64, "output_every": 0.0725}')
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         stats = json.loads((out / "manifest.json").read_text())["stats"]
@@ -415,11 +416,11 @@ class TestExitCodes:
         # column; the run must stop at the dt/1024 floor instead of crawling
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n_nodes": 64, "t_end": 1.5}')
-        with pytest.warns(UserWarning, match="under-resolved at t = 1.13"):
+        with pytest.warns(UserWarning, match="under-resolved at t = 1.15"):
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "solver failure: time step collapsed below 1.953e-06 at t = 1.46917: "
+            "solver failure: time step collapsed below 1.953e-06 at t = 1.4642: "
             "reactant went negative"
         )
 

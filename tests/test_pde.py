@@ -251,13 +251,16 @@ def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
     eye = np.eye(n)
     rr = reaction_rate(x * h_c, h_c, p)
 
+    # Strang split: half-step reaction, transport, half-step reaction; the
+    # source is the reactant both halves consume, per unit time
+    psi_pre = psi_n * np.exp(-rr * dt / 2.0)
     mat = eye - theta * dt * lpsi
     mat[-1] = eye[-1]
-    rhs = psi_n + (1.0 - theta) * dt * (lpsi @ psi_n)
+    rhs = psi_pre + (1.0 - theta) * dt * (lpsi @ psi_pre)
     rhs[-1] = p.psi0
     psi_t = np.linalg.solve(mat, rhs)
-    source = (p.a0 / p.beta) * psi_t * -np.expm1(-rr * dt) / dt
-    psi_new = psi_t * np.exp(-rr * dt)
+    psi_new = psi_t * np.exp(-rr * dt / 2.0)
+    source = (p.a0 / p.beta) * ((psi_n - psi_pre) + (psi_t - psi_new)) / dt
     psi_new[-1] = p.psi0
 
     mat = eye - theta * dt * lphi
@@ -564,9 +567,18 @@ class TestExtrapolatedPredictor:
             step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=coarser)
 
 
+def front_depth(state, params):
+    """Depth below the top of the psi = psi0/2 crossing nearest the top,
+    linearly interpolated between nodes."""
+    psi = state.psi
+    i = np.flatnonzero(psi < 0.5 * params.psi0).max()
+    frac = (0.5 * params.psi0 - psi[i]) / (psi[i + 1] - psi[i])
+    return state.h * (1.0 - (i + frac) / (psi.size - 1))
+
+
 class TestStepGrowth:
-    # grows to 1e-2 and 2e-2; 0.075 is no multiple of either, so steps are
-    # shortened to land on samples
+    # grows to 1e-2 and 2e-2; 0.075 is no multiple of either, so grown
+    # intervals are stepped in equal steps shorter than dt
     CONFIG = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1, output_every=0.075)
 
     @staticmethod
@@ -617,9 +629,9 @@ class TestStepGrowth:
 
     def test_default_run_grows_its_steps(self, sim_default, default_config):
         stats = sim_default[0].stats
-        assert stats.steps_accepted <= 1000
+        assert stats.steps_accepted <= 400
         assert stats.steps_rejected == 0
-        assert stats.dt_max >= 4.0 * default_config.dt
+        assert stats.dt_max >= 16.0 * default_config.dt
 
     @pytest.mark.parametrize("which", ["small", "default"])
     def test_samples_land_on_multiples_of_output_every(self, params_default, sim_default, default_config, which):
@@ -634,8 +646,9 @@ class TestStepGrowth:
         assert series.t.size == pde.sample_bound(config)
         assert series.final_state.t == pytest.approx(config.t_end, abs=1e-12)
 
-    # the first step tried at a grown dt, or the first one shortened to
-    # land on a sample after dt has grown
+    # the first step tried at a grown dt, or, after dt has grown, the first
+    # one shorter than the step before it (landing on the shorter last
+    # interval, 0.025 up to t_end)
     @pytest.mark.parametrize("which", ["grown", "shortened"])
     def test_rejection_halves_the_step_tried(self, params_default, monkeypatch, which):
         dt = self.CONFIG.dt
@@ -662,6 +675,43 @@ class TestStepGrowth:
         assert retry_dt == 0.5 * tried
         assert series.stats.steps_rejected == 1
         assert series.final_state.t == pytest.approx(self.CONFIG.t_end, abs=1e-12)
+
+    @pytest.mark.parametrize("limit, growth", [(math.inf, 2.0), (0.0, 1.0)], ids=["always", "never"])
+    def test_each_interval_is_stepped_in_equal_steps(self, params_default, monkeypatch, limit, growth):
+        # 0.0725 is 14.5 start steps, so whole steps of dt would leave a
+        # shorter remainder before each sample
+        monkeypatch.setattr(pde, "_DT_GROWTH_LIMIT", limit)
+        attempts = self.record_attempts(monkeypatch)
+        config = replace(self.CONFIG, output_every=0.0725)
+        series = run_simulation(params_default, config)
+        assert series.stats.steps_rejected == 0
+        # without rejections dt_cur doubles after every 20 steps when the
+        # limit always allows it, and stays at config.dt when it never does;
+        # a step that changes dt_cur re-splits the rest of its interval
+        groups = {}
+        for i, (t, dt) in enumerate(attempts):
+            dt_cur = config.dt * growth ** (i // pde._DT_GROWTH_WINDOW)
+            assert dt <= dt_cur * (1.0 + 1e-12)
+            sample = math.floor(t / config.output_every + 1e-6)
+            groups.setdefault((sample, dt_cur), []).append(dt)
+        for (_, dt_cur), steps in groups.items():
+            assert steps == pytest.approx([steps[0]] * len(steps), rel=1e-12)
+            # the fewest steps no longer than dt_cur
+            assert sum(steps) > (len(steps) - 1) * dt_cur
+
+    def test_grown_steps_keep_the_reactant_front(self, params_default, monkeypatch):
+        # the psi = psi0/2 front of a grown-step run against fixed steps: a
+        # first-order split, reaction after transport, puts it 3.1e-3
+        # shallower, a twentieth of the 1/beta = 0.048 layer; the Strang
+        # split leaves 5e-6
+        config = RunConfig(n_nodes=416, t_end=3.0)
+        grown = run_simulation(params_default, config)
+        monkeypatch.setattr(pde, "_DT_GROWTH_LIMIT", 0.0)
+        fixed = run_simulation(params_default, config)
+        assert grown.stats.dt_max >= 8.0 * config.dt
+        assert fixed.stats.dt_max == pytest.approx(config.dt, rel=1e-9)
+        shift = front_depth(grown.final_state, params_default) - front_depth(fixed.final_state, params_default)
+        assert abs(shift) <= 1e-4
 
     def test_reactant_cannot_change_the_step_sizes(self, monkeypatch):
         # a reactant that releases no water leaves phi and h alone; spoiling
@@ -720,8 +770,10 @@ class TestEstimateWaveSpeed:
 class TestSampleBound:
     @pytest.mark.parametrize(
         "dt, t_end, output_every",
-        [(0.005, 1.0, 0.05), (0.05, 1.0, 0.25), (0.03, 1.0, 0.05), (0.5, 0.3, 0.1)],
-        ids=["cadence", "coarse", "off-cadence-dt", "t_end-below-dt"],
+        # the tenth sample falls 5e-11 below t_end, inside the 1e-10 sample
+        # slack, and the run still steps to t_end
+        [(0.005, 1.0, 0.05), (0.05, 1.0, 0.25), (0.03, 1.0, 0.05), (0.5, 0.3, 0.1), (0.05, 1.0, 0.1 - 5e-12)],
+        ids=["cadence", "coarse", "off-cadence-dt", "t_end-below-dt", "sliver-before-t_end"],
     )
     def test_bounds_the_samples_a_run_returns(self, params_default, dt, t_end, output_every):
         config = RunConfig(n_nodes=64, dt=dt, t_end=t_end, h0=0.1, output_every=output_every)
