@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, asymptotics, pde, verify
 from .core import BasinParams, RunConfig, resolution_nodes
-from .errors import BasinwaveError, SolverError, ValidationError
+from .errors import SolverError, ValidationError
 
 PARAM_KEYS = {
     "lambda": "lam",
@@ -314,9 +314,6 @@ def main(argv=None) -> int:
         return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    except BasinwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,5 +29,6 @@ class ProfileRangeError(SolverError):
     """An integrated profile left its admissible value range."""
 
 
-class StepRejected(BasinwaveError):
-    """Control-flow signal: retry the time step with a smaller dt."""
+class StepRejected(SolverError):
+    """A time-step attempt failed. ``run_simulation`` retakes the step or
+    halves dt; outside it, a failed step is a solver failure like any other."""

@@ -16,13 +16,13 @@ z = h(t), and dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) there.
 Time stepping is an implicit predictor/corrector: trapezoidal corrector
 sweeps re-evaluate coefficients, the reaction factor, and the boundary
 velocity at the average of the old and the predicted new state. The
-prediction extrapolates the last two accepted states linearly; the first
-step, and any step whose extrapolated attempt fails, predicts instead with
-a backward-Euler sweep whose nonlinear coefficients are frozen at the old
-time. The stiff reactant annihilation is Strang-split around the transport
-solve: half a step of its exact factor exp(-R dt/2), transport, and another
-half step, so psi stays non-negative for any dt and the splitting error is
-second order in dt.
+prediction extrapolates the last two accepted states linearly, or, without
+them, is a backward-Euler sweep whose nonlinear coefficients are frozen at
+the old time. Every way a step attempt can fail raises StepRejected, and
+the driver alone decides the retry. The stiff reactant annihilation is
+Strang-split around the transport solve: half a step of its exact factor
+exp(-R dt/2), transport, and another half step, so psi stays non-negative
+for any dt and the splitting error is second order in dt.
 
 The driver starts at ``RunConfig.dt``. Nearly all of the time error is made
 in the start-up transient, so once a window of accepted steps shows a small
@@ -63,11 +63,8 @@ from .errors import SolverError, StepRejected, ValidationError
 _CORRECTOR_SWEEPS = 2
 _CORRECTOR_TOL = 1e-10
 
-# Final relative corrector updates above the rejection limit ask the driver
-# for a smaller dt; above the divergence limit the solve has genuinely blown
-# up and the step raises instead.
+# A final relative corrector update above this limit rejects the step.
 _CORRECTOR_REJECT_LIMIT = 5e-2
-_CORRECTOR_DIVERGENCE_LIMIT = 0.5
 
 # Accepted steps in one growth window: after each window dt doubles if four
 # times the window's largest local error estimate (doubling dt about
@@ -225,7 +222,7 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
     Its b2 entry, the only one outside the tridiagonal band, is cancelled by
     row0 <- row0 - (b2/a12) row1 (right-hand side included) before
     ``gtsv``. A zero or non-finite pivot a12, or a singular system, raises
-    :class:`StepRejected` so :func:`run_simulation` retries with a smaller dt.
+    :class:`StepRejected`, and :func:`run_simulation` retakes the step.
     """
     n = rhs.size
     dl = np.empty(n - 1)
@@ -368,69 +365,51 @@ def step_predictor_corrector(
     The trapezoidal corrector sweeps start from a predicted end state.
     Given ``previous``, the accepted state before ``state``, the prediction
     extrapolates the two linearly (see :func:`_extrapolate`), which costs
-    no solve; if the corrector then rejects or diverges, the step is
-    retaken at the same dt from the backward-Euler predictor, which is the
-    only predictor when ``previous`` is None. A step therefore fails only
-    where the backward-Euler start fails too.
+    no solve; when ``previous`` is None it is a backward-Euler sweep.
 
-    Raises :class:`StepRejected` when the step produces a non-positive
-    porosity or negative reactant (the driver halves dt),
-    :class:`SolverError` when the corrector sweeps diverge or leave
-    non-finite fields, and :class:`ValidationError` for a ``previous``
-    that :func:`_extrapolate` cannot use.
+    One attempt, no retry: raises :class:`StepRejected` when a sweep cannot
+    be solved, the corrector leaves non-finite fields or a final relative
+    update that is not within _CORRECTOR_REJECT_LIMIT, or the step ends
+    with a non-positive porosity or a negative reactant; and
+    :class:`ValidationError` for a ``previous`` that :func:`_extrapolate`
+    cannot use.
     """
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
     x = _grid(phi_n.size)
     dx = 1.0 / (phi_n.size - 1)
     hdot_n = hdot(phi_n, h_n, params)
+    if previous is None:
+        # predictor: backward Euler, coefficients and hdot from time n
+        h_p = h_n + dt * hdot_n
+        phi_p, psi_p = _sweep(x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_p, params)
+    else:
+        phi_p, psi_p, h_p = _extrapolate(state, previous, dt)
 
-    def correct(phi_p, psi_p, h_p):
-        """Corrector sweeps from the predicted end state, then the
-        end-of-step checks."""
-        update_norm = math.inf
-        for _ in range(_CORRECTOR_SWEEPS):
-            hdot_p = hdot(phi_p, h_p, params)
-            phi_bar = 0.5 * (phi_n + phi_p)
-            h_bar = 0.5 * (h_n + h_p)
-            hdot_bar = 0.5 * (hdot_n + hdot_p)
-            h_new = h_n + dt * hdot_bar
-            phi_c, psi_c = _sweep(
-                x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new, params
-            )
-            phi_change = _rel_change(phi_c, phi_p)
-            psi_change = _rel_change(psi_c, psi_p)
-            # max() below would drop a NaN that is not its first argument
-            if phi_change is None or psi_change is None:
-                raise SolverError(f"non-finite fields after step at t = {t_n:.6g}")
-            update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
-            phi_p, psi_p, h_p = phi_c, psi_c, h_new
-            if update_norm < _CORRECTOR_TOL:
-                break
+    update_norm = math.inf
+    for _ in range(_CORRECTOR_SWEEPS):
+        hdot_p = hdot(phi_p, h_p, params)
+        phi_bar = 0.5 * (phi_n + phi_p)
+        h_bar = 0.5 * (h_n + h_p)
+        hdot_bar = 0.5 * (hdot_n + hdot_p)
+        h_new = h_n + dt * hdot_bar
+        phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new, params)
+        phi_change = _rel_change(phi_c, phi_p)
+        psi_change = _rel_change(psi_c, psi_p)
+        # max() below would drop a NaN that is not its first argument
+        if phi_change is None or psi_change is None:
+            raise StepRejected("corrector left non-finite fields")
+        update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
+        phi_p, psi_p, h_p = phi_c, psi_c, h_new
+        if update_norm < _CORRECTOR_TOL:
+            break
 
-        if not math.isfinite(update_norm) or update_norm > _CORRECTOR_DIVERGENCE_LIMIT:
-            raise SolverError(
-                f"corrector diverged at t = {t_n:.6g}: relative update {update_norm:.3e} "
-                f"after {_CORRECTOR_SWEEPS} sweeps"
-            )
-        if update_norm > _CORRECTOR_REJECT_LIMIT:
-            raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
-        if phi_p.min() <= 0.0:
-            raise StepRejected("porosity went non-positive")
-        if psi_p.min() < 0.0:
-            raise StepRejected("reactant went negative")
-        return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
-
-    if previous is not None:
-        predicted = _extrapolate(state, previous, dt)
-        try:
-            return correct(*predicted)
-        except (StepRejected, SolverError):
-            pass  # retaken below from the backward-Euler predictor
-
-    # predictor: backward Euler, coefficients and hdot from time n
-    h_pred = h_n + dt * hdot_n
-    phi_p, psi_p = _sweep(x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_pred, params)
-    return correct(phi_p, psi_p, h_pred)
+    if not update_norm <= _CORRECTOR_REJECT_LIMIT:
+        raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
+    if phi_p.min() <= 0.0:
+        raise StepRejected("porosity went non-positive")
+    if psi_p.min() < 0.0:
+        raise StepRejected("reactant went negative")
+    return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
 
 
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
@@ -447,13 +426,17 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     it. No step crosses the next sample time or t_end: what is left of the
     interval to it is stepped in the fewest equal steps no longer than dt
     (beyond the sample slack), recounted on every step so that growth or a
-    rejection part-way re-splits the rest, and the run ends on t_end. Every
-    step after the first passes the accepted state before it to the stepper
-    as ``previous``. A rejected step halves the step it tried, restarts the
-    growth window and keeps ``previous``; a step that would fall below
-    ``config.dt``/1024 raises :class:`SolverError`, since a run forced that
-    far down has stalled rather than slowed. Stepper failures propagate as
-    :class:`SolverError` naming the failing time, and so does a column
+    rejection part-way re-splits the rest, and the run ends on t_end.
+
+    Every step after the first passes the accepted state before it to the
+    stepper as ``previous``. Each :class:`StepRejected` is handled here: an
+    attempt that used ``previous`` is retaken once at the same dt without
+    it, from the backward-Euler predictor, which is not a rejection and
+    leaves the growth window alone. An attempt without it is rejected: dt
+    halves, the growth window restarts and ``previous`` is kept for the
+    next attempt. A step that would fall below ``config.dt``/1024 raises
+    :class:`SolverError` naming the time and the last reason, since a run
+    forced that far down has stalled rather than slowed; so does a column
     whose advection coefficient hdot/(2 h dx) is not finite at t = 0.
 
     A single run is strictly sequential; distinct runs share no mutable
@@ -480,15 +463,21 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     accepted = rejected = 0
     dt_min, dt_max = math.inf, 0.0
 
-    previous = None
+    previous = history = None
     while state.t < end:
         gap = min(samples * config.output_every, config.t_end) - state.t
         # max(): a gap inside landing_slack, left where a sample falls just
         # below t_end, is taken as one sliver step
         dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
         try:
-            stepped = step_predictor_corrector(state, dt_step, params, previous=previous)
+            stepped = step_predictor_corrector(state, dt_step, params, previous=history)
         except StepRejected as exc:
+            if history is not None:
+                # retake the attempt at the same dt from the backward-Euler
+                # predictor; not a rejection
+                history = None
+                continue
+            history = previous
             rejected += 1
             dt_cur = 0.5 * dt_step
             accepted_streak = 0
@@ -507,7 +496,8 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             phi_line, _, h_line = _extrapolate(state, previous, dt_step)
             estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
             window_estimate = max(window_estimate, estimate)
-        previous, state = state, stepped
+        previous = history = state
+        state = stepped
         accepted += 1
         dt_min, dt_max = min(dt_min, dt_step), max(dt_max, dt_step)
         accepted_streak += 1
@@ -557,8 +547,12 @@ def sample_bound(config: RunConfig) -> int:
 
 def speed_window(n_samples: int, window_fraction: float = _SPEED_WINDOW) -> int:
     """Trailing samples a speed fit over ``window_fraction`` of ``n_samples``
-    uses; raises :class:`ValidationError` when there are fewer than 10."""
-    k = int(math.ceil(window_fraction * n_samples))
+    uses; raises :class:`ValidationError` when there are fewer than 10 or
+    the share is not finite."""
+    share = window_fraction * n_samples
+    if not math.isfinite(share):
+        raise ValidationError(f"speed fit window fraction {window_fraction!r} gives no sample count")
+    k = math.ceil(share)
     if k < _SPEED_FIT_MIN_SAMPLES:
         raise ValidationError(
             f"speed fit needs >= {_SPEED_FIT_MIN_SAMPLES} samples in the window, got {k} "
@@ -573,7 +567,7 @@ def estimate_wave_speed(series: TimeSeries, window_fraction: float = _SPEED_WIND
     Returns ``(c_num, fit_quality)`` where fit_quality is the coefficient
     of determination (defined as 1 for a zero-variance window, where the
     residual is also zero). Raises :class:`ValidationError` when the window
-    holds fewer than 10 samples.
+    holds fewer than 10 samples or ``window_fraction`` gives no finite count.
     """
     k = speed_window(series.t.size, window_fraction)
     t = series.t[-k:]

@@ -409,7 +409,9 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n_nodes": 64, "t_end": 0.01}')
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("solver failure: corrector diverged at t = 0: ")
+        assert capsys.readouterr().err.startswith(
+            "solver failure: time step collapsed below 1.953e-06 at t = 0: corrector update "
+        )
 
     def test_collapsed_time_step_is_2(self, tmp_path, capsys):
         # the coarse grid keeps rejecting steps once the layer is in the

@@ -372,11 +372,29 @@ class TestRunSimulation:
         assert calls["n"] > 2
         assert series.final_state.t > 0.3
 
+    # a corrector that diverges on every attempt is rejected like any other
+    # failed step, down to the dt/1024 floor
     def test_diverged_corrector_stops_the_run(self, params_default, monkeypatch):
         alter_corrector(monkeypatch, lambda phi, psi: (10.0 * phi, psi))
         config = RunConfig(n_nodes=64, dt=2e-3, t_end=0.01, h0=0.1)
-        with pytest.raises(SolverError, match=r"^corrector diverged at t = 0: "):
+        with pytest.raises(
+            SolverError,
+            match=r"^time step collapsed below 1\.953e-06 at t = 0: corrector update \S+ too large",
+        ):
             run_simulation(params_default, config)
+
+    def test_too_large_start_dt_is_halved(self, params_default):
+        # dt = 1.0 makes the first corrector diverge; halving it twice joins
+        # the run started at dt = 0.25 bit for bit
+        config = RunConfig(n_nodes=288, dt=1.0, t_end=2.0, output_every=1.0)
+        halved = run_simulation(params_default, config)
+        started = run_simulation(params_default, replace(config, dt=0.25))
+        assert halved.stats.steps_rejected == started.stats.steps_rejected + 2
+        assert replace(halved.stats, steps_rejected=0) == replace(started.stats, steps_rejected=0)
+        for a, b in [(halved.t, started.t), (halved.h, started.h), (halved.hdot, started.hdot)]:
+            assert np.array_equal(a, b)
+        assert np.array_equal(halved.final_state.phi, started.final_state.phi)
+        assert np.array_equal(halved.final_state.psi, started.final_state.psi)
 
     # max() drops a NaN that is not its first argument, so a NaN in either
     # field must be caught before the update norm is taken
@@ -399,7 +417,10 @@ class TestRunSimulation:
 
         alter_corrector(monkeypatch, poison)
         config = RunConfig(n_nodes=64, dt=2e-3, t_end=0.01, h0=0.1)
-        with pytest.raises(SolverError, match=r"^non-finite fields after step at t = 0$"):
+        with pytest.raises(
+            SolverError,
+            match=r"^time step collapsed below 1\.953e-06 at t = 0: corrector left non-finite fields$",
+        ):
             run_simulation(params, config)
 
 
@@ -469,21 +490,16 @@ class TestExtrapolatedPredictor:
         assert counts["backward_euler"] == 1
         assert counts["sweeps"] <= 2 * series.stats.steps_accepted + 1
 
+    # the stepper makes one attempt; retaking it without history is the
+    # driver's (test_driver_keeps_dt_when_extrapolation_fails)
     @pytest.mark.parametrize("failure", ["rejected", "diverged"])
-    def test_failed_extrapolation_is_retaken_without_history(
-        self, params_default, monkeypatch, failure
-    ):
+    def test_failed_extrapolation_is_rejected(self, params_default, monkeypatch, failure):
         previous, state = self.history(params_default)
-        dt = self.CONFIG.dt
-        expected = step_predictor_corrector(state, dt, params_default)
         seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
-        stepped = pde.step_predictor_corrector(state, dt, params_default, previous=previous)
+        with pytest.raises(StepRejected):
+            pde.step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=previous)
         assert seen["spoiled"] >= 1
-        assert seen["backward_euler"] == 1
-        assert stepped.t == expected.t
-        assert stepped.h == expected.h
-        assert np.array_equal(stepped.phi, expected.phi)
-        assert np.array_equal(stepped.psi, expected.psi)
+        assert seen["backward_euler"] == 0
 
     @pytest.mark.parametrize("failure", ["rejected", "diverged"])
     def test_driver_keeps_dt_when_extrapolation_fails(self, params_default, monkeypatch, failure):
@@ -515,9 +531,10 @@ class TestExtrapolatedPredictor:
         in_step = {"now": False}
         real_step, real_extrapolate = pde.step_predictor_corrector, pde._extrapolate
 
+        # the fourth attempt and the driver's history-free retake of it
         def flaky(state, dt, params, previous=None):
             steps.append((state, previous, dt))
-            if len(steps) == 4:
+            if len(steps) in (4, 5):
                 raise StepRejected("synthetic rejection")
             in_step["now"] = True
             try:
@@ -538,12 +555,14 @@ class TestExtrapolatedPredictor:
         config = replace(self.CONFIG, t_end=0.03)
         run_simulation(params_default, config)
 
-        # the rejected attempt and its retry share the state and its history
-        (state, previous, dt), (retry_state, retry_previous, retry_dt) = steps[3:5]
+        # the failed attempt is retaken at its dt without history; the
+        # halved retry shares the state and its history
+        (state, previous, dt), retake, (retry_state, retry_previous, retry_dt) = steps[3:6]
+        assert previous is not None and retake == (state, None, dt)
         assert retry_state is state and retry_previous is previous
         assert retry_dt == 0.5 * dt == 0.5 * config.dt
-        # calls 2 and 3 predicted at r = 1; call 4 was rejected before it
-        # could, so the third prediction is the retry's
+        # calls 2 and 3 predicted at r = 1; calls 4 and 5 were rejected
+        # before they could, so the third prediction is the retry's
         assert [dt / (s.t - prev.t) for s, prev, dt, _ in predictions[:2]] == pytest.approx([1.0, 1.0])
         state, previous, dt, (phi_p, psi_p, h_p) = predictions[2]
         assert state is retry_state and dt == retry_dt
@@ -584,14 +603,17 @@ class TestStepGrowth:
     @staticmethod
     def record_attempts(monkeypatch, reject=lambda attempts: False, alter=lambda state: state):
         """Record (t, dt) of every step attempt. ``reject(attempts)`` makes
-        the latest attempt raise StepRejected; ``alter`` maps each accepted
-        state before the driver sees it."""
+        the latest attempt raise StepRejected, and every later one at its
+        (t, dt), so the driver's history-free retake fails too; ``alter``
+        maps each accepted state before the driver sees it."""
         attempts = []
+        rejected = set()
         real_step = pde.step_predictor_corrector
 
         def step(state, dt, params, previous=None):
             attempts.append((state.t, dt))
-            if reject(attempts):
+            if (state.t, dt) in rejected or reject(attempts):
+                rejected.add((state.t, dt))
                 raise StepRejected("synthetic rejection")
             return alter(real_step(state, dt, params, previous=previous))
 
@@ -611,13 +633,14 @@ class TestStepGrowth:
         assert series.final_state.t == pytest.approx(config.t_end, abs=1e-12)
 
     def test_rejection_restarts_the_window(self, params_default, monkeypatch):
-        # the fifth step at 2 dt is rejected: 20 steps at dt follow before
-        # dt doubles again, not the 16 that would complete its window
+        # the fifth step at 2 dt is rejected, after its retake at 2 dt
+        # without history: 20 steps at dt follow before dt doubles again,
+        # not the 16 that would complete its window
         monkeypatch.setattr(pde, "_DT_GROWTH_LIMIT", math.inf)
         attempts = self.record_attempts(monkeypatch, reject=lambda attempts: len(attempts) == 25)
         config = RunConfig(n_nodes=64, dt=1e-3, t_end=0.06, h0=0.1, output_every=0.06)
         run_simulation(params_default, config)
-        steps = [1e-3] * 20 + [2e-3] * 5 + [1e-3] * 20 + [2e-3] * 6
+        steps = [1e-3] * 20 + [2e-3] * 6 + [1e-3] * 20 + [2e-3] * 6
         assert [dt for _, dt in attempts] == pytest.approx(steps, rel=1e-9)
 
     def test_start_up_window_is_at_config_dt(self, params_default, monkeypatch):
@@ -670,7 +693,9 @@ class TestStepGrowth:
         series = run_simulation(params_default, self.CONFIG)
         i = first["at"]
         assert i is not None
-        (t, tried), (retry_t, retry_dt) = attempts[i], attempts[i + 1]
+        # the retake without history at the step tried, then the retry
+        (t, tried), retake, (retry_t, retry_dt) = attempts[i : i + 3]
+        assert retake == (t, tried)
         assert retry_t == t
         assert retry_dt == 0.5 * tried
         assert series.stats.steps_rejected == 1
@@ -765,6 +790,16 @@ class TestEstimateWaveSpeed:
         t = np.linspace(0.0, 1.0, 12)
         with pytest.raises(ValidationError):
             estimate_wave_speed(self._series(t, t), 0.3)
+
+    # math.ceil() raises ValueError on a NaN and OverflowError on an inf
+    @pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_window_fraction(self, fraction):
+        t = np.linspace(0.0, 10.0, 60)
+        match = f"window fraction {fraction!r} gives no sample count"
+        with pytest.raises(ValidationError, match=match):
+            pde.speed_window(t.size, fraction)
+        with pytest.raises(ValidationError, match=match):
+            estimate_wave_speed(self._series(t, 0.5 * t), fraction)
 
 
 class TestSampleBound:
