@@ -2,7 +2,9 @@
 manifest bookkeeping, and gnuplot script emission.
 
 Subcommands: simulate | wave | speed | verify | sweep. Exit codes: 0 ok,
-1 config/validation error, 2 solver failure, 3 verification failure.
+1 config/validation error (an input that cannot be read or decoded as
+UTF-8, or an output that cannot be written, included), 2 solver failure,
+3 verification failure.
 
 Output files carry a schema-version comment line and contain no wall-clock
 data; timestamps live only in the run manifest, so identical manifests
@@ -81,10 +83,10 @@ def params_doc(params: BasinParams) -> dict:
 def load_manifest(path: Path) -> tuple[BasinParams, RunConfig]:
     """Resolved inputs of a previous run; a malformed manifest is a ValidationError."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         params = BasinParams(**{attr: doc["params"][key] for key, attr in PARAM_KEYS.items()})
         return params, RunConfig(**doc["config"])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed manifest: {exc!r}") from exc
@@ -301,14 +303,18 @@ def main(argv=None) -> int:
             params, config = load_manifest(args.seed_manifest)
         elif args.config is not None:
             try:
-                text = args.config.read_text()
-            except OSError as exc:
+                text = args.config.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ValidationError(f"cannot read config: {exc}") from exc
             params, config = parse_config(text)
         else:
             params, config = parse_config("{}")
-        args.out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, params, config, args.out)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            return args.func(args, params, config, args.out)
+        except OSError as exc:
+            # the subcommands' only I/O is writing their outputs
+            raise ValidationError(f"cannot write output: {exc}") from exc
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,12 +25,12 @@ exp(-R dt/2), transport, and another half step, so psi stays non-negative
 for any dt and the splitting error is second order in dt.
 
 The driver starts at ``RunConfig.dt``. Nearly all of the time error is made
-in the start-up transient, so once a window of accepted steps shows a small
-Milne-style error estimate (the distance of the accepted phi and h from the
-line through the two states before them) it doubles the step; a rejected
-step halves it. Each sample interval is stepped in the fewest equal steps
-no longer than the current dt, so steps land on every sample time and on
-t_end.
+in the start-up transient, so after every accepted step it grows the step
+by what a Milne-style error estimate (the distance of the accepted phi and
+h from the line through the two states before them) allows, at most
+doubling it; a rejected step halves it. Each sample interval is stepped in
+the fewest equal steps no longer than the current dt, so steps land on
+every sample time and on t_end.
 
 Each sweep solves one linear system per field. The one-sided bottom rows
 (the Robin condition for phi, the flux divergence for psi) put a single
@@ -66,14 +66,16 @@ _CORRECTOR_TOL = 1e-10
 # A final relative corrector update above this limit rejects the step.
 _CORRECTOR_REJECT_LIMIT = 5e-2
 
-# Accepted steps in one growth window: after each window dt doubles if four
-# times the window's largest local error estimate (doubling dt about
-# quadruples it) stays below the growth limit. At the defaults 2e-4 moves
-# h(t_end) and c_num by 1.1e-5 and 2.6e-5 relative to fixed steps in 362
-# steps; 1e-4 takes 530 steps to move them 5.0e-6 and 9.1e-6; 5e-4 takes 309
-# steps to move them 1.6e-5 and 2.5e-5.
-_DT_GROWTH_WINDOW = 20
-_DT_GROWTH_LIMIT = 2e-4
+# After each accepted step dt grows so that the next Milne-style estimate,
+# which scales as dt^2, is predicted at this limit, and at most doubles. At
+# the defaults 1.62e-4, 0.81 x 2e-4 (the usual 0.9 safety factor on dt),
+# moves h(t_end) and c_num by 1.3e-5 and 2.6e-5 relative to fixed steps in
+# 300 steps; 1e-4 takes 385 steps to move them 8.7e-6 and 2.0e-5. 2e-4
+# takes 287 steps (1.5e-5, 2.6e-5) but moves c_num at a0 = 3 by 5.5e-5
+# against 3.1e-5; 5e-4 takes 201 (2.5e-5, 2.2e-5) but leaves a benchmark
+# ensemble point's h(t_end) 8.8e-5 from its recorded value, near the 1e-4
+# gate, against 3.0e-5.
+_DT_GROWTH_LIMIT = 1.62e-4
 
 # Trailing share of the samples the wave-speed fit uses, and the fewest
 # samples it accepts there.
@@ -91,13 +93,15 @@ _SAMPLE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class RunStats:
-    """What a run did: accepted and rejected steps, and the shortest and
-    longest accepted step."""
+    """What a run did: accepted and rejected steps, the shortest and
+    longest accepted step, and the largest Milne-style error estimate over
+    the accepted steps (0 when no step had one)."""
 
     steps_accepted: int
     steps_rejected: int
     dt_min: float
     dt_max: float
+    estimate_max: float
 
 
 @dataclass(frozen=True)
@@ -416,25 +420,25 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     """March from the uniform initial column to t_end.
 
     Samples (t, h, dh/dt) at every multiple of ``output_every``. ``config.dt``
-    is the start step. After every _DT_GROWTH_WINDOW accepted steps dt
-    doubles if four times the largest Milne-style estimate over those steps
-    (the distance of the accepted phi and h from the line
-    :func:`_extrapolate` draws) stays below _DT_GROWTH_LIMIT, so steps grow
-    once the start-up transient has passed. The estimate only gates growth:
-    a grown dt never shrinks on a large estimate, only on a rejected step,
-    so a late fast phase keeps the grown dt unless the corrector rejects
-    it. No step crosses the next sample time or t_end: what is left of the
-    interval to it is stepped in the fewest equal steps no longer than dt
-    (beyond the sample slack), recounted on every step so that growth or a
-    rejection part-way re-splits the rest, and the run ends on t_end.
+    is the start step. Every accepted step after the first has a
+    Milne-style estimate e (the distance of the accepted phi and h from the
+    line :func:`_extrapolate` draws), and after it dt becomes
+    max(dt, f * dt_step) with f = min(2, sqrt(_DT_GROWTH_LIMIT / e)), or
+    f = 2 when e = 0: the step grows once the start-up transient has passed,
+    at most doubling per step. The estimate only grows dt: a grown dt never
+    shrinks on a large estimate, only on a rejected step, so a late fast
+    phase keeps the grown dt unless the corrector rejects it. No step
+    crosses the next sample time or t_end: what is left of the interval to
+    it is stepped in the fewest equal steps no longer than dt (beyond the
+    sample slack), recounted on every step so that growth or a rejection
+    part-way re-splits the rest, and the run ends on t_end.
 
     Every step after the first passes the accepted state before it to the
     stepper as ``previous``. Each :class:`StepRejected` is handled here: an
     attempt that used ``previous`` is retaken once at the same dt without
-    it, from the backward-Euler predictor, which is not a rejection and
-    leaves the growth window alone. An attempt without it is rejected: dt
-    halves, the growth window restarts and ``previous`` is kept for the
-    next attempt. A step that would fall below ``config.dt``/1024 raises
+    it, from the backward-Euler predictor, which is not a rejection. An
+    attempt without it is rejected: dt halves and ``previous`` is kept for
+    the next attempt. A step that would fall below ``config.dt``/1024 raises
     :class:`SolverError` naming the time and the last reason, since a run
     forced that far down has stalled rather than slowed; so does a column
     whose advection coefficient hdot/(2 h dx) is not finite at t = 0.
@@ -454,8 +458,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
 
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-10
-    accepted_streak = 0
-    window_estimate = 0.0
+    estimate_max = 0.0
     samples = 1
     end = config.t_end * (1.0 - _HORIZON_SLACK)
     landing_slack = _SAMPLE_SLACK * config.output_every
@@ -480,8 +483,6 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             history = previous
             rejected += 1
             dt_cur = 0.5 * dt_step
-            accepted_streak = 0
-            window_estimate = 0.0
             if dt_cur < dt_floor:
                 raise SolverError(
                     f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {exc}"
@@ -495,17 +496,15 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             # as without any reactant
             phi_line, _, h_line = _extrapolate(state, previous, dt_step)
             estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
-            window_estimate = max(window_estimate, estimate)
+            estimate_max = max(estimate_max, estimate)
+            # the estimate scales as dt^2: grow dt so the next one is
+            # predicted at the limit, at most doubling it; never shrink it
+            growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
+            dt_cur = max(dt_cur, growth * dt_step)
         previous = history = state
         state = stepped
         accepted += 1
         dt_min, dt_max = min(dt_min, dt_step), max(dt_max, dt_step)
-        accepted_streak += 1
-        if accepted_streak >= _DT_GROWTH_WINDOW:
-            if 4.0 * window_estimate < _DT_GROWTH_LIMIT:
-                dt_cur *= 2.0
-            accepted_streak = 0
-            window_estimate = 0.0
 
         if (
             not resolution_warned
@@ -532,7 +531,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
         h=np.array(hs),
         hdot=np.array(hds),
         final_state=state,
-        stats=RunStats(accepted, rejected, dt_min, dt_max),
+        stats=RunStats(accepted, rejected, dt_min, dt_max, estimate_max),
     )
 
 

@@ -185,6 +185,10 @@ class TestSimulateCommand:
         assert stats == asdict(pde.run_simulation(derive_params(), config).stats)
         assert stats["steps_rejected"] == 0
         assert stats["dt_min"] < config.dt < stats["dt_max"]
+        # the start-up transient's estimates are above the growth limit,
+        # which keeps the first steps at config.dt
+        assert stats["estimate_max"] > pde._DT_GROWTH_LIMIT
+        assert read_csv(out / "timeseries.csv")[0] == ["t", "h", "hdot"]
 
     def test_simulate_replay_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -225,14 +229,14 @@ class TestReplay:
 
 
 class TestResolutionWarning:
-    # the layer enters the column (h > zstar) at t = 1.14, where
-    # 8*beta*h = 169 exceeds the 160 nodes
+    # the first step that takes the layer into the column (h > zstar) ends
+    # at t = 1.15, where 8*beta*h = 171 exceeds the 160 nodes
     CONFIG = '{"n_nodes": 160, "dt": 0.005, "t_end": 1.2, "output_every": 0.1}'
 
     def test_simulate_warns_once_layer_is_in_column(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(self.CONFIG)
-        with pytest.warns(UserWarning, match="reaction layer under-resolved at t = 1.14"):
+        with pytest.warns(UserWarning, match=r"reaction layer under-resolved at t = 1\.15: .* = 171$"):
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_speed_ignores_n_nodes(self, tmp_path):
@@ -258,6 +262,22 @@ class TestExitCodes:
 
     def test_unreadable_config_is_1(self, tmp_path):
         assert main(["speed", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("flag, what", [("--config", "config"), ("--seed-manifest", "manifest")])
+    def test_non_utf8_input_is_1(self, tmp_path, capsys, flag, what):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"m": 7\xff}')
+        assert main(["speed", flag, str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {what}: 'utf-8' codec can't decode")
+
+    # an --out under a regular file, one that is a regular file, and one
+    # where an output file's name is taken by a directory
+    @pytest.mark.parametrize("out", ["file/sub", "file", "taken"], ids=["under-file", "is-file", "csv-is-dir"])
+    def test_unwritable_out_is_1(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "taken" / "speed.csv").mkdir(parents=True)
+        assert main(["speed", "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     @pytest.mark.parametrize(
         "text",
@@ -422,7 +442,7 @@ class TestExitCodes:
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "solver failure: time step collapsed below 1.953e-06 at t = 1.4642: "
+            "solver failure: time step collapsed below 1.953e-06 at t = 1.46419: "
             "reactant went negative"
         )
 
