@@ -46,19 +46,28 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
     Missing keys take the documented defaults (lambda=1, beta=21, m=7,
     phi0=0.5, psi0=0.3, a0=1, zstar=1, sdot=1; run controls from
     :class:`RunConfig`). n_nodes defaults to the reaction-layer resolution
-    rule 8*beta*(h0 + sdot*t_end). Unknown keys are rejected here; the
-    values are checked by :class:`BasinParams` and :class:`RunConfig`.
+    rule 8*beta*(h0 + sdot*t_end). See :func:`_resolve_config`.
     """
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    return _resolve_config(doc)
+
+
+def _resolve_config(doc, *, complete: bool = False) -> tuple[BasinParams, RunConfig]:
+    """Inputs from a flat document of config keys, for a config and a
+    manifest alike: unknown keys are rejected, and with ``complete`` so are
+    missing ones, which otherwise take the defaults of :func:`parse_config`.
+    The values are checked by :class:`BasinParams` and :class:`RunConfig`."""
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
-
     unknown = sorted(set(doc) - set(PARAM_KEYS) - set(RUN_KEYS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [key for key in (*PARAM_KEYS, *RUN_KEYS) if key not in doc]
+    if complete and missing:
+        raise ValidationError(f"missing config keys: {', '.join(missing)}")
 
     params = BasinParams(**{attr: doc[key] for key, attr in PARAM_KEYS.items() if key in doc})
 
@@ -81,11 +90,11 @@ def params_doc(params: BasinParams) -> dict:
 
 
 def load_manifest(path: Path) -> tuple[BasinParams, RunConfig]:
-    """Resolved inputs of a previous run; a malformed manifest is a ValidationError."""
+    """Resolved inputs of a previous run, every key given, through
+    :func:`_resolve_config`; a malformed manifest is a ValidationError."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        params = BasinParams(**{attr: doc["params"][key] for key, attr in PARAM_KEYS.items()})
-        return params, RunConfig(**doc["config"])
+        return _resolve_config({**doc["params"], **doc["config"]}, complete=True)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError) as exc:

@@ -13,16 +13,17 @@ with R the clamped reaction kernel, a Robin condition phi_z - phi = 0 at
 the basement z = 0, Dirichlet data (phi0, psi0) in the fresh sediment at
 z = h(t), and dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) there.
 
-Time stepping is an implicit predictor/corrector: trapezoidal corrector
-sweeps re-evaluate coefficients, the reaction factor, and the boundary
-velocity at the average of the old and the predicted new state. The
-prediction extrapolates the last two accepted states linearly, or, without
-them, is a backward-Euler sweep whose nonlinear coefficients are frozen at
-the old time. Every way a step attempt can fail raises StepRejected, and
-the driver alone decides the retry. The stiff reactant annihilation is
-Strang-split around the transport solve: half a step of its exact factor
-exp(-R dt/2), transport, and another half step, so psi stays non-negative
-for any dt and the splitting error is second order in dt.
+Time stepping is an implicit predictor/corrector with one kind of sweep:
+trapezoidal corrector sweeps re-evaluate coefficients, the reaction factor,
+and the boundary velocity at the average of the old and the predicted new
+state. The prediction extrapolates the last two accepted states linearly
+and takes two sweeps; without them it holds the old fields, moves h by
+dt*hdot, and takes three. Every way a step attempt can fail raises
+StepRejected, and the driver alone decides the retry. The stiff reactant
+annihilation is Strang-split around the transport solve: half a step of
+its exact factor exp(-R dt/2), transport, and another half step, so psi
+stays non-negative for any dt and the splitting error is second order in
+dt.
 
 The driver starts at ``RunConfig.dt``. Nearly all of the time error is made
 in the start-up transient, so after every accepted step it grows the step
@@ -58,8 +59,9 @@ from .core import (
 )
 from .errors import SolverError, StepRejected, ValidationError
 
-# Trapezoidal corrector sweeps per step; they stop early once the relative
-# update falls below the tolerance.
+# Trapezoidal corrector sweeps per step from an extrapolated prediction,
+# one more from the held state; they stop early once the relative update
+# falls below the tolerance.
 _CORRECTOR_SWEEPS = 2
 _CORRECTOR_TOL = 1e-10
 
@@ -217,8 +219,8 @@ def _apply_tridiag(lo, di, up, f):
     return out
 
 
-def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
-    """Solve (I - theta_dt * L) u = rhs, overwriting rhs; returns u.
+def _solve_closed(half_dt, lo, di, up, bottom, rhs):
+    """Solve (I - half_dt * L) u = rhs, overwriting rhs; returns u.
 
     Interior rows come from (lo, di, up); the top row is Dirichlet
     (u = rhs[-1]). ``bottom`` is the full bottom row (b0, b1, b2) on nodes
@@ -232,12 +234,12 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
     dl = np.empty(n - 1)
     d = np.empty(n)
     du = np.empty(n - 1)
-    np.multiply(lo, -theta_dt, out=dl[:-1])
+    np.multiply(lo, -half_dt, out=dl[:-1])
     dl[-1] = 0.0
-    np.multiply(di, -theta_dt, out=d[1:-1])
+    np.multiply(di, -half_dt, out=d[1:-1])
     d[1:-1] += 1.0
     d[-1] = 1.0
-    np.multiply(up, -theta_dt, out=du[1:])
+    np.multiply(up, -half_dt, out=du[1:])
 
     b0, b1, b2 = bottom
     a12 = du[1]
@@ -258,47 +260,32 @@ def _solve_closed(theta_dt, lo, di, up, bottom, rhs):
     return u
 
 
-def _sweep(
-    x,
-    dx,
-    phi_n,
-    psi_n,
-    dt,
-    theta,
-    phi_c,
-    h_c,
-    hdot_c,
-    h_bc,
-    params,
-):
-    """One implicit solve with coefficients frozen at (phi_c, h_c, hdot_c).
+def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params):
+    """One trapezoidal sweep with coefficients frozen at (phi_c, h_c, hdot_c).
 
-    theta = 1 gives the backward-Euler predictor, theta = 1/2 a trapezoidal
-    corrector. The reactant is Strang-split: the exact reaction factor over
-    half the step, the transport solve (implicit, tridiagonal), then the
-    factor over the other half, with one reaction rate R at h_c for both
-    halves. The porosity source is a0/beta times the reactant the two halves
+    The reactant is Strang-split: the exact reaction factor over half the
+    step, the trapezoidal transport solve (tridiagonal), then the factor
+    over the other half, with one reaction rate R at h_c for both halves.
+    The porosity source is a0/beta times the reactant the two halves
     consume, per unit time, so the water released balances it exactly.
     """
     # also catches NaN coefficients, which would otherwise reach the solve
     if not phi_c.min() > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
     phi_half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx)
-    theta_dt = theta * dt
-    explicit_dt = (1.0 - theta) * dt
+    half_dt = 0.5 * dt
 
-    half_decay = reaction_rate(x * h_c, h_c, params) * (-0.5 * dt)
+    half_decay = reaction_rate(x * h_c, h_c, params) * -half_dt
     half_keep = np.exp(half_decay)
     psi_reacted = psi_n * half_keep
     lo_s, di_s, up_s, row0 = _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx)
     rhs = psi_reacted.copy()
-    if theta < 1.0:
-        s0, s1, s2 = psi_reacted[:3].tolist()
-        rhs[0] = s0 + explicit_dt * (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
-        rhs[1:-1] += explicit_dt * _apply_tridiag(lo_s, di_s, up_s, psi_reacted)
+    s0, s1, s2 = psi_reacted[:3].tolist()
+    rhs[0] = s0 + half_dt * (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
+    rhs[1:-1] += half_dt * _apply_tridiag(lo_s, di_s, up_s, psi_reacted)
     rhs[-1] = params.psi0
-    bottom = (1.0 - theta_dt * row0[0], -theta_dt * row0[1], -theta_dt * row0[2])
-    psi_transported = _solve_closed(theta_dt, lo_s, di_s, up_s, bottom, rhs)
+    bottom = (1.0 - half_dt * row0[0], -half_dt * row0[1], -half_dt * row0[2])
+    psi_transported = _solve_closed(half_dt, lo_s, di_s, up_s, bottom, rhs)
     # the consumed fraction -expm1(-R dt/2) of each half takes its sign from
     # the divisor -dt
     source = (params.a0 / params.beta) * (psi_n + psi_transported) * np.expm1(half_decay) / -dt
@@ -313,12 +300,11 @@ def _sweep(
     lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx)
     rhs = phi_n.copy()
     interior = rhs[1:-1]
-    if theta < 1.0:
-        interior += explicit_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
+    interior += half_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
     interior += dt * source[1:-1]
     rhs[0] = 0.0
     rhs[-1] = params.phi0
-    phi_new = _solve_closed(theta_dt, lo_p, di_p, up_p, _robin_row(dx, h_bc), rhs)
+    phi_new = _solve_closed(half_dt, lo_p, di_p, up_p, _robin_row(dx, h_bc), rhs)
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
@@ -368,8 +354,10 @@ def step_predictor_corrector(
 
     The trapezoidal corrector sweeps start from a predicted end state.
     Given ``previous``, the accepted state before ``state``, the prediction
-    extrapolates the two linearly (see :func:`_extrapolate`), which costs
-    no solve; when ``previous`` is None it is a backward-Euler sweep.
+    extrapolates the two linearly (see :func:`_extrapolate`) and the
+    corrector makes _CORRECTOR_SWEEPS sweeps. When ``previous`` is None the
+    prediction is the held state (phi_n, psi_n, h_n + dt*hdot_n), and the
+    corrector makes one sweep more. Neither prediction costs a solve.
 
     One attempt, no retry: raises :class:`StepRejected` when a sweep cannot
     be solved, the corrector leaves non-finite fields or a final relative
@@ -383,20 +371,21 @@ def step_predictor_corrector(
     dx = 1.0 / (phi_n.size - 1)
     hdot_n = hdot(phi_n, h_n, params)
     if previous is None:
-        # predictor: backward Euler, coefficients and hdot from time n
-        h_p = h_n + dt * hdot_n
-        phi_p, psi_p = _sweep(x, dx, phi_n, psi_n, dt, 1.0, phi_n, h_n, hdot_n, h_p, params)
+        # the held state, a cruder prediction, takes one sweep more
+        phi_p, psi_p, h_p = phi_n, psi_n, h_n + dt * hdot_n
+        sweeps = _CORRECTOR_SWEEPS + 1
     else:
         phi_p, psi_p, h_p = _extrapolate(state, previous, dt)
+        sweeps = _CORRECTOR_SWEEPS
 
     update_norm = math.inf
-    for _ in range(_CORRECTOR_SWEEPS):
+    for _ in range(sweeps):
         hdot_p = hdot(phi_p, h_p, params)
         phi_bar = 0.5 * (phi_n + phi_p)
         h_bar = 0.5 * (h_n + h_p)
         hdot_bar = 0.5 * (hdot_n + hdot_p)
         h_new = h_n + dt * hdot_bar
-        phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, 0.5, phi_bar, h_bar, hdot_bar, h_new, params)
+        phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params)
         phi_change = _rel_change(phi_c, phi_p)
         psi_change = _rel_change(psi_c, psi_p)
         # max() below would drop a NaN that is not its first argument
@@ -436,8 +425,8 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     Every step after the first passes the accepted state before it to the
     stepper as ``previous``. Each :class:`StepRejected` is handled here: an
     attempt that used ``previous`` is retaken once at the same dt without
-    it, from the backward-Euler predictor, which is not a rejection. An
-    attempt without it is rejected: dt halves and ``previous`` is kept for
+    it, from the held state, which is not a rejection. An attempt without
+    it is rejected: dt halves and ``previous`` is kept for
     the next attempt. A step that would fall below ``config.dt``/1024 raises
     :class:`SolverError` naming the time and the last reason, since a run
     forced that far down has stalled rather than slowed; so does a column
@@ -476,8 +465,8 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             stepped = step_predictor_corrector(state, dt_step, params, previous=history)
         except StepRejected as exc:
             if history is not None:
-                # retake the attempt at the same dt from the backward-Euler
-                # predictor; not a rejection
+                # retake the attempt at the same dt from the held state;
+                # not a rejection
                 history = None
                 continue
             history = previous
@@ -547,11 +536,11 @@ def sample_bound(config: RunConfig) -> int:
 def speed_window(n_samples: int, window_fraction: float = _SPEED_WINDOW) -> int:
     """Trailing samples a speed fit over ``window_fraction`` of ``n_samples``
     uses; raises :class:`ValidationError` when there are fewer than 10 or
-    the share is not finite."""
-    share = window_fraction * n_samples
-    if not math.isfinite(share):
-        raise ValidationError(f"speed fit window fraction {window_fraction!r} gives no sample count")
-    k = math.ceil(share)
+    the share is not in (0, 1]."""
+    # also refuses a NaN, which fails every comparison
+    if not 0.0 < window_fraction <= 1.0:
+        raise ValidationError(f"speed fit window fraction {window_fraction!r} is not in (0, 1]")
+    k = math.ceil(window_fraction * n_samples)
     if k < _SPEED_FIT_MIN_SAMPLES:
         raise ValidationError(
             f"speed fit needs >= {_SPEED_FIT_MIN_SAMPLES} samples in the window, got {k} "
@@ -566,7 +555,7 @@ def estimate_wave_speed(series: TimeSeries, window_fraction: float = _SPEED_WIND
     Returns ``(c_num, fit_quality)`` where fit_quality is the coefficient
     of determination (defined as 1 for a zero-variance window, where the
     residual is also zero). Raises :class:`ValidationError` when the window
-    holds fewer than 10 samples or ``window_fraction`` gives no finite count.
+    holds fewer than 10 samples or ``window_fraction`` is not in (0, 1].
     """
     k = speed_window(series.t.size, window_fraction)
     t = series.t[-k:]

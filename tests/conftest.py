@@ -24,13 +24,12 @@ C_MATCHED_PURE = 0.26593108308039328
 
 
 def alter_corrector(monkeypatch, alter):
-    """Pass the fields of every trapezoidal corrector sweep (theta = 1/2)
-    through ``alter(phi, psi) -> (phi, psi)``; the predictor is untouched."""
+    """Pass the fields of every corrector sweep through
+    ``alter(phi, psi) -> (phi, psi)``."""
     real_sweep = pde._sweep
 
     def sweep(*args):
-        phi, psi = real_sweep(*args)
-        return alter(phi, psi) if args[5] == 0.5 else (phi, psi)
+        return alter(*real_sweep(*args))
 
     monkeypatch.setattr(pde, "_sweep", sweep)
 

@@ -220,6 +220,20 @@ class TestReplay:
         assert main([*argv, "--seed-manifest", str(a / "manifest.json"), "--out", str(b)]) == code
         assert_replay_identical(a, b)
 
+    def test_whole_float_n_nodes_manifest_replays(self, tmp_path):
+        # a manifest resolves n_nodes = 96.0 as a config does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"t_end": 0.5, "dt": 0.005, "n_nodes": 96.0, "output_every": 0.1}')
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
+        doc = json.loads((a / "manifest.json").read_text())
+        assert doc["config"]["n_nodes"] == 96
+        doc["config"]["n_nodes"] = 96.0
+        manifest = tmp_path / "float.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["simulate", "--seed-manifest", str(manifest), "--out", str(b)]) == 0
+        assert_replay_identical(a, b)
+
     def test_sweep_point_replays_through_speed(self, tmp_path):
         sweep, point = tmp_path / "sweep", tmp_path / "point"
         assert main(["sweep", "--sweep", "sdot=0.5,1.0", "--out", str(sweep)]) == 0
@@ -359,14 +373,20 @@ class TestExitCodes:
             ),
             json.dumps(
                 {
-                    "params": params_doc(derive_params()),
-                    "config": {**asdict(RunConfig()), "n_nodes": 100.5},
+                    "params": {**params_doc(derive_params()), "exp_clamp": 50.0},
+                    "config": asdict(RunConfig()),
                 }
             ),
             json.dumps(
                 {
                     "params": params_doc(derive_params()),
-                    "config": {**asdict(RunConfig()), "n_nodes": 100.0},
+                    "config": {k: v for k, v in asdict(RunConfig()).items() if k != "dt"},
+                }
+            ),
+            json.dumps(
+                {
+                    "params": params_doc(derive_params()),
+                    "config": {**asdict(RunConfig()), "n_nodes": 100.5},
                 }
             ),
             json.dumps(
@@ -390,8 +410,9 @@ class TestExitCodes:
             "removed-corrector-keys",
             "non-numeric-param",
             "removed-exp-clamp-key",
+            "unknown-param-key",
+            "missing-run-key",
             "float-n-nodes",
-            "whole-float-n-nodes",
             "bool-dt",
             "bool-param",
         ],

@@ -193,7 +193,7 @@ class TestStep:
         dx = x[1] - x[0]
         with pytest.raises(StepRejected):
             pde._sweep(
-                x, dx, state.phi, state.psi, config.dt, 1.0,
+                x, dx, state.phi, state.psi, config.dt,
                 bad_coeff, state.h, 0.0, state.h, params_default,
             )
 
@@ -216,8 +216,9 @@ class TestStep:
             pde._solve_closed(1.0, lo, di, up, (1.0, 0.0, 1.0), np.ones(n))
 
 
-def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc, p):
-    """The sweep's linear systems assembled densely, bottom rows un-eliminated.
+def _dense_reference_sweep(x, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, p):
+    """The trapezoidal sweep's linear systems assembled densely, bottom rows
+    un-eliminated.
 
     Written row by row from the discretization in the pde module docstring:
     half-node conservative fluxes plus the x*hdot*d/dz advective correction,
@@ -254,20 +255,20 @@ def _dense_reference_sweep(x, phi_n, psi_n, dt, theta, phi_c, h_c, hdot_c, h_bc,
     # Strang split: half-step reaction, transport, half-step reaction; the
     # source is the reactant both halves consume, per unit time
     psi_pre = psi_n * np.exp(-rr * dt / 2.0)
-    mat = eye - theta * dt * lpsi
+    mat = eye - 0.5 * dt * lpsi
     mat[-1] = eye[-1]
-    rhs = psi_pre + (1.0 - theta) * dt * (lpsi @ psi_pre)
+    rhs = psi_pre + 0.5 * dt * (lpsi @ psi_pre)
     rhs[-1] = p.psi0
     psi_t = np.linalg.solve(mat, rhs)
     psi_new = psi_t * np.exp(-rr * dt / 2.0)
     source = (p.a0 / p.beta) * ((psi_n - psi_pre) + (psi_t - psi_new)) / dt
     psi_new[-1] = p.psi0
 
-    mat = eye - theta * dt * lphi
+    mat = eye - 0.5 * dt * lphi
     mat[0] = 0.0
     mat[0, :3] = (-3.0 - 2.0 * dx * h_bc, 4.0, -1.0)
     mat[-1] = eye[-1]
-    rhs = phi_n + (1.0 - theta) * dt * (lphi @ phi_n) + dt * source
+    rhs = phi_n + 0.5 * dt * (lphi @ phi_n) + dt * source
     rhs[0] = 0.0
     rhs[-1] = p.phi0
     return np.linalg.solve(mat, rhs), psi_new
@@ -284,10 +285,7 @@ class TestTridiagonalElimination:
     # a0 = 0 keeps the reactant moving but gives the phi solve an exactly
     # zero source, the pure-compaction limit of the same sweep
     @pytest.mark.parametrize("a0", [1.0, 0.0], ids=["reactive", "compaction"])
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_sweep_matches_dense_unreduced_solve(
-        self, params_default, reactive_states, theta, a0
-    ):
+    def test_sweep_matches_dense_unreduced_solve(self, params_default, reactive_states, a0):
         p = replace(params_default, a0=a0)
         old, coeff = reactive_states
         x = np.linspace(0.0, 1.0, old.phi.size)
@@ -297,7 +295,7 @@ class TestTridiagonalElimination:
         h_c = 0.5 * (old.h + coeff.h)
         h_bc = old.h + dt * hdot_c
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
-        args = (x, old.phi, old.psi, dt, theta, coeff.phi, h_c, hdot_c, h_bc)
+        args = (x, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, h_bc)
         phi, psi = pde._sweep(x, dx, *args[1:], p)
         phi_ref, psi_ref = _dense_reference_sweep(*args, p)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
@@ -396,6 +394,15 @@ class TestRunSimulation:
         assert np.array_equal(halved.final_state.phi, started.final_state.phi)
         assert np.array_equal(halved.final_state.psi, started.final_state.psi)
 
+    # from the held state, dt = 1.0 is rejected three times and accepted at
+    # 0.125; a backward-Euler predictor needed 0.0625, four rejections and
+    # 31 steps
+    def test_oversized_start_is_accepted_at_an_eighth(self, params_default):
+        config = RunConfig(n_nodes=288, dt=1.0, t_end=2.0, output_every=1.0)
+        stats = run_simulation(params_default, config).stats
+        assert (stats.steps_accepted, stats.steps_rejected) == (16, 3)
+        assert stats.dt_min == 0.125
+
     # max() drops a NaN that is not its first argument, so a NaN in either
     # field must be caught before the update norm is taken
     @pytest.mark.parametrize("field", ["phi", "psi"])
@@ -437,37 +444,41 @@ class TestExtrapolatedPredictor:
 
     @staticmethod
     def count_sweeps(monkeypatch):
-        """Count every ``_sweep`` call and the backward-Euler ones among them."""
-        counts = {"sweeps": 0, "backward_euler": 0}
-        real_sweep = pde._sweep
+        """Record every step attempt as [history-free, sweeps it made]; an
+        attempt is history-free when the stepper gets no ``previous``."""
+        attempts = []
+        real_step, real_sweep = pde.step_predictor_corrector, pde._sweep
+
+        def step(state, dt, params, previous=None):
+            attempts.append([previous is None, 0])
+            return real_step(state, dt, params, previous=previous)
 
         def sweep(*args):
-            counts["sweeps"] += 1
-            counts["backward_euler"] += args[5] == 1.0
+            attempts[-1][1] += 1
             return real_sweep(*args)
 
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
         monkeypatch.setattr(pde, "_sweep", sweep)
-        return counts
+        return attempts
 
     @staticmethod
     def spoil_extrapolated_attempts(monkeypatch, failure):
-        """Make every extrapolated attempt fail: its corrector sweeps (those
-        before the step's backward-Euler sweep) either raise StepRejected
-        or return a porosity that makes the corrector diverge."""
-        seen = {"spoiled": 0, "backward_euler": 0}
-        in_fallback = {"now": False}
+        """Make every extrapolated attempt fail: each sweep of an attempt
+        given ``previous`` either raises StepRejected or returns a porosity
+        that makes the corrector diverge. History-free attempts are left
+        alone and counted."""
+        seen = {"spoiled": 0, "history_free": 0}
+        extrapolated = {"now": False}
         real_step, real_sweep = pde.step_predictor_corrector, pde._sweep
 
-        def step(*args, **kwargs):
-            in_fallback["now"] = False
-            return real_step(*args, **kwargs)
+        def step(state, dt, params, previous=None):
+            extrapolated["now"] = previous is not None
+            seen["history_free"] += previous is None
+            return real_step(state, dt, params, previous=previous)
 
         def sweep(*args):
-            if args[5] == 1.0:
-                in_fallback["now"] = True
-                seen["backward_euler"] += 1
             phi, psi = real_sweep(*args)
-            if in_fallback["now"]:
+            if not extrapolated["now"]:
                 return phi, psi
             seen["spoiled"] += 1
             if failure == "rejected":
@@ -478,32 +489,42 @@ class TestExtrapolatedPredictor:
         monkeypatch.setattr(pde, "_sweep", sweep)
         return seen
 
+    # the held state is a cruder prediction than the line through the last
+    # two states, so a history-free attempt makes one sweep more
+    @pytest.mark.parametrize("extrapolated, sweeps", [(False, 3), (True, 2)], ids=["history-free", "extrapolated"])
+    def test_sweeps_per_attempt(self, params_default, monkeypatch, extrapolated, sweeps):
+        previous, state = self.history(params_default)
+        attempts = self.count_sweeps(monkeypatch)
+        given = previous if extrapolated else None
+        pde.step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=given)
+        assert attempts == [[not extrapolated, sweeps]]
+
     # a run of accepted, unrejected steps, grown ones included: only the
-    # first, which has no history, runs the backward-Euler sweep
+    # first has no history and makes the third sweep
     @pytest.mark.parametrize("config", [CONFIG, RunConfig()], ids=["small", "default"])
     def test_run_makes_at_most_two_sweeps_per_step(self, params_default, monkeypatch, config):
-        counts = self.count_sweeps(monkeypatch)
+        attempts = self.count_sweeps(monkeypatch)
         series = run_simulation(params_default, config)
         assert series.stats.steps_rejected == 0
         assert series.stats.dt_max > config.dt
         assert series.final_state.t == pytest.approx(config.t_end, abs=1e-12)
-        assert counts["backward_euler"] == 1
-        assert counts["sweeps"] <= 2 * series.stats.steps_accepted + 1
+        assert [free for free, _ in attempts] == [True] + [False] * (len(attempts) - 1)
+        assert sum(n for _, n in attempts) <= 2 * series.stats.steps_accepted + 1
 
-    # the stepper makes one attempt; retaking it without history is the
-    # driver's (test_driver_keeps_dt_when_extrapolation_fails)
-    @pytest.mark.parametrize("failure", ["rejected", "diverged"])
-    def test_failed_extrapolation_is_rejected(self, params_default, monkeypatch, failure):
+    # the stepper makes one attempt, no retry: a rejected sweep ends it, a
+    # diverged corrector runs its two sweeps; retaking it without history
+    # is the driver's (test_driver_keeps_dt_when_extrapolation_fails)
+    @pytest.mark.parametrize("failure, spoiled", [("rejected", 1), ("diverged", 2)], ids=["rejected", "diverged"])
+    def test_failed_extrapolation_is_rejected(self, params_default, monkeypatch, failure, spoiled):
         previous, state = self.history(params_default)
         seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
         with pytest.raises(StepRejected):
             pde.step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=previous)
-        assert seen["spoiled"] >= 1
-        assert seen["backward_euler"] == 0
+        assert seen == {"spoiled": spoiled, "history_free": 0}
 
     @pytest.mark.parametrize("failure", ["rejected", "diverged"])
     def test_driver_keeps_dt_when_extrapolation_fails(self, params_default, monkeypatch, failure):
-        # every step retaken from backward Euler is the stepper without history
+        # every step retaken from the held state is the stepper without history
         calls = {"n": 0}
         real_step = pde.step_predictor_corrector
 
@@ -519,7 +540,7 @@ class TestExtrapolatedPredictor:
 
         seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
         series = run_simulation(params_default, self.CONFIG)
-        assert seen["backward_euler"] == 52
+        assert seen["history_free"] == 52
         assert seen["spoiled"] >= 51
         assert np.array_equal(series.t, expected.t)
         assert np.array_equal(series.h, expected.h)
@@ -868,6 +889,8 @@ class TestEstimateWaveSpeed:
         c, quality = estimate_wave_speed(self._series(t, 0.5 * t + 1.0), 0.3)
         assert c == pytest.approx(0.5, rel=1e-12)
         assert quality == pytest.approx(1.0, abs=1e-12)
+        # the widest window is the whole series
+        assert pde.speed_window(t.size, 1.0) == t.size
 
     def test_constant_track(self):
         t = np.linspace(0.0, 10.0, 60)
@@ -888,11 +911,16 @@ class TestEstimateWaveSpeed:
         with pytest.raises(ValidationError):
             estimate_wave_speed(self._series(t, t), 0.3)
 
-    # math.ceil() raises ValueError on a NaN and OverflowError on an inf
-    @pytest.mark.parametrize("fraction", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    # math.ceil() raises ValueError on a NaN and OverflowError on an inf; a
+    # share above 1 would fit every sample, as many as the window asks for
+    @pytest.mark.parametrize(
+        "fraction",
+        [np.nan, np.inf, -np.inf, 2.0, 1.0 + 1e-12, 0.0, -0.3],
+        ids=["nan", "inf", "-inf", "above-one", "just-above-one", "zero", "negative"],
+    )
     def test_non_finite_window_fraction(self, fraction):
         t = np.linspace(0.0, 10.0, 60)
-        match = f"window fraction {fraction!r} gives no sample count"
+        match = rf"window fraction {fraction!r} is not in \(0, 1\]"
         with pytest.raises(ValidationError, match=match):
             pde.speed_window(t.size, fraction)
         with pytest.raises(ValidationError, match=match):
