@@ -72,17 +72,16 @@ def _resolve_config(doc, *, complete: bool = False) -> tuple[BasinParams, RunCon
     params = BasinParams(**{attr: doc[key] for key, attr in PARAM_KEYS.items() if key in doc})
 
     run_kwargs = {k: doc[k] for k in RUN_KEYS if k in doc}
-    if "n_nodes" in run_kwargs:
-        # a config may write 1e3 or 1000.0 for 1000; a fractional n_nodes
-        # reaches RunConfig and is refused there, never truncated
-        n_nodes = run_kwargs["n_nodes"]
-        if isinstance(n_nodes, float) and n_nodes.is_integer():
-            run_kwargs["n_nodes"] = int(n_nodes)
-    else:
-        # validates h0 and t_end before they enter the resolution rule
-        probe = RunConfig(n_nodes=16, **run_kwargs)
-        run_kwargs["n_nodes"] = max(16, resolution_nodes(params, probe))
-    return params, RunConfig(**run_kwargs)
+    n_nodes = run_kwargs.get("n_nodes")
+    # a config may write 1e3 or 1000.0 for 1000; a fractional n_nodes
+    # reaches RunConfig and is refused there, never truncated
+    if isinstance(n_nodes, float) and n_nodes.is_integer():
+        run_kwargs["n_nodes"] = int(n_nodes)
+    # validates h0 and t_end before they enter the resolution rule
+    config = RunConfig(**run_kwargs)
+    if "n_nodes" not in run_kwargs:
+        config = replace(config, n_nodes=max(16, resolution_nodes(params, config)))
+    return params, config
 
 
 def params_doc(params: BasinParams) -> dict:
@@ -223,11 +222,9 @@ def _parse_sweep_axes(specs: list[str]) -> dict[str, list[float]]:
             raise ValidationError(f"sweep axis '{key}' is given more than once")
         if not values:
             raise ValidationError(f"sweep axis '{axis}' has no values")
+        # BasinParams checks m and stores it as an int
         try:
-            axes[key] = [
-                int(v) if key == "m" else float(v)
-                for v in values.split(",")
-            ]
+            axes[key] = [float(v) for v in values.split(",")]
         except ValueError as exc:
             raise ValidationError(f"sweep axis '{axis}': {exc}") from exc
     return axes
@@ -246,7 +243,9 @@ def cmd_sweep(args, params, config, out_dir: Path) -> int:
         point_dir = out_dir / f"point_{index:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
         _record(point_dir, "speed", p_i, config, [_speed_table(match)])
-        rows.append((*combo, match.c, match.residual, match.iterations))
+        # the stored values, so that m = 7.0 is written as 7
+        axis_values = (getattr(p_i, PARAM_KEYS[k]) for k in keys)
+        rows.append((*axis_values, match.c, match.residual, match.iterations))
 
     table = ("sweep.csv", "sweep", (*keys, "c", "residual", "iterations"), rows)
     plot = [

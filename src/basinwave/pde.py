@@ -60,10 +60,8 @@ from .core import (
 from .errors import SolverError, StepRejected, ValidationError
 
 # Trapezoidal corrector sweeps per step from an extrapolated prediction,
-# one more from the held state; they stop early once the relative update
-# falls below the tolerance.
+# one more from the held state.
 _CORRECTOR_SWEEPS = 2
-_CORRECTOR_TOL = 1e-10
 
 # A final relative corrector update above this limit rejects the step.
 _CORRECTOR_REJECT_LIMIT = 5e-2
@@ -355,9 +353,10 @@ def step_predictor_corrector(
     The trapezoidal corrector sweeps start from a predicted end state.
     Given ``previous``, the accepted state before ``state``, the prediction
     extrapolates the two linearly (see :func:`_extrapolate`) and the
-    corrector makes _CORRECTOR_SWEEPS sweeps. When ``previous`` is None the
-    prediction is the held state (phi_n, psi_n, h_n + dt*hdot_n), and the
-    corrector makes one sweep more. Neither prediction costs a solve.
+    corrector makes exactly _CORRECTOR_SWEEPS (2) sweeps. When ``previous``
+    is None the prediction is the held state (phi_n, psi_n,
+    h_n + dt*hdot_n), and the corrector makes exactly one sweep more (3).
+    Neither prediction costs a solve.
 
     One attempt, no retry: raises :class:`StepRejected` when a sweep cannot
     be solved, the corrector leaves non-finite fields or a final relative
@@ -378,7 +377,6 @@ def step_predictor_corrector(
         phi_p, psi_p, h_p = _extrapolate(state, previous, dt)
         sweeps = _CORRECTOR_SWEEPS
 
-    update_norm = math.inf
     for _ in range(sweeps):
         hdot_p = hdot(phi_p, h_p, params)
         phi_bar = 0.5 * (phi_n + phi_p)
@@ -393,8 +391,6 @@ def step_predictor_corrector(
             raise StepRejected("corrector left non-finite fields")
         update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
         phi_p, psi_p, h_p = phi_c, psi_c, h_new
-        if update_norm < _CORRECTOR_TOL:
-            break
 
     if not update_norm <= _CORRECTOR_REJECT_LIMIT:
         raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
@@ -448,7 +444,6 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-10
     estimate_max = 0.0
-    samples = 1
     end = config.t_end * (1.0 - _HORIZON_SLACK)
     landing_slack = _SAMPLE_SLACK * config.output_every
     resolution_warned = False
@@ -457,7 +452,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
 
     previous = history = None
     while state.t < end:
-        gap = min(samples * config.output_every, config.t_end) - state.t
+        gap = min(len(ts) * config.output_every, config.t_end) - state.t
         # max(): a gap inside landing_slack, left where a sample falls just
         # below t_end, is taken as one sliver step
         dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
@@ -509,11 +504,10 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             )
             resolution_warned = True
 
-        if state.t >= samples * config.output_every - landing_slack:
+        if state.t >= len(ts) * config.output_every - landing_slack:
             ts.append(state.t)
             hs.append(state.h)
             hds.append(hdot(state.phi, state.h, params))
-            samples += 1
 
     return TimeSeries(
         t=np.array(ts),

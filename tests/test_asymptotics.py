@@ -100,6 +100,15 @@ class TestSolveOuter:
             phi += dz / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert out.phi[0] == pytest.approx(phi, rel=1e-8)
 
+    @pytest.mark.parametrize("c", [0.0, -0.25], ids=["zero", "negative"])
+    def test_nonpositive_speed_rejected(self, params_default, c):
+        with pytest.raises(ValidationError, match="outer profile needs c > 0"):
+            asym.solve_outer(c, params_default)
+
+    def test_zero_zstar_rejected(self):
+        with pytest.raises(ValidationError, match="outer region is empty"):
+            asym.solve_outer(0.25, derive_params(zstar=0.0))
+
     def test_singular_reactant_relation(self):
         p = derive_params(sdot=1e-15)
         with pytest.raises(SingularProfileError):
@@ -175,6 +184,13 @@ class TestInnerReactant:
             2.0 * step
         )
         assert np.max(np.abs(c * psi_eta - np.exp(-eta) * psi)) <= 1e-6
+
+    @pytest.mark.parametrize("c", [0.0, -0.25], ids=["zero", "negative"])
+    def test_nonpositive_speed_rejected(self, params_default, c):
+        with pytest.raises(ValidationError, match="wave speed must be positive"):
+            asym.inner_C(c, params_default)
+        with pytest.raises(ValidationError, match="wave speed must be positive"):
+            asym.inner_psi(0.0, c, 0.3)
 
     def test_double_exponential_collapse(self):
         for c in (0.25, 0.5, 1.0):
@@ -304,6 +320,11 @@ def profile(params_default):
 
 
 class TestWaveProfile:
+    def test_zero_zstar_rejected(self, profile, params_default):
+        match, _ = profile
+        with pytest.raises(ValidationError, match="profile needs zstar > 0"):
+            asym.build_wave_profile(match, derive_params(zstar=0.0))
+
     def test_top_boundary_data(self, profile, params_default):
         _, prof = profile
         assert prof.phi[-1] == params_default.phi0

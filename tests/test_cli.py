@@ -149,6 +149,33 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    # m = 7.0 is the m = 7 a config accepts; BasinParams stores both as 7
+    @pytest.mark.parametrize(
+        "axes, written",
+        [
+            (["m=7,9", "sdot=0.5,1"], [["7", "0.5"], ["7", "1.0"], ["9", "0.5"], ["9", "1.0"]]),
+            (["m=7.0,1e1"], [["7"], ["10"]]),
+        ],
+        ids=["integers", "float-literals"],
+    )
+    def test_m_axis_is_written_as_stored(self, tmp_path, axes, written):
+        out = tmp_path / "s"
+        argv = ["sweep", "--out", str(out)]
+        for axis in axes:
+            argv += ["--sweep", axis]
+        assert main(argv) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[: len(axes)] for r in rows] == written
+        manifest = json.loads((out / "point_001" / "manifest.json").read_text())
+        assert manifest["params"]["m"] == int(written[1][0])
+
+    def test_fractional_m_axis_is_config_error(self, tmp_path, capsys):
+        assert main(["sweep", "--sweep", "m=7.5", "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: permeability exponent m must be an integer, got 7.5"
+        )
+
+
 class TestWaveCommand:
     def test_profile_csv(self, tmp_path):
         out = tmp_path / "wave"
@@ -273,6 +300,29 @@ class TestExitCodes:
         cfg.write_text('{"beta": 0}')
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: activation energy beta must be > 0")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "config is not valid JSON"), ("[1, 2]", "config document must be a JSON object")],
+        ids=["not-json", "array"],
+    )
+    def test_undecodable_config_document_is_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ("sdot=", "sweep axis 'sdot=' has no values"),
+            ("sdot=abc", "sweep axis 'sdot=abc': could not convert string to float: 'abc'"),
+        ],
+        ids=["no-values", "not-a-number"],
+    )
+    def test_malformed_sweep_axis_is_1(self, tmp_path, capsys, axis, message):
+        assert main(["sweep", "--sweep", axis, "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_unreadable_config_is_1(self, tmp_path):
         assert main(["speed", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1

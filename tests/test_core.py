@@ -71,6 +71,12 @@ class TestDeriveParams:
         with pytest.raises(ValidationError, match="phi0"):
             replace(BasinParams(), phi0=1.2)
 
+    def test_stored_types_are_exact(self):
+        # manifests and CSVs print the stored values: 1 as 1.0, 7.0 as 7
+        p = BasinParams(lam=1, m=7.0)
+        assert type(p.lam) is float and p.lam == 1.0
+        assert type(p.m) is int and p.m == 7
+
     def test_low_beta_warns(self):
         with pytest.warns(UserWarning, match="beta"):
             derive_params(beta=5.0)

@@ -183,6 +183,28 @@ class TestStep:
         with pytest.raises(StepRejected, match="reactant went negative"):
             step_predictor_corrector(self.planted_state(p, -1e-30), 1e-10, p)
 
+    def test_nonpositive_final_porosity_rejects_the_step(self, params_default, monkeypatch):
+        # a low porosity node that the last of the three sweeps zeroes: the
+        # update (about 2e-3) passes, and no earlier sweep feeds the zero to
+        # _sweep's coefficient guard
+        p = params_default
+        phi = np.full(64, p.phi0)
+        phi[50] = 1e-3
+        state = BasinState(t=0.0, h=0.5, phi=phi, psi=np.full(64, p.psi0))
+        sweeps = {"n": 0}
+
+        def zero_last(phi, psi):
+            sweeps["n"] += 1
+            if sweeps["n"] == 3:
+                phi = phi.copy()
+                phi[50] = 0.0
+            return phi, psi
+
+        alter_corrector(monkeypatch, zero_last)
+        with pytest.raises(StepRejected, match="porosity went non-positive"):
+            step_predictor_corrector(state, 1e-10, p)
+        assert sweeps["n"] == 3
+
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
     def test_sweep_guard_rejects_nonpositive_coefficients(self, params_default, bad):
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1)
@@ -490,13 +512,18 @@ class TestExtrapolatedPredictor:
         return seen
 
     # the held state is a cruder prediction than the line through the last
-    # two states, so a history-free attempt makes one sweep more
-    @pytest.mark.parametrize("extrapolated, sweeps", [(False, 3), (True, 2)], ids=["history-free", "extrapolated"])
-    def test_sweeps_per_attempt(self, params_default, monkeypatch, extrapolated, sweeps):
+    # two states, so a history-free attempt makes one sweep more; the counts
+    # are fixed, even at a dt so short that the first sweep barely moves
+    @pytest.mark.parametrize(
+        "extrapolated, sweeps, dt",
+        [(False, 3, CONFIG.dt), (True, 2, CONFIG.dt), (False, 3, 1e-9)],
+        ids=["history-free", "extrapolated", "history-free-dt-1e-9"],
+    )
+    def test_sweeps_per_attempt(self, params_default, monkeypatch, extrapolated, sweeps, dt):
         previous, state = self.history(params_default)
         attempts = self.count_sweeps(monkeypatch)
         given = previous if extrapolated else None
-        pde.step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=given)
+        pde.step_predictor_corrector(state, dt, params_default, previous=given)
         assert attempts == [[not extrapolated, sweeps]]
 
     # a run of accepted, unrejected steps, grown ones included: only the
@@ -509,7 +536,7 @@ class TestExtrapolatedPredictor:
         assert series.stats.dt_max > config.dt
         assert series.final_state.t == pytest.approx(config.t_end, abs=1e-12)
         assert [free for free, _ in attempts] == [True] + [False] * (len(attempts) - 1)
-        assert sum(n for _, n in attempts) <= 2 * series.stats.steps_accepted + 1
+        assert sum(n for _, n in attempts) == 2 * series.stats.steps_accepted + 1
 
     # the stepper makes one attempt, no retry: a rejected sweep ends it, a
     # diverged corrector runs its two sweeps; retaking it without history
