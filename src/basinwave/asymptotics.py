@@ -141,11 +141,22 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     right after a rejection, and the last step clipped to t_eval[-1]. Each
     accepted step is recorded and the quartic interpolant is evaluated for
     all nodes in one pass at the end. A step that shrinks below 10 ulp of t
-    (as it does once the right-hand side turns NaN) raises SolverError.
+    (as it does once the right-hand side turns NaN) raises SolverError; a
+    grid of fewer than two nodes, with a non-finite node or not strictly
+    monotone raises ValidationError.
     """
+    if t_eval.size < 2:
+        raise ValidationError(f"{label} grid needs at least two nodes, got {t_eval.size}")
     t = float(t_eval[0])
     t_bound = float(t_eval[-1])
     direction = -1.0 if t_bound < t else 1.0
+    # nodes in strict order between finite ends are finite; NaN compares false
+    later, earlier = (t_eval[1:], t_eval[:-1]) if direction > 0.0 else (t_eval[:-1], t_eval[1:])
+    if not (math.isfinite(t) and math.isfinite(t_bound) and (later > earlier).all()):
+        raise ValidationError(
+            f"{label} grid must be finite and strictly monotone, "
+            f"got nodes from {t!r} to {t_bound!r}"
+        )
     y = float(y0)
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_bound, direction, rtol, atol)
@@ -157,9 +168,12 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     a50, a51, a52, a53, a54 = _DP_A[5]
     b0, _, b2, b3, b4, b5 = _DP_B
     e0, _, e2, e3, e4, e5, e6 = _DP_E
+    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT
+    nextafter = math.nextafter
+    toward = direction * math.inf
     starts, y_starts, steps, stages = [], [], [], []
     while direction * (t - t_bound) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10.0 * abs(nextafter(t, toward) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -185,14 +199,14 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
             error_norm = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
             if error_norm < 1.0:
                 if error_norm == 0.0:
-                    factor = _MAX_FACTOR
+                    factor = max_factor
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    factor = min(max_factor, safety * error_norm ** exponent)
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            h_abs *= max(min_factor, safety * error_norm ** exponent)
             rejected = True
         starts.append(t)
         y_starts.append(y)
@@ -219,12 +233,23 @@ def _permeability_overflow(phi, arg) -> StiffProfileError:
     )
 
 
-def _inverse_permeability(phi: float, params: BasinParams) -> float:
-    """(phi0/phi)^m via exp(m ln(phi0/phi)), guarded against overflow."""
-    arg = params.m * math.log(params.phi0 / phi)
-    if arg > _POW_OVERFLOW_LIMIT:
-        raise _permeability_overflow(phi, arg)
-    return math.exp(arg)
+def _outer_rhs(c: float, params: BasinParams):
+    """The outer porosity slope at speed c as ``rhs(zeta, phi)``, with the
+    constants of :func:`outer_ode_rhs` bound once."""
+    phi0, m, lam = params.phi0, params.m, params.lam
+    supply = (c - params.sdot) * (1.0 - phi0)
+    log, exp = math.log, math.exp
+
+    def rhs(_zeta, phi):
+        if phi <= 0.0:
+            raise StiffProfileError(f"outer porosity must be positive, got phi = {phi!r}")
+        # (phi0/phi)^m via exp(m ln(phi0/phi)), guarded against overflow
+        arg = m * log(phi0 / phi)
+        if arg > _POW_OVERFLOW_LIMIT:
+            raise _permeability_overflow(phi, arg)
+        return phi + (c * (phi0 - phi) + supply) * exp(arg) / lam
+
+    return rhs
 
 
 def outer_ode_rhs(phi: float, c: float, params: BasinParams) -> float:
@@ -232,10 +257,7 @@ def outer_ode_rhs(phi: float, c: float, params: BasinParams) -> float:
 
     phi + [c (phi0 - phi) + (c - sdot)(1 - phi0)] (phi0/phi)^m / lam.
     """
-    if phi <= 0.0:
-        raise StiffProfileError(f"outer porosity must be positive, got phi = {phi!r}")
-    bracket = c * (params.phi0 - phi) + (c - params.sdot) * (1.0 - params.phi0)
-    return phi + bracket * _inverse_permeability(phi, params) / params.lam
+    return _outer_rhs(c, params)(None, phi)
 
 
 def outer_flux_invariant(phi, phi_zeta, params: BasinParams):
@@ -268,11 +290,11 @@ def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np
     Downward is the stable direction: the (phi0/phi)^m factor grows as phi
     decreases, so stiffness is met where the solution matters least.
     """
-    if c <= 0.0:
-        raise ValidationError(f"outer profile needs c > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"outer profile needs c > 0 and finite, got {c}")
 
     phi = _rk45(
-        lambda _zeta, phi: outer_ode_rhs(phi, c, params),
+        _outer_rhs(c, params),
         params.phi0,
         zeta_desc,
         rtol=1e-11,
@@ -322,11 +344,32 @@ def phi_from_Phi(Phi, params: BasinParams):
     return params.phistar * np.exp(np.asarray(Phi, dtype=float) / params.m)
 
 
+def _check_speed(c: float) -> None:
+    # written so that NaN fails too
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"wave speed must be positive and finite, got {c}")
+
+
 def phi_infinity(c: float, params: BasinParams) -> float:
     """Far-field log-porosity deficit ln(c/lam) seen from below the front."""
-    if c <= 0.0:
-        raise ValidationError(f"wave speed must be positive, got {c}")
+    _check_speed(c)
     return math.log(c / params.lam)
+
+
+def _inner_C_of(params: BasinParams):
+    """``C(c)`` of :func:`inner_C` without its check on c, with e^(-eta_top)
+    bound once."""
+    psi0 = params.psi0
+    if psi0 == 0.0:
+        return lambda c: 0.0
+    eta_top = params.beta * params.zstar + math.log(params.beta)
+    decay = math.exp(-eta_top)
+    exp = math.exp
+
+    def C(c):
+        return psi0 * exp(min(decay / c, _POW_OVERFLOW_LIMIT))
+
+    return C
 
 
 def inner_C(c: float, params: BasinParams) -> float:
@@ -336,13 +379,8 @@ def inner_C(c: float, params: BasinParams) -> float:
     C = psi0 * exp[(1/c) e^(-eta_top)]; for beta*zstar >> 1 this is psi0 to
     machine precision.
     """
-    if c <= 0.0:
-        raise ValidationError(f"wave speed must be positive, got {c}")
-    if params.psi0 == 0.0:
-        return 0.0
-    eta_top = params.beta * params.zstar + math.log(params.beta)
-    arg = min(math.exp(-eta_top) / c, _POW_OVERFLOW_LIMIT)
-    return params.psi0 * math.exp(arg)
+    _check_speed(c)
+    return _inner_C_of(params)(c)
 
 
 def inner_psi(eta, c: float, C: float):
@@ -350,19 +388,10 @@ def inner_psi(eta, c: float, C: float):
 
     Tends to C above the zone and collapses double-exponentially below it.
     """
-    if c <= 0.0:
-        raise ValidationError(f"wave speed must be positive, got {c}")
+    _check_speed(c)
     eta = np.asarray(eta, dtype=float)
     with np.errstate(over="ignore"):
         return C * np.exp(-np.exp(-eta) / c)
-
-
-def _reaction_completion(eta: float, c: float) -> float:
-    """exp(-(1/c) e^(-eta)): the integrated reaction factor in the inner
-    porosity balance (tends to 1 above the zone, to 0 below)."""
-    if -eta > 690.0:
-        return 0.0
-    return math.exp(-math.exp(-eta) / c)
 
 
 def _B_constant(c: float, params: BasinParams) -> float:
@@ -373,6 +402,7 @@ def _B_constant(c: float, params: BasinParams) -> float:
 def default_inner_span(c: float, params: BasinParams) -> tuple[float, float]:
     """Span covering the reaction transition (around eta = -ln c) up to the
     physical top of the inner coordinate."""
+    _check_speed(c)
     low = -math.log(c) - 12.0
     high = max(params.beta * params.zstar + math.log(params.beta), -math.log(c) + 12.0)
     return (low, high)
@@ -393,7 +423,9 @@ def inner_Phi_ode(c: float, params: BasinParams, C: float, eta: np.ndarray) -> n
     phi_inf = phi_infinity(c, params)
     lam_ps = params.lam * params.phistar
     c_ps = c * params.phistar
-    source_scale = c * params.a0 * C / params.A
+    A = params.A
+    source_scale = c * params.a0 * C / A
+    exp = math.exp
 
     def rhs(eta, Phi):
         if Phi < -600.0:
@@ -401,13 +433,14 @@ def inner_Phi_ode(c: float, params: BasinParams, C: float, eta: np.ndarray) -> n
                 f"inner log-porosity underflowed (Phi = {Phi:.3g} at eta = {eta:.3g})"
             )
         try:
-            e_Phi = math.exp(Phi)
+            e_Phi = exp(Phi)
         except OverflowError:
             raise StiffProfileError(
                 f"inner log-porosity overflowed (Phi = {Phi:.3g} at eta = {eta:.3g})"
             ) from None
-        s = _reaction_completion(eta, c)
-        return (1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * e_Phi)) / params.A
+        # the integrated reaction factor: 1 above the zone, 0 below
+        s = 0.0 if -eta > 690.0 else exp(-exp(-eta) / c)
+        return (1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * e_Phi)) / A
 
     return _rk45(rhs, phi_inf, eta, rtol=1e-10, atol=1e-12, label="inner profile")
 
@@ -429,7 +462,10 @@ def jump_residual(c: float, params: BasinParams) -> float:
     # node of an n-node uniform grid, fine enough that its error stays below
     # the 1e-6 scale. Only those four nodes are integrated onto, placed as
     # linspace places them; the integrator's steps do not depend on them.
-    n = max(1201, math.ceil((high - low) * 400.0))
+    nodes = (high - low) * 400.0
+    if not nodes < math.inf:
+        raise ValidationError(f"inner span ({low!r}, {high!r}) is too long to place grid nodes on")
+    n = max(1201, math.ceil(nodes))
     eta = np.array([0.0, 1.0, n - 2.0, n - 1.0]) * ((high - low) / (n - 1)) + low
     eta[-1] = high
     Phi = inner_Phi_ode(c, params, C, eta)
@@ -442,24 +478,28 @@ def jump_residual(c: float, params: BasinParams) -> float:
     return float((bracket[-1] - bracket[0]) - jump)
 
 
-def _match_denominator(c: float, params: BasinParams) -> float:
-    """Denominator of the wave-speed selection equation.
+def _match_denominator(params: BasinParams):
+    """Denominator of the wave-speed selection equation as ``denominator(c)``.
 
     With Phi_inf = ln(c/lam) substituted, the matching of outer and inner
     flux invariants reduces to
 
         c [1 + phistar - phistar ln(c/lam) + a0 C(c) / A] = sdot (1 - phi0).
     """
-    return (
-        1.0
-        + params.phistar
-        - params.phistar * math.log(c / params.lam)
-        + params.a0 * inner_C(c, params) / params.A
-    )
+    one_plus, phistar, lam = 1.0 + params.phistar, params.phistar, params.lam
+    a0, A = params.a0, params.A
+    C = _inner_C_of(params)
+    log = math.log
+
+    def denominator(c):
+        return one_plus - phistar * log(c / lam) + a0 * C(c) / A
+
+    return denominator
 
 
-def _consistent_denominator(c: float, params: BasinParams) -> float:
-    """Denominator of the conservation-consistent matching variant.
+def _consistent_denominator(params: BasinParams):
+    """Denominator of the conservation-consistent matching variant as
+    ``denominator(c)``.
 
     Carrying the exact relation
 
@@ -476,20 +516,22 @@ def _consistent_denominator(c: float, params: BasinParams) -> float:
     tracks the simulated late-time boundary speed. Kept as a diagnostic
     beside :func:`_match_denominator`.
     """
-    phi_inf = math.log(c / params.lam)
-    return (
-        1.0
-        - params.phistar
-        - (params.phistar / params.m) * (phi_inf - 1.0)
-        + params.a0 * inner_C(c, params) / (params.A * params.m)
-    )
+    one_minus, lam, a0 = 1.0 - params.phistar, params.lam, params.a0
+    phistar_m, A_m = params.phistar / params.m, params.A * params.m
+    C = _inner_C_of(params)
+    log = math.log
+
+    def denominator(c):
+        return one_minus - phistar_m * (log(c / lam) - 1.0) + a0 * C(c) / A_m
+
+    return denominator
 
 
 def _fixed_point_speed(params: BasinParams, denominator) -> tuple[float, int]:
     target = params.sdot * (1.0 - params.phi0)
     c = target / (1.0 + params.phistar)
     for k in range(1, _MAX_ROOT_ITERS + 1):
-        denom = denominator(c, params)
+        denom = denominator(c)
         if denom <= 0.0:
             raise SolverError(
                 f"fixed-point denominator went non-positive at c = {c:.6g}"
@@ -501,19 +543,21 @@ def _fixed_point_speed(params: BasinParams, denominator) -> tuple[float, int]:
     raise SolverError(f"fixed-point iteration did not converge in {_MAX_ROOT_ITERS} steps")
 
 
-def _solve_speed(params: BasinParams, denominator) -> MatchResult:
+def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     """Root of c * denominator(c) = sdot (1 - phi0) by bisection, checked
-    against the fixed-point iteration c <- sdot (1 - phi0) / denominator(c)."""
+    against the fixed-point iteration c <- sdot (1 - phi0) / denominator(c),
+    where ``denominator = build_denominator(params)``."""
     target = params.sdot * (1.0 - params.phi0)
 
     def residual(c):
-        return c * denominator(c, params) - target
+        return c * denominator(c) - target
 
     if params.sdot <= 0.0:
         raise NoRootError(
             "matching equation has no positive root for sdot <= 0 "
             "(the sedimentation flux is its only inhomogeneous term)"
         )
+    denominator = build_denominator(params)
     lo = 1e-6
     hi = 10.0 * params.sdot
     g_lo = residual(lo)

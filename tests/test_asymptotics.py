@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
@@ -17,6 +19,11 @@ from basinwave.errors import (
     ValidationError,
 )
 from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE, box_params
+
+
+# every check on a wave speed refuses NaN and infinity as well as c <= 0
+_BAD_SPEEDS = [0.0, -0.25, math.nan, math.inf, -math.inf]
+_BAD_SPEED_IDS = ["zero", "negative", "nan", "inf", "minus-inf"]
 
 
 class TestOuterOdeRhs:
@@ -100,7 +107,7 @@ class TestSolveOuter:
             phi += dz / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert out.phi[0] == pytest.approx(phi, rel=1e-8)
 
-    @pytest.mark.parametrize("c", [0.0, -0.25], ids=["zero", "negative"])
+    @pytest.mark.parametrize("c", _BAD_SPEEDS, ids=_BAD_SPEED_IDS)
     def test_nonpositive_speed_rejected(self, params_default, c):
         with pytest.raises(ValidationError, match="outer profile needs c > 0"):
             asym.solve_outer(c, params_default)
@@ -185,7 +192,7 @@ class TestInnerReactant:
         )
         assert np.max(np.abs(c * psi_eta - np.exp(-eta) * psi)) <= 1e-6
 
-    @pytest.mark.parametrize("c", [0.0, -0.25], ids=["zero", "negative"])
+    @pytest.mark.parametrize("c", _BAD_SPEEDS, ids=_BAD_SPEED_IDS)
     def test_nonpositive_speed_rejected(self, params_default, c):
         with pytest.raises(ValidationError, match="wave speed must be positive"):
             asym.inner_C(c, params_default)
@@ -436,10 +443,13 @@ class TestRk45:
 
         # through the package: an outer right-hand side that turns NaN below
         # phi = 0.49 (the default outer profile falls from 0.5 to about 0.48)
-        real_rhs = asym.outer_ode_rhs
-        monkeypatch.setattr(
-            asym, "outer_ode_rhs", lambda phi, c, p: real_rhs(phi, c, p) if phi > 0.49 else math.nan
-        )
+        real_rhs = asym._outer_rhs
+
+        def nan_below(c, p):
+            rhs = real_rhs(c, p)
+            return lambda zeta, phi: rhs(zeta, phi) if phi > 0.49 else math.nan
+
+        monkeypatch.setattr(asym, "_outer_rhs", nan_below)
         with pytest.raises(SolverError, match="outer profile integration failed"):
             asym.solve_outer(asym.solve_c(params_default).c, params_default)
 
@@ -467,3 +477,154 @@ class TestRk45:
                 assert _agree(got.phi, expected.phi, 1e-12)
                 psi_scale = np.where(expected.psi == 0.0, 1.0, expected.psi)
                 assert np.max(np.abs(got.psi - expected.psi) / psi_scale) <= 1e-12
+
+
+_RK45_BAD_GRIDS = {
+    "no-nodes": [],
+    "one-node": [0.0],
+    "equal-ends": [1.0, 1.0],
+    "nan-node": [0.0, math.nan, 1.0],
+    "nan-end": [0.0, math.nan],
+    "inf-end": [0.0, math.inf],
+    "minus-inf-start": [-math.inf, 0.0],
+    "inf-interior": [0.0, math.inf, math.inf, 1.0],
+    "not-monotone": [0.0, 2.0, 1.0],
+}
+
+
+class TestRk45Grid:
+    @pytest.mark.parametrize("grid", list(_RK45_BAD_GRIDS.values()), ids=list(_RK45_BAD_GRIDS))
+    def test_unintegrable_grid_is_refused_before_any_step(self, grid):
+        calls = []
+
+        def rhs(t, y):
+            # an accepted infinite grid would step without end
+            calls.append(t)
+            assert len(calls) < 10_000
+            return -y
+
+        with pytest.raises(ValidationError, match="test grid"):
+            asym._rk45(rhs, 1.0, np.array(grid), rtol=1e-10, atol=1e-12, label="test")
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0], [-20.0, math.nan, 24.0]],
+                             ids=["one-node", "equal-ends", "nan-node"])
+    def test_inner_profile_refuses_bad_grid(self, params_default, grid):
+        c = 0.25
+        with pytest.raises(ValidationError, match="inner profile grid"):
+            asym.inner_Phi_ode(c, params_default, asym.inner_C(c, params_default), np.array(grid))
+
+    def test_unbounded_jump_span_is_typed(self):
+        # beta * zstar overflows, and the node count of the span with it
+        p = derive_params(zstar=1e307)
+        with pytest.raises(ValidationError, match="inner span"):
+            asym.jump_residual(0.25, p)
+
+
+@pytest.mark.parametrize("c", _BAD_SPEEDS, ids=_BAD_SPEED_IDS)
+@pytest.mark.parametrize(
+    "solve", [asym.phi_infinity, asym.default_inner_span, asym.jump_residual],
+    ids=["phi_infinity", "default_inner_span", "jump_residual"],
+)
+def test_speed_checked_before_use(params_default, solve, c):
+    with pytest.raises(ValidationError, match="wave speed must be positive"):
+        solve(c, params_default)
+
+
+# The matching and profile integrals are evaluated through functions that
+# bind their constants once per solve. Outcomes at the edge of the box (which
+# profiles build, which roots pass a check) rest on the last bits, so each
+# such function must return exactly what the unbound expression below gives.
+
+
+def _inner_C_unbound(c, params):
+    if params.psi0 == 0.0:
+        return 0.0
+    eta_top = params.beta * params.zstar + math.log(params.beta)
+    arg = min(math.exp(-eta_top) / c, asym._POW_OVERFLOW_LIMIT)
+    return params.psi0 * math.exp(arg)
+
+
+@st.composite
+def _params_and_speeds(draw):
+    """A box point, with lam, a0 and zstar drawn too (the box holds lam at 1,
+    where a regrouped division by lam is still exact), and speeds over the
+    bracket range (1e-6, 1e3 sdot): one drawn, 32 log-spaced."""
+    params = replace(
+        draw(box_params()),
+        lam=draw(st.floats(0.1, 10.0)),
+        a0=draw(st.floats(0.0, 3.0)),
+        zstar=draw(st.floats(0.0, 3.0)),
+    )
+    c = draw(st.floats(1e-6, 1e3 * params.sdot, exclude_min=True))
+    return params, [c, *np.geomspace(1e-6, 1e3 * params.sdot, 33)[1:].tolist()]
+
+
+class TestBoundConstantsAreExact:
+    @given(_params_and_speeds(), st.floats(0.0, 600.0, exclude_max=True))
+    def test_outer_slope(self, point, depth):
+        params, speeds = point
+        # phi in (phi0 e^(-600/m), phi0], where (phi0/phi)^m stays below e^600
+        phi = params.phi0 * math.exp(-depth / params.m)
+        for c in speeds:
+            bracket = c * (params.phi0 - phi) + (c - params.sdot) * (1.0 - params.phi0)
+            arg = params.m * math.log(params.phi0 / phi)
+            expected = phi + bracket * math.exp(arg) / params.lam
+            assert asym.outer_ode_rhs(phi, c, params) == expected
+            assert asym._outer_rhs(c, params)(0.0, phi) == expected
+
+    @given(_params_and_speeds(), st.floats(-800.0, 800.0), st.floats(-600.0, 700.0))
+    def test_inner_rhs(self, point, eta, Phi):
+        params, speeds = point
+
+        def capture(rhs, y0, t_eval, rtol, atol, label):
+            seen.append(rhs)
+            return np.zeros(t_eval.size)
+
+        for c in speeds:
+            C = _inner_C_unbound(c, params)
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(asym, "_rk45", capture)
+                asym.inner_Phi_ode(c, params, C, np.array([0.0, 1.0]))
+            B = asym._B_constant(c, params)
+            lam_ps = params.lam * params.phistar
+            c_ps = c * params.phistar
+            source_scale = c * params.a0 * C / params.A
+            s = 0.0 if -eta > 690.0 else math.exp(-math.exp(-eta) / c)
+            e_Phi = math.exp(Phi)
+            expected = (1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * e_Phi)) / params.A
+            assert seen[0](eta, Phi) == expected
+
+    @given(_params_and_speeds())
+    def test_inner_C(self, point):
+        params, speeds = point
+        for c in speeds:
+            assert asym.inner_C(c, params) == _inner_C_unbound(c, params)
+
+    @given(_params_and_speeds())
+    def test_match_denominator(self, point):
+        params, speeds = point
+        denominator = asym._match_denominator(params)
+        for c in speeds:
+            expected = (
+                1.0
+                + params.phistar
+                - params.phistar * math.log(c / params.lam)
+                + params.a0 * _inner_C_unbound(c, params) / params.A
+            )
+            assert denominator(c) == expected
+
+    @given(_params_and_speeds())
+    def test_consistent_denominator(self, point):
+        params, speeds = point
+        denominator = asym._consistent_denominator(params)
+        for c in speeds:
+            phi_inf = math.log(c / params.lam)
+            expected = (
+                1.0
+                - params.phistar
+                - (params.phistar / params.m) * (phi_inf - 1.0)
+                + params.a0 * _inner_C_unbound(c, params) / (params.A * params.m)
+            )
+            assert denominator(c) == expected
