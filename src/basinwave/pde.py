@@ -36,7 +36,9 @@ every sample time and on t_end.
 Each sweep solves one linear system per field. The one-sided bottom rows
 (the Robin condition for phi, the flux divergence for psi) put a single
 entry outside the tridiagonal band; one row operation against row 1
-cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal.
+cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A step
+attempt assembles its sweeps in one workspace of its own, and only the
+last sweep's update is measured against the reject limit.
 """
 
 from __future__ import annotations
@@ -148,30 +150,33 @@ def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
     return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi_1)
 
 
-def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx):
+def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, out=(None, None)):
     """Half-node porosities and permeabilities and the interior advection,
-    shared by both operators."""
-    phi_half = 0.5 * (phi_c[:-1] + phi_c[1:])
+    shared by both operators; ``out`` may hold the first and last arrays."""
+    phi_half = np.add(phi_c[:-1], phi_c[1:], out=out[0])
+    phi_half *= 0.5
     k_half = permeability_factor(phi_half, params)
-    adv = x[1:-1] * hdot_c / (2.0 * h_c * dx)
+    adv = np.multiply(x[1:-1], hdot_c, out=out[1])
+    adv /= 2.0 * h_c * dx
     return phi_half, k_half, adv
 
 
-def _phi_operator(k_half, adv, h_c, params, dx):
+def _phi_operator(k_half, adv, h_c, params, dx, out=(None,) * 5):
     """Linearized porosity operator on interior rows 1..N-2, as (lo, di, up).
 
     Coefficients are frozen through ``k_half`` and ``adv`` from
     :func:`_frozen_coefficients`; the boundary rows belong to the closures.
     Each scaled half-node permeability is formed once and feeds the two
-    rows it couples.
+    rows it couples. ``out`` may hold lo, di, up and those permeabilities.
     """
+    lo, di, up, k_minus, k_plus = out
     inv = 1.0 / (h_c * dx)
-    k_scaled = (params.lam * inv) * k_half
-    k_minus = k_scaled * (inv - 0.5)
-    k_plus = k_scaled * (inv + 0.5)
-    up = k_minus[1:] + adv
-    lo = k_plus[:-1] - adv
-    di = -(k_plus[1:] + k_minus[:-1])
+    k_plus = np.multiply(k_half, params.lam * inv, out=k_plus)
+    k_minus = np.multiply(k_plus, inv - 0.5, out=k_minus)
+    k_plus *= inv + 0.5
+    up = np.add(k_minus[1:], adv, out=up)
+    lo = np.subtract(k_plus[:-1], adv, out=lo)
+    di = np.negative(np.add(k_plus[1:], k_minus[:-1], out=di), out=di)
     return lo, di, up
 
 
@@ -182,22 +187,27 @@ def _robin_row(dx, h):
     return (-3.0 - 2.0 * dx * h, 4.0, -1.0)
 
 
-def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx):
+def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx, out=(None,) * 4):
     """Reactant transport operator: half-node flux form plus advection.
 
     Returns (lo, di, up, row0): interior rows as for :func:`_phi_operator`
     and the bottom-row coefficients on nodes 0-2. The bottom flux vanishes
     with the Robin condition, so the divergence there uses second-order
     one-sided nodal fluxes; :func:`_solve_closed` eliminates row0[2], the
-    entry outside the tridiagonal band.
+    entry outside the tridiagonal band. ``out`` may hold lo, di, up and
+    the scaled half-node fluxes.
     """
+    lo, di, up, g = out
     inv = 1.0 / (h_c * dx)
-    f_half = k_half * ((phi_c[1:] - phi_c[:-1]) * inv - phi_half)
+    g = np.subtract(phi_c[1:], phi_c[:-1], out=g)
+    g *= inv
+    g -= phi_half
+    g *= k_half
     nu = 0.5 * params.lam / ((1.0 - params.phi0) * h_c * dx)
-    g = nu * f_half
-    up = adv - g[1:]
-    lo = g[:-1] - adv
-    di = g[:-1] - g[1:]
+    g *= nu
+    up = np.subtract(adv, g[1:], out=up)
+    lo = np.subtract(g[:-1], adv, out=lo)
+    di = np.subtract(g[:-1], g[1:], out=di)
 
     # the bottom row is scalar work: Python floats round exactly as numpy's
     p0, p1, p2, p3 = phi_c[:4].tolist()
@@ -209,15 +219,15 @@ def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx):
     return lo, di, up, row0
 
 
-def _apply_tridiag(lo, di, up, f):
-    """Interior rows of the operator applied to the nodal field f."""
-    out = lo * f[:-2]
-    out += di * f[1:-1]
-    out += up * f[2:]
+def _apply_tridiag(lo, di, up, f, out=None, scratch=None):
+    """Interior rows of the operator applied to the nodal field f, into ``out`` if given."""
+    out = np.multiply(lo, f[:-2], out=out)
+    out += np.multiply(di, f[1:-1], out=scratch)
+    out += np.multiply(up, f[2:], out=scratch)
     return out
 
 
-def _solve_closed(half_dt, lo, di, up, bottom, rhs):
+def _solve_closed(half_dt, lo, di, up, bottom, rhs, bands=None):
     """Solve (I - half_dt * L) u = rhs, overwriting rhs; returns u.
 
     Interior rows come from (lo, di, up); the top row is Dirichlet
@@ -225,17 +235,16 @@ def _solve_closed(half_dt, lo, di, up, bottom, rhs):
     0-2: :func:`_robin_row` for phi or the one-sided transport row for psi.
     Its b2 entry, the only one outside the tridiagonal band, is cancelled by
     row0 <- row0 - (b2/a12) row1 (right-hand side included) before
-    ``gtsv``. A zero or non-finite pivot a12, or a singular system, raises
+    ``gtsv``, which overwrites the bands (dl, d, du): ``bands`` may hold
+    them. A zero or non-finite pivot a12, or a singular system, raises
     :class:`StepRejected`, and :func:`run_simulation` retakes the step.
     """
     n = rhs.size
-    dl = np.empty(n - 1)
-    d = np.empty(n)
-    du = np.empty(n - 1)
+    dl, d, du = (np.empty(n - 1), np.empty(n), np.empty(n - 1)) if bands is None else bands
     np.multiply(lo, -half_dt, out=dl[:-1])
     dl[-1] = 0.0
-    np.multiply(di, -half_dt, out=d[1:-1])
-    d[1:-1] += 1.0
+    d_interior = np.multiply(di, -half_dt, out=d[1:-1])
+    d_interior += 1.0
     d[-1] = 1.0
     np.multiply(up, -half_dt, out=du[1:])
 
@@ -248,9 +257,8 @@ def _solve_closed(half_dt, lo, di, up, bottom, rhs):
     du[0] = b1 - ratio * d[1]
     rhs[0] -= ratio * rhs[1]
 
-    _, _, _, u, info = dgtsv(
-        dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
-    )
+    # the four overwrite flags by position: f2py parses keywords slowly
+    _, _, _, u, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
     if info > 0:
         raise StepRejected(f"singular implicit system (zero pivot at row {info})")
     if info < 0:
@@ -258,7 +266,13 @@ def _solve_closed(half_dt, lo, di, up, bottom, rhs):
     return u
 
 
-def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params):
+def _workspace(n):
+    """The 15 rows of one (15, n) block, as views sized n - 1, n - 2 or n."""
+    block = np.empty((15, n))
+    return (*block[:6, :-1], *block[6:12, :-2], *block[12:])
+
+
+def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work=None):
     """One trapezoidal sweep with coefficients frozen at (phi_c, h_c, hdot_c).
 
     The reactant is Strang-split: the exact reaction factor over half the
@@ -266,28 +280,40 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params):
     over the other half, with one reaction rate R at h_c for both halves.
     The porosity source is a0/beta times the reactant the two halves
     consume, per unit time, so the water released balances it exactly.
+
+    Its arrays are rows of ``work``, a :func:`_workspace`, except the core
+    kernels' results and the solves' right-hand sides, returned as (phi, psi).
     """
     # also catches NaN coefficients, which would otherwise reach the solve
     if not phi_c.min() > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    phi_half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx)
+    half, g, k_minus, k_plus, dl, du, adv, lo, di, up, applied, scratch, keep, source, d = (
+        _workspace(phi_n.size) if work is None else work
+    )
+    half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, (half, adv))
     half_dt = 0.5 * dt
 
-    half_decay = reaction_rate(x * h_c, h_c, params) * -half_dt
-    half_keep = np.exp(half_decay)
-    psi_reacted = psi_n * half_keep
-    lo_s, di_s, up_s, row0 = _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx)
-    rhs = psi_reacted.copy()
-    s0, s1, s2 = psi_reacted[:3].tolist()
+    decay = reaction_rate(np.multiply(x, h_c, out=keep), h_c, params)
+    decay *= -half_dt
+    # the reacted reactant is the transport solve's right-hand side
+    rhs = psi_n * np.exp(decay, out=keep)
+    lo_s, di_s, up_s, row0 = _psi_operator(phi_c, half, k_half, adv, h_c, params, dx, (lo, di, up, g))
+    s0, s1, s2 = rhs[:3].tolist()
+    applied = _apply_tridiag(lo_s, di_s, up_s, rhs, applied, scratch)
+    applied *= half_dt
     rhs[0] = s0 + half_dt * (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
-    rhs[1:-1] += half_dt * _apply_tridiag(lo_s, di_s, up_s, psi_reacted)
+    interior = rhs[1:-1]
+    interior += applied
     rhs[-1] = params.psi0
     bottom = (1.0 - half_dt * row0[0], -half_dt * row0[1], -half_dt * row0[2])
-    psi_transported = _solve_closed(half_dt, lo_s, di_s, up_s, bottom, rhs)
+    psi_new = _solve_closed(half_dt, lo_s, di_s, up_s, bottom, rhs, (dl, d, du))
     # the consumed fraction -expm1(-R dt/2) of each half takes its sign from
     # the divisor -dt
-    source = (params.a0 / params.beta) * (psi_n + psi_transported) * np.expm1(half_decay) / -dt
-    psi_new = psi_transported * half_keep
+    source = np.add(psi_n, psi_new, out=source)
+    source *= params.a0 / params.beta
+    source *= np.expm1(decay, out=decay)
+    source /= -dt
+    psi_new *= keep
     # centered transport of the annihilated double-exponential tail can
     # undershoot by dust (~1e-30 psi0); zero that, leave real negatives
     # for the step-acceptance check
@@ -295,27 +321,32 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params):
         psi_new[(psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)] = 0.0
     psi_new[-1] = params.psi0
 
-    lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx)
+    lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx, (lo, di, up, k_minus, k_plus))
     rhs = phi_n.copy()
     interior = rhs[1:-1]
-    interior += half_dt * _apply_tridiag(lo_p, di_p, up_p, phi_n)
-    interior += dt * source[1:-1]
+    applied = _apply_tridiag(lo_p, di_p, up_p, phi_n, applied, scratch)
+    applied *= half_dt
+    interior += applied
+    interior += np.multiply(source[1:-1], dt, out=source[1:-1])
     rhs[0] = 0.0
     rhs[-1] = params.phi0
-    phi_new = _solve_closed(half_dt, lo_p, di_p, up_p, _robin_row(dx, h_bc), rhs)
+    phi_new = _solve_closed(half_dt, lo_p, di_p, up_p, _robin_row(dx, h_bc), rhs, (dl, d, du))
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
 
 def _rel_change(new, old):
-    """max|new - old| / max|new|, or None when ``new`` holds a NaN or an inf
-    (the array max carries either into max|new|)."""
-    diff = new - old
-    np.abs(diff, out=diff)
-    change = diff.max()
-    np.abs(new, out=diff)
-    scale = diff.max()
-    return float(change / (scale + 1e-300)) if math.isfinite(scale) else None
+    """max|new - old| / max|new|, or None when either is not finite, as with
+    a NaN or an inf in ``new`` or ``old``."""
+    scale = np.abs(new).max()
+    # an inf in new and in old would warn in the subtraction
+    change = np.abs(new - old).max() if math.isfinite(scale) else math.inf
+    return float(change / (scale + 1e-300)) if math.isfinite(change) else None
+
+
+def _line(y, y_prev, r):
+    """y + r (y - y_prev): the line through y_prev and y, r intervals past y."""
+    return y + r * (y - y_prev)
 
 
 def _extrapolate(state: BasinState, previous: BasinState, dt: float):
@@ -335,9 +366,9 @@ def _extrapolate(state: BasinState, previous: BasinState, dt: float):
         )
     r = dt / (state.t - previous.t)
     return (
-        state.phi + r * (state.phi - previous.phi),
-        state.psi + r * (state.psi - previous.psi),
-        state.h + r * (state.h - previous.h),
+        _line(state.phi, previous.phi, r),
+        _line(state.psi, previous.psi, r),
+        _line(state.h, previous.h, r),
     )
 
 
@@ -356,7 +387,10 @@ def step_predictor_corrector(
     corrector makes exactly _CORRECTOR_SWEEPS (2) sweeps. When ``previous``
     is None the prediction is the held state (phi_n, psi_n,
     h_n + dt*hdot_n), and the corrector makes exactly one sweep more (3).
-    Neither prediction costs a solve.
+    Neither prediction costs a solve. The sweeps share one
+    :func:`_workspace`, which dies with the attempt; the returned fields are
+    fresh arrays. Only the last sweep's update, against the sweep before
+    it, is measured; the earlier sweeps' fields only have to be finite.
 
     One attempt, no retry: raises :class:`StepRejected` when a sweep cannot
     be solved, the corrector leaves non-finite fields or a final relative
@@ -377,28 +411,33 @@ def step_predictor_corrector(
         phi_p, psi_p, h_p = _extrapolate(state, previous, dt)
         sweeps = _CORRECTOR_SWEEPS
 
-    for _ in range(sweeps):
+    work = _workspace(phi_n.size)
+    for sweep in range(sweeps):
+        if sweep:
+            # the update norm below sees only what the last sweep leaves
+            if not (np.isfinite(phi_c).all() and np.isfinite(psi_c).all()):
+                raise StepRejected("corrector left non-finite fields")
+            phi_p, psi_p, h_p = phi_c, psi_c, h_new
         hdot_p = hdot(phi_p, h_p, params)
         phi_bar = 0.5 * (phi_n + phi_p)
         h_bar = 0.5 * (h_n + h_p)
         hdot_bar = 0.5 * (hdot_n + hdot_p)
         h_new = h_n + dt * hdot_bar
-        phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params)
-        phi_change = _rel_change(phi_c, phi_p)
-        psi_change = _rel_change(psi_c, psi_p)
-        # max() below would drop a NaN that is not its first argument
-        if phi_change is None or psi_change is None:
-            raise StepRejected("corrector left non-finite fields")
-        update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
-        phi_p, psi_p, h_p = phi_c, psi_c, h_new
+        phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params, work)
 
+    phi_change = _rel_change(phi_c, phi_p)
+    psi_change = _rel_change(psi_c, psi_p)
+    # max() below would drop a NaN that is not its first argument
+    if phi_change is None or psi_change is None:
+        raise StepRejected("corrector left non-finite fields")
+    update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
     if not update_norm <= _CORRECTOR_REJECT_LIMIT:
         raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
-    if phi_p.min() <= 0.0:
+    if phi_c.min() <= 0.0:
         raise StepRejected("porosity went non-positive")
-    if psi_p.min() < 0.0:
+    if psi_c.min() < 0.0:
         raise StepRejected("reactant went negative")
-    return BasinState(t=t_n + dt, h=h_p, phi=phi_p, psi=psi_p)
+    return BasinState(t=t_n + dt, h=h_new, phi=phi_c, psi=psi_c)
 
 
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
@@ -478,8 +517,9 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             # the extrapolated predictor draws; psi is left out, so a
             # reactant that releases no water (a0 = 0) leaves the step sizes
             # as without any reactant
-            phi_line, _, h_line = _extrapolate(state, previous, dt_step)
-            estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
+            r = dt_step / (state.t - previous.t)
+            phi_change = _rel_change(stepped.phi, _line(state.phi, previous.phi, r))
+            estimate = max(phi_change, abs(stepped.h - _line(state.h, previous.h, r)) / abs(stepped.h))
             estimate_max = max(estimate_max, estimate)
             # the estimate scales as dt^2: grow dt so the next one is
             # predicted at the limit, at most doubling it; never shrink it

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -632,6 +635,103 @@ class TestExtrapolatedPredictor:
         coarser = replace(previous, phi=previous.phi[::3], psi=previous.psi[::3])
         with pytest.raises(ValidationError, match="previous state has 22 nodes, the state has 64"):
             step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=coarser)
+
+
+class TestAttemptWorkspace:
+    """Every step attempt assembles its sweeps in a workspace of its own and
+    returns fresh fields, whether it extrapolates, holds the state or is
+    rejected."""
+
+    CONFIG = TestExtrapolatedPredictor.CONFIG
+
+    def test_returned_fields_are_never_shared_or_rewritten(self, params_default):
+        p, dt = params_default, self.CONFIG.dt
+        states, copies = [], []
+
+        def keep(state):
+            states.append(state)
+            copies.append((state.phi.copy(), state.psi.copy()))
+
+        keep(initial_state(p, self.CONFIG))
+        for _ in range(2):
+            keep(step_predictor_corrector(states[-1], dt, p))
+        # the driver's pattern: an extrapolated attempt fails and is retaken
+        # from the held state at the same dt
+        with pytest.raises(StepRejected, match="corrector update"):
+            step_predictor_corrector(states[-1], 0.05, p, previous=states[-2])
+        keep(step_predictor_corrector(states[-1], 0.05, p))
+        with pytest.raises(StepRejected, match="corrector update"):
+            step_predictor_corrector(states[-1], 0.2, p)
+        for _ in range(2):
+            keep(step_predictor_corrector(states[-1], dt, p, previous=states[-2]))
+        # rejected by the final check, after all three sweeps
+        keep(TestStep.planted_state(p, -1e-13 * p.psi0))
+        with pytest.raises(StepRejected, match="reactant went negative"):
+            step_predictor_corrector(states[-1], 1e-10, p)
+        keep(step_predictor_corrector(states[-2], dt, p, previous=states[-3]))
+
+        for state, (phi, psi) in zip(states, copies):
+            assert np.array_equal(state.phi, phi) and np.array_equal(state.psi, psi)
+        fields = [field for state in states for field in (state.phi, state.psi)]
+        for i, field in enumerate(fields):
+            assert field.flags.owndata
+            assert not any(np.shares_memory(field, other) for other in fields[i + 1 :])
+
+    # only the last sweep's update is measured; what an earlier sweep leaves
+    # must still be finite, in either field
+    @pytest.mark.parametrize("field", ["phi", "psi"])
+    @pytest.mark.parametrize(
+        "extrapolated, poisoned",
+        [(True, 1), (False, 1), (False, 2)],
+        ids=["extrapolated-first", "held-first", "held-second"],
+    )
+    def test_nan_in_an_earlier_sweep_rejects_the_attempt(
+        self, params_default, monkeypatch, field, extrapolated, poisoned
+    ):
+        previous, state = TestExtrapolatedPredictor.history(params_default)
+        sweeps = []
+
+        def poison(phi, psi):
+            sweeps.append(len(sweeps) + 1)
+            if len(sweeps) != poisoned:
+                return phi, psi
+            fields = {"phi": phi.copy(), "psi": psi.copy()}
+            fields[field][3] = np.nan
+            return fields["phi"], fields["psi"]
+
+        alter_corrector(monkeypatch, poison)
+        with pytest.raises(StepRejected, match="^corrector left non-finite fields$"):
+            step_predictor_corrector(
+                state, self.CONFIG.dt, params_default, previous=previous if extrapolated else None
+            )
+        assert len(sweeps) == poisoned
+
+    def test_concurrent_runs_match_sequential_ones(self):
+        # distinct runs share no mutable state: two runs on the same grid,
+        # interleaved in two threads, give the sequential results bit for bit
+        config = replace(self.CONFIG, t_end=0.3)
+        runs = [derive_params(), derive_params(a0=2.0, beta=30.0, m=9, zstar=0.5)]
+        sequential = [run_simulation(p, config) for p in runs]
+        start = threading.Barrier(2)
+
+        def run(params):
+            start.wait(timeout=60)
+            return run_simulation(params, config)
+
+        interval = sys.getswitchinterval()
+        # switch threads often enough to interleave inside the sweeps
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                concurrent = list(pool.map(run, runs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, together in zip(sequential, concurrent):
+            for name in ("t", "h", "hdot"):
+                assert np.array_equal(getattr(alone, name), getattr(together, name))
+            assert np.array_equal(alone.final_state.phi, together.final_state.phi)
+            assert np.array_equal(alone.final_state.psi, together.final_state.psi)
+            assert alone.stats == together.stats
 
 
 def front_depth(state, params):
