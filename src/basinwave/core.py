@@ -108,26 +108,34 @@ _RAW_FIELDS = tuple(f.name for f in fields(BasinParams) if f.init)
 derive_params = BasinParams
 
 
-def permeability_factor(phi, params: BasinParams):
+def permeability_factor(phi, params: BasinParams, out=None):
     """(phi/phi0)^m evaluated as exp(m*ln(phi/phi0)).
 
     The exp/log form stays smooth in the m >> 1 regime where direct integer
     powers of a near-unity ratio lose accuracy. ``phi`` must be positive:
-    a float or a float array.
+    a float or a float array. An array ``out`` of phi's shape receives the
+    result, which is returned.
     """
-    return np.exp(params.m * np.log(phi / params.phi0))
+    if out is None:
+        return np.exp(params.m * np.log(phi / params.phi0))
+    # the same operations in place; an out argument, even None, takes a
+    # float off numpy's scalar fast path, so floats keep the form above
+    np.divide(phi, params.phi0, out=out)
+    return np.exp(np.multiply(params.m, np.log(out, out=out), out=out), out=out)
 
 
-def reaction_rate(z, h, params: BasinParams):
+def reaction_rate(z, h, params: BasinParams, out=None):
     """Arrhenius-like dehydration rate e^{beta (h - z - zstar)}.
 
     The exponent argument is clamped to [-50, 50]; the value is exact
     whenever the clamp is inactive. Equals 1 on the reaction front
-    z = h - zstar. Accepts scalars or arrays.
+    z = h - zstar. Accepts scalars or arrays; an array ``out`` of the
+    broadcast shape receives the result, which is returned.
     """
-    arg = params.beta * (np.asarray(h, dtype=float) - np.asarray(z, dtype=float) - params.zstar)
+    arg = np.subtract(np.asarray(h, dtype=float), np.asarray(z, dtype=float), out=out)
+    arg = np.multiply(params.beta, np.subtract(arg, params.zstar, out=out), out=out)
     # np.clip would give the same values through three Python wrappers
-    return np.exp(np.minimum(np.maximum(arg, -_EXP_CLAMP), _EXP_CLAMP))
+    return np.exp(np.minimum(np.maximum(arg, -_EXP_CLAMP, out=out), _EXP_CLAMP, out=out), out=out)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,14 @@ doubling it; a rejected step halves it. Each sample interval is stepped in
 the fewest equal steps no longer than the current dt, so steps land on
 every sample time and on t_end.
 
-Each sweep solves one linear system per field. The one-sided bottom rows
-(the Robin condition for phi, the flux divergence for psi) put a single
-entry outside the tridiagonal band; one row operation against row 1
-cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A step
-attempt assembles its sweeps in one workspace of its own, and only the
-last sweep's update is measured against the reject limit.
+Each sweep solves A u = b per field, A = I - (dt/2) L, with L assembled at
+scale -dt/2 straight into the ``gtsv`` bands; the explicit half
+(I + (dt/2) L) u is read from the same bands as 2u - A u. The one-sided
+bottom rows (the Robin condition for phi, the flux divergence for psi) put
+a single entry outside the tridiagonal band; one row operation against row
+1 cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A
+step attempt assembles its sweeps in one workspace of its own, and only
+the last sweep's update is measured against the reject limit.
 """
 
 from __future__ import annotations
@@ -150,28 +152,30 @@ def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
     return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi_1)
 
 
-def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, out=(None, None)):
-    """Half-node porosities and permeabilities and the interior advection,
-    shared by both operators; ``out`` may hold the first and last arrays."""
+def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, scale, out=(None,) * 3):
+    """Half-node porosities and permeabilities and the interior advection
+    times ``scale``, shared by both operators; ``out`` may hold all three."""
     phi_half = np.add(phi_c[:-1], phi_c[1:], out=out[0])
     phi_half *= 0.5
-    k_half = permeability_factor(phi_half, params)
-    adv = np.multiply(x[1:-1], hdot_c, out=out[1])
+    k_half = permeability_factor(phi_half, params, out=out[1])
+    adv = np.multiply(x[1:-1], scale * hdot_c, out=out[2])
     adv /= 2.0 * h_c * dx
     return phi_half, k_half, adv
 
 
-def _phi_operator(k_half, adv, h_c, params, dx, out=(None,) * 5):
-    """Linearized porosity operator on interior rows 1..N-2, as (lo, di, up).
+def _phi_operator(k_half, adv, h_c, params, dx, scale, out=(None,) * 5):
+    """Linearized porosity operator L on interior rows 1..N-2, times
+    ``scale``, as (lo, di, up).
 
     Coefficients are frozen through ``k_half`` and ``adv`` from
-    :func:`_frozen_coefficients`; the boundary rows belong to the closures.
-    Each scaled half-node permeability is formed once and feeds the two
-    rows it couples. ``out`` may hold lo, di, up and those permeabilities.
+    :func:`_frozen_coefficients` at the same scale; the boundary rows belong
+    to the closures. Each scaled half-node permeability is formed once and
+    feeds the two rows it couples. ``out`` may hold lo, di, up and those
+    permeabilities.
     """
     lo, di, up, k_minus, k_plus = out
     inv = 1.0 / (h_c * dx)
-    k_plus = np.multiply(k_half, params.lam * inv, out=k_plus)
+    k_plus = np.multiply(k_half, scale * params.lam * inv, out=k_plus)
     k_minus = np.multiply(k_plus, inv - 0.5, out=k_minus)
     k_plus *= inv + 0.5
     up = np.add(k_minus[1:], adv, out=up)
@@ -187,8 +191,9 @@ def _robin_row(dx, h):
     return (-3.0 - 2.0 * dx * h, 4.0, -1.0)
 
 
-def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx, out=(None,) * 4):
-    """Reactant transport operator: half-node flux form plus advection.
+def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx, scale, out=(None,) * 4):
+    """Reactant transport operator L, half-node flux form plus advection,
+    times ``scale``.
 
     Returns (lo, di, up, row0): interior rows as for :func:`_phi_operator`
     and the bottom-row coefficients on nodes 0-2. The bottom flux vanishes
@@ -203,7 +208,7 @@ def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx, out=(None,) * 4
     g *= inv
     g -= phi_half
     g *= k_half
-    nu = 0.5 * params.lam / ((1.0 - params.phi0) * h_c * dx)
+    nu = 0.5 * scale * params.lam / ((1.0 - params.phi0) * h_c * dx)
     g *= nu
     up = np.subtract(adv, g[1:], out=up)
     lo = np.subtract(g[:-1], adv, out=lo)
@@ -227,27 +232,22 @@ def _apply_tridiag(lo, di, up, f, out=None, scratch=None):
     return out
 
 
-def _solve_closed(half_dt, lo, di, up, bottom, rhs, bands=None):
-    """Solve (I - half_dt * L) u = rhs, overwriting rhs; returns u.
+def _solve_closed(bands, bottom, rhs):
+    """Solve A u = rhs, overwriting rhs and the bands; returns u.
 
-    Interior rows come from (lo, di, up); the top row is Dirichlet
-    (u = rhs[-1]). ``bottom`` is the full bottom row (b0, b1, b2) on nodes
-    0-2: :func:`_robin_row` for phi or the one-sided transport row for psi.
-    Its b2 entry, the only one outside the tridiagonal band, is cancelled by
-    row0 <- row0 - (b2/a12) row1 (right-hand side included) before
-    ``gtsv``, which overwrites the bands (dl, d, du): ``bands`` may hold
-    them. A zero or non-finite pivot a12, or a singular system, raises
-    :class:`StepRejected`, and :func:`run_simulation` retakes the step.
+    ``bands`` (dl, d, du) arrive holding A's interior rows in dl[:-1],
+    d[1:-1] and du[1:]; the top row is Dirichlet (u = rhs[-1]). ``bottom``
+    is the full bottom row (b0, b1, b2) on nodes 0-2: :func:`_robin_row`
+    for phi or the one-sided transport row for psi. Its b2 entry, the only
+    one outside the tridiagonal band, is cancelled by
+    row0 <- row0 - (b2/a12) row1 (right-hand side included) before ``gtsv``
+    solves in place. A zero or non-finite pivot a12, or a singular system,
+    raises :class:`StepRejected`, and :func:`run_simulation` retakes the
+    step.
     """
-    n = rhs.size
-    dl, d, du = (np.empty(n - 1), np.empty(n), np.empty(n - 1)) if bands is None else bands
-    np.multiply(lo, -half_dt, out=dl[:-1])
+    dl, d, du = bands
     dl[-1] = 0.0
-    d_interior = np.multiply(di, -half_dt, out=d[1:-1])
-    d_interior += 1.0
     d[-1] = 1.0
-    np.multiply(up, -half_dt, out=du[1:])
-
     b0, b1, b2 = bottom
     a12 = du[1]
     if a12 == 0.0 or not math.isfinite(a12):
@@ -267,9 +267,9 @@ def _solve_closed(half_dt, lo, di, up, bottom, rhs, bands=None):
 
 
 def _workspace(n):
-    """The 15 rows of one (15, n) block, as views sized n - 1, n - 2 or n."""
-    block = np.empty((15, n))
-    return (*block[:6, :-1], *block[6:12, :-2], *block[12:])
+    """The 13 rows of one (13, n) block, as views sized n - 1, n - 2 or n."""
+    block = np.empty((13, n))
+    return (*block[:6, :-1], *block[6:9, :-2], *block[9:])
 
 
 def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work=None):
@@ -281,56 +281,62 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work=None)
     The porosity source is a0/beta times the reactant the two halves
     consume, per unit time, so the water released balances it exactly.
 
-    Its arrays are rows of ``work``, a :func:`_workspace`, except the core
-    kernels' results and the solves' right-hand sides, returned as (phi, psi).
+    Each field's A = I - (dt/2) L is built in place in the ``gtsv`` bands
+    dl[:-1], d[1:-1] and du[1:] of ``work``, a :func:`_workspace`, and the
+    interior of the explicit half (I + (dt/2) L) u is read back as 2u - A u.
+    Every array is a workspace row except the solves' right-hand sides,
+    which ``gtsv`` overwrites and which are returned as (phi, psi).
     """
     # also catches NaN coefficients, which would otherwise reach the solve
-    if not phi_c.min() > 0.0:
+    if not np.minimum.reduce(phi_c) > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    half, g, k_minus, k_plus, dl, du, adv, lo, di, up, applied, scratch, keep, source, d = (
+    half, k_half, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d = (
         _workspace(phi_n.size) if work is None else work
     )
-    half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, (half, adv))
-    half_dt = 0.5 * dt
+    bands = (dl, d, du)
+    lo, di, up = dl[:-1], d[1:-1], du[1:]
+    scale = -0.5 * dt
+    half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, scale, (half, k_half, adv))
 
-    decay = reaction_rate(np.multiply(x, h_c, out=keep), h_c, params)
-    decay *= -half_dt
+    decay = reaction_rate(np.multiply(x, h_c, out=decay), h_c, params, out=decay)
+    decay *= scale
     # the reacted reactant is the transport solve's right-hand side
     rhs = psi_n * np.exp(decay, out=keep)
-    lo_s, di_s, up_s, row0 = _psi_operator(phi_c, half, k_half, adv, h_c, params, dx, (lo, di, up, g))
+    # the transport flux takes the k_minus row, free until the phi operator
+    *_, row0 = _psi_operator(phi_c, half, k_half, adv, h_c, params, dx, scale, (lo, di, up, k_minus))
+    di += 1.0
+    applied = _apply_tridiag(lo, di, up, rhs, applied, scratch)
     s0, s1, s2 = rhs[:3].tolist()
-    applied = _apply_tridiag(lo_s, di_s, up_s, rhs, applied, scratch)
-    applied *= half_dt
-    rhs[0] = s0 + half_dt * (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
+    rhs[0] = s0 - (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
     interior = rhs[1:-1]
-    interior += applied
+    interior += interior
+    interior -= applied
     rhs[-1] = params.psi0
-    bottom = (1.0 - half_dt * row0[0], -half_dt * row0[1], -half_dt * row0[2])
-    psi_new = _solve_closed(half_dt, lo_s, di_s, up_s, bottom, rhs, (dl, d, du))
-    # the consumed fraction -expm1(-R dt/2) of each half takes its sign from
-    # the divisor -dt
-    source = np.add(psi_n, psi_new, out=source)
-    source *= params.a0 / params.beta
-    source *= np.expm1(decay, out=decay)
-    source /= -dt
+    psi_new = _solve_closed(bands, (1.0 + row0[0], row0[1], row0[2]), rhs)
+    # -dt times the porosity source: a0/beta times the reactant the two
+    # halves consume, each the fraction -expm1(-R dt/2) of what it sees
+    sink = np.add(psi_n, psi_new, out=sink)
+    sink *= params.a0 / params.beta
+    sink *= np.expm1(decay, out=decay)
     psi_new *= keep
     # centered transport of the annihilated double-exponential tail can
     # undershoot by dust (~1e-30 psi0); zero that, leave real negatives
     # for the step-acceptance check
-    if params.psi0 > 0.0 and psi_new.min() < 0.0:
+    if params.psi0 > 0.0 and np.minimum.reduce(psi_new) < 0.0:
         psi_new[(psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)] = 0.0
     psi_new[-1] = params.psi0
 
-    lo_p, di_p, up_p = _phi_operator(k_half, adv, h_c, params, dx, (lo, di, up, k_minus, k_plus))
-    rhs = phi_n.copy()
+    _phi_operator(k_half, adv, h_c, params, dx, scale, (lo, di, up, k_minus, k_plus))
+    di += 1.0
+    applied = _apply_tridiag(lo, di, up, phi_n, applied, scratch)
+    # 2u - A u on the interior rows; the boundary rows are set below
+    rhs = np.multiply(phi_n, 2.0)
     interior = rhs[1:-1]
-    applied = _apply_tridiag(lo_p, di_p, up_p, phi_n, applied, scratch)
-    applied *= half_dt
-    interior += applied
-    interior += np.multiply(source[1:-1], dt, out=source[1:-1])
+    interior -= applied
+    interior -= sink[1:-1]
     rhs[0] = 0.0
     rhs[-1] = params.phi0
-    phi_new = _solve_closed(half_dt, lo_p, di_p, up_p, _robin_row(dx, h_bc), rhs, (dl, d, du))
+    phi_new = _solve_closed(bands, _robin_row(dx, h_bc), rhs)
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
@@ -338,9 +344,9 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work=None)
 def _rel_change(new, old):
     """max|new - old| / max|new|, or None when either is not finite, as with
     a NaN or an inf in ``new`` or ``old``."""
-    scale = np.abs(new).max()
+    scale = np.maximum.reduce(np.abs(new))
     # an inf in new and in old would warn in the subtraction
-    change = np.abs(new - old).max() if math.isfinite(scale) else math.inf
+    change = np.maximum.reduce(np.abs(new - old)) if math.isfinite(scale) else math.inf
     return float(change / (scale + 1e-300)) if math.isfinite(change) else None
 
 
@@ -350,8 +356,9 @@ def _line(y, y_prev, r):
 
 
 def _extrapolate(state: BasinState, previous: BasinState, dt: float):
-    """(phi, psi, h) at t_n + dt on the line through ``previous`` and
-    ``state``: y_n + r (y_n - y_prev) with r = dt / (t_n - t_prev).
+    """(phi, h) at t_n + dt on the line through ``previous`` and ``state``:
+    y_n + r (y_n - y_prev) with r = dt / (t_n - t_prev). No sweep reads a
+    predicted psi, so none is drawn.
 
     Raises :class:`ValidationError` when ``previous`` is not strictly
     earlier than ``state`` or has another node count.
@@ -365,11 +372,7 @@ def _extrapolate(state: BasinState, previous: BasinState, dt: float):
             f"previous state has {previous.phi.size} nodes, the state has {state.phi.size}"
         )
     r = dt / (state.t - previous.t)
-    return (
-        _line(state.phi, previous.phi, r),
-        _line(state.psi, previous.psi, r),
-        _line(state.h, previous.h, r),
-    )
+    return _line(state.phi, previous.phi, r), _line(state.h, previous.h, r)
 
 
 def step_predictor_corrector(
@@ -387,10 +390,11 @@ def step_predictor_corrector(
     corrector makes exactly _CORRECTOR_SWEEPS (2) sweeps. When ``previous``
     is None the prediction is the held state (phi_n, psi_n,
     h_n + dt*hdot_n), and the corrector makes exactly one sweep more (3).
-    Neither prediction costs a solve. The sweeps share one
-    :func:`_workspace`, which dies with the attempt; the returned fields are
-    fresh arrays. Only the last sweep's update, against the sweep before
-    it, is measured; the earlier sweeps' fields only have to be finite.
+    Neither prediction costs a solve, and neither predicts psi: the sweeps
+    start from psi_n. The sweeps share one :func:`_workspace`, which dies
+    with the attempt; the returned fields are fresh arrays. Only the last
+    sweep's update, against the sweep before it, is measured; the earlier
+    sweeps' fields only have to be finite.
 
     One attempt, no retry: raises :class:`StepRejected` when a sweep cannot
     be solved, the corrector leaves non-finite fields or a final relative
@@ -405,10 +409,10 @@ def step_predictor_corrector(
     hdot_n = hdot(phi_n, h_n, params)
     if previous is None:
         # the held state, a cruder prediction, takes one sweep more
-        phi_p, psi_p, h_p = phi_n, psi_n, h_n + dt * hdot_n
+        phi_p, h_p = phi_n, h_n + dt * hdot_n
         sweeps = _CORRECTOR_SWEEPS + 1
     else:
-        phi_p, psi_p, h_p = _extrapolate(state, previous, dt)
+        phi_p, h_p = _extrapolate(state, previous, dt)
         sweeps = _CORRECTOR_SWEEPS
 
     work = _workspace(phi_n.size)
@@ -433,9 +437,9 @@ def step_predictor_corrector(
     update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
     if not update_norm <= _CORRECTOR_REJECT_LIMIT:
         raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
-    if phi_c.min() <= 0.0:
+    if np.minimum.reduce(phi_c) <= 0.0:
         raise StepRejected("porosity went non-positive")
-    if psi_c.min() < 0.0:
+    if np.minimum.reduce(psi_c) < 0.0:
         raise StepRejected("reactant went negative")
     return BasinState(t=t_n + dt, h=h_new, phi=phi_c, psi=psi_c)
 

@@ -167,6 +167,30 @@ class TestPermeabilityFactor:
         assert permeability_factor(phi, params_default) == pytest.approx(expected, rel=1e-12)
 
 
+class TestKernelsInPlace:
+    """With ``out`` the kernels write that row and return it, bit for bit
+    the allocating call's values."""
+
+    def test_permeability_factor(self, params_default):
+        phi = np.array([0.05, 0.3, 0.45, 0.5, 0.7, np.nan, np.inf])
+        row = np.empty(phi.size)
+        assert permeability_factor(phi, params_default, out=row) is row
+        assert row.tobytes() == permeability_factor(phi, params_default).tobytes()
+
+    def test_reaction_rate(self, params_default):
+        p, h = params_default, 4.0
+        # both clamps, the exact front and a NaN
+        z = np.append(np.linspace(-1.0, h + 4.0, 501), [h - p.zstar, np.nan])
+        want = reaction_rate(z, h, p).tobytes()
+        row = np.empty(z.size)
+        assert reaction_rate(z, h, p, out=row) is row
+        assert row.tobytes() == want
+        # in place over z, as the sweep calls it
+        row = z.copy()
+        assert reaction_rate(row, h, p, out=row) is row
+        assert row.tobytes() == want
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         RunConfig()
