@@ -40,18 +40,25 @@ bottom rows (the Robin condition for phi, the flux divergence for psi) put
 a single entry outside the tridiagonal band; one row operation against row
 1 cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A
 step attempt assembles its sweeps in one workspace of its own, and only
-the last sweep's update is measured against the reject limit.
+the last sweep's update is measured against the reject limit. ``dgtsv`` is
+scipy's own f2py wrapper, loaded from its extension module without running
+the ``scipy.linalg`` package import: that import loads scipy's array-API
+layer and with it numpy.f2py, numpy.testing, numpy.random and numpy.ma,
+about 0.3 s of a fresh process's start-up.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import (
     BasinParams,
@@ -62,6 +69,38 @@ from .core import (
     reaction_rate,
 )
 from .errors import SolverError, StepRejected, ValidationError
+
+
+def _flapack():
+    """scipy's f2py LAPACK module ``scipy.linalg._flapack``.
+
+    Reuses the module when it is already imported. Otherwise it is loaded
+    from its file under its real name and registered in ``sys.modules``, so
+    that a later ``import scipy.linalg`` reuses it; ``find_spec`` locates
+    scipy without executing its ``__init__``. Raises ImportError, naming
+    what was searched, when scipy or the extension is missing.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"cannot load {name}: no scipy package on sys.path", name=name)
+    folders = [Path(root, "linalg") for root in scipy.submodule_search_locations or ()]
+    for folder in folders:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = folder / f"_flapack{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    searched = ", ".join(map(str, folders)) or scipy.origin
+    raise ImportError(f"cannot load {name}: no _flapack extension in {searched}", name=name)
+
+
+dgtsv = _flapack().dgtsv
 
 # Trapezoidal corrector sweeps per step from an extrapolated prediction,
 # one more from the held state.

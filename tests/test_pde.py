@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1204,3 +1209,70 @@ def test_pure_compaction_reaches_constant_speed(sim_pure):
     spread = (window.max() - window.min()) / abs(window.mean())
     assert spread <= 1e-2
 
+
+def run_python(code, *path):
+    """Run ``code`` in a fresh interpreter with ``path`` and then this
+    package's source folder ahead of sys.path; return what it printed."""
+    source = Path(pde.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, [*path, source])))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLapackLoading:
+    """pde binds LAPACK dgtsv from scipy's extension module directly: a
+    run and a wave profile never import the scipy.linalg package, whose
+    array-API layer costs a fresh process about 0.3 s."""
+
+    def test_a_step_and_a_profile_leave_scipy_linalg_unloaded(self):
+        loaded = run_python("""
+            import json, sys
+            from basinwave import asymptotics, core, pde
+            params = core.derive_params()
+            pde.run_simulation(params, core.RunConfig(n_nodes=1056, dt=2e-3, t_end=2e-3))
+            asymptotics.build_wave_profile(asymptotics.solve_c_consistent(params), params)
+            print(json.dumps([name for name in ("scipy.linalg", "scipy._lib._array_api")
+                              if name in sys.modules]))
+        """)
+        assert json.loads(loaded) == []
+
+    @pytest.mark.parametrize("first, second", [
+        ("import scipy.linalg", "from basinwave import pde"),
+        ("from basinwave import pde", "import scipy.linalg"),
+    ], ids=["scipy_first", "basinwave_first"])
+    def test_either_import_order_shares_one_dgtsv(self, first, second):
+        result = run_python(f"""
+            import json
+            import numpy as np
+            {first}
+            {second}
+            bands = np.array([[0.0, 1.0, 2.0], [4.0, 5.0, 6.0], [1.0, 3.0, 0.0]])
+            rhs = np.array([1.0, -2.0, 3.0])
+            x = scipy.linalg.solve_banded((1, 1), bands, rhs)
+            dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+            print(json.dumps({{
+                "same": pde.dgtsv is scipy.linalg.lapack.dgtsv,
+                "residual": float(np.max(np.abs(dense @ x - rhs))),
+            }}))
+        """)
+        result = json.loads(result)
+        assert result["same"]
+        assert result["residual"] <= 1e-14
+
+    def test_missing_extension_is_an_import_error_naming_the_folder(self, tmp_path):
+        linalg = tmp_path / "scipy" / "linalg"
+        linalg.mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        message = run_python("""
+            try:
+                import basinwave.pde
+            except ImportError as error:
+                print(error)
+            else:
+                print("imported")
+        """, tmp_path)
+        assert str(linalg) in message
