@@ -77,6 +77,8 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
 
+_OUTER_RANGE = "outer porosity left the admissible range (0, phi0]"
+
 
 @dataclass(frozen=True)
 class OuterProfile:
@@ -171,7 +173,8 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERROR_EXPONENT
     nextafter = math.nextafter
     toward = direction * math.inf
-    starts, y_starts, steps, stages = [], [], [], []
+    abs_y = abs(y)
+    records = []
     while direction * (t - t_bound) < 0.0:
         min_step = 10.0 * abs(nextafter(t, toward) - t)
         if h_abs < min_step:
@@ -196,35 +199,35 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
             y_new = y + h * (b0 * f + b2 * k2 + b3 * k3 + b4 * k4 + b5 * k5)
             f_new = rhs(t + h, y_new)
             err = (e0 * f + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * f_new) * h
-            error_norm = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
+            # max(a, b) and min(a, b) as comparisons that return a on a tie or NaN b
+            abs_new = abs(y_new)
+            error_norm = abs(err / (atol + (abs_new if abs_new > abs_y else abs_y) * rtol))
             if error_norm < 1.0:
-                if error_norm == 0.0:
+                factor = safety * error_norm ** exponent if error_norm else max_factor
+                if not factor < max_factor:
                     factor = max_factor
-                else:
-                    factor = min(max_factor, safety * error_norm ** exponent)
-                if rejected:
-                    factor = min(1.0, factor)
+                if rejected and not factor < 1.0:
+                    factor = 1.0
                 h_abs *= factor
                 break
-            h_abs *= max(min_factor, safety * error_norm ** exponent)
+            factor = safety * error_norm ** exponent
+            h_abs *= factor if factor > min_factor else min_factor
             rejected = True
-        starts.append(t)
-        y_starts.append(y)
-        steps.append(h)
-        stages.append((f, k1, k2, k3, k4, k5, f_new))
-        t, y, f = t_new, y_new, f_new
+        records.append((f, k1, k2, k3, k4, k5, f_new, t, y, h))
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
 
-    starts = np.array(starts)
+    records = np.array(records)
+    starts = records[:, 7]
     ends = np.append(starts[1:], t)
     # node -> first step whose end reaches it, as solve_ivp assigns t_eval
     i = np.searchsorted(direction * ends, direction * t_eval)
-    q = (np.array(stages) @ _DP_P)[i]
-    step = np.array(steps)[i]
+    q = (records[:, :7] @ _DP_P)[i]
+    step = records[i, 9]
     x = (t_eval - starts[i]) / step
     x2 = x * x
     x3 = x2 * x
     poly = q[:, 0] * x + q[:, 1] * x2 + q[:, 2] * x3 + q[:, 3] * (x3 * x)
-    return step * poly + np.array(y_starts)[i]
+    return step * poly + records[i, 8]
 
 
 def _permeability_overflow(phi, arg) -> StiffProfileError:
@@ -234,8 +237,8 @@ def _permeability_overflow(phi, arg) -> StiffProfileError:
 
 
 def _outer_rhs(c: float, params: BasinParams):
-    """The outer porosity slope at speed c as ``rhs(zeta, phi)``, with the
-    constants of :func:`outer_ode_rhs` bound once."""
+    """dphi/dzeta = phi + [c (phi0 - phi) + (c - sdot)(1 - phi0)] (phi0/phi)^m / lam
+    at speed c, the inverted flux first-integral, as ``rhs(zeta, phi)``."""
     phi0, m, lam = params.phi0, params.m, params.lam
     supply = (c - params.sdot) * (1.0 - phi0)
     log, exp = math.log, math.exp
@@ -252,18 +255,10 @@ def _outer_rhs(c: float, params: BasinParams):
     return rhs
 
 
-def outer_ode_rhs(phi: float, c: float, params: BasinParams) -> float:
-    """dphi/dzeta from the inverted flux first-integral.
-
-    phi + [c (phi0 - phi) + (c - sdot)(1 - phi0)] (phi0/phi)^m / lam.
-    """
-    return _outer_rhs(c, params)(None, phi)
-
-
 def outer_flux_invariant(phi, phi_zeta, params: BasinParams):
     """c-free part of the first integral: lam (phi/phi0)^m (phi_zeta - phi),
     combined with c*phi by the caller. Kept separate so checks do not reuse
-    the inverted algebra of :func:`outer_ode_rhs`."""
+    the inverted algebra of :func:`_outer_rhs`."""
     phi = np.asarray(phi, dtype=float)
     return params.lam * permeability_factor(phi, params) * (np.asarray(phi_zeta) - phi)
 
@@ -284,25 +279,28 @@ def _psi_from_invariant(phi, c: float, params: BasinParams):
     return params.sdot * params.psi0 / denominator
 
 
+def _check_outer_top(c: float, params: BasinParams, zeta_desc: np.ndarray) -> None:
+    """Check c, and raise the range error of :func:`_integrate_outer` before
+    integrating when the top slope F(phi0) would carry phi on the first
+    interval below zeta_desc[0] = zstar 1e4 times past its 1e-10 phi0 bound."""
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"outer profile needs c > 0 and finite, got {c}")
+    slope = params.phi0 + (c - params.sdot) * (1.0 - params.phi0) / params.lam
+    if slope * (zeta_desc[1] - zeta_desc[0]) > 1e-6 * params.phi0:
+        raise ProfileRangeError(_OUTER_RANGE)
+
+
 def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np.ndarray:
     """Integrate the outer porosity ODE downward from zeta = zstar.
 
     Downward is the stable direction: the (phi0/phi)^m factor grows as phi
     decreases, so stiffness is met where the solution matters least.
     """
-    if not 0.0 < c < math.inf:
-        raise ValidationError(f"outer profile needs c > 0 and finite, got {c}")
-
-    phi = _rk45(
-        _outer_rhs(c, params),
-        params.phi0,
-        zeta_desc,
-        rtol=1e-11,
-        atol=1e-13,
-        label="outer profile",
-    )
+    _check_outer_top(c, params, zeta_desc)
+    rhs = _outer_rhs(c, params)
+    phi = _rk45(rhs, params.phi0, zeta_desc, rtol=1e-11, atol=1e-13, label="outer profile")
     if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
-        raise ProfileRangeError("outer porosity left the admissible range (0, phi0]")
+        raise ProfileRangeError(_OUTER_RANGE)
     return phi
 
 
@@ -311,7 +309,10 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
 
     Porosity is integrated with an adaptive 4th/5th-order method from
     phi(zstar) = phi0; the reactant and the slope phi_zeta (the formula of
-    :func:`outer_ode_rhs`) are evaluated on all 400 output nodes at once.
+    :func:`_outer_rhs`) are evaluated on all 400 output nodes at once. As
+    phi' = F(phi) is autonomous and scalar, phi is monotone: F(phi0) < 0
+    puts it above phi0 at every node below zstar, a ProfileRangeError raised
+    before any step where the first interval shows it (:func:`_check_outer_top`).
     """
     if params.zstar <= 0.0:
         raise ValidationError("outer region is empty: zstar must be positive")
@@ -641,6 +642,10 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     solution is settled to double-exponential accuracy, capped so all three
     regions survive at moderate beta*zstar. Inner eta converts back through
     zeta = (eta - ln beta)/beta.
+
+    Failures are decided cheapest first: the outer top-slope check of
+    :func:`solve_outer`, the inner layer, then the outer integration. Where
+    both regions fail, the inner error wins unless the top slope decides it.
     """
     if params.zstar <= 0.0:
         raise ValidationError("profile needs zstar > 0")
@@ -649,32 +654,26 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     delta = min(10.0 * math.log(beta) / beta, 0.45 * params.zstar)
     n = 801
     zeta = np.linspace(-params.zstar, params.zstar, n)
-    region = np.empty(n, dtype="U11")
     above = zeta > delta
     below = zeta < -delta
     inner = ~(above | below)
-    region[above] = "outer-above"
-    region[inner] = "inner"
-    region[below] = "below"
+    region = np.where(above, "outer-above", np.where(below, "below", "inner"))
 
-    phi = np.empty(n)
-    psi = np.empty(n)
-
+    phi, psi = np.empty(n), np.empty(n)
     zeta_above_desc = zeta[above][::-1]
-    phi[above] = _integrate_outer(c, params, zeta_above_desc)[::-1]
-    psi[above] = _psi_from_invariant(phi[above], c, params)
+    _check_outer_top(c, params, zeta_above_desc)
 
     eta_inner = beta * zeta[inner] + math.log(beta)
     if eta_inner.size == 0:
-        raise ValidationError(
-            "profile grid too coarse to place nodes inside the reaction zone"
-        )
-    span = default_inner_span(c, params)
-    eta_lo = min(span[0], eta_inner[0] - 2.0)
+        raise ValidationError("profile grid too coarse to place nodes inside the reaction zone")
+    eta_lo = min(default_inner_span(c, params)[0], eta_inner[0] - 2.0)
     eta_grid = np.concatenate(([eta_lo], eta_inner))
     Phi = inner_Phi_ode(c, params, match.C, eta_grid)
     phi[inner] = phi_from_Phi(Phi[1:], params)
     psi[inner] = inner_psi(eta_inner, c, match.C)
+
+    phi[above] = _integrate_outer(c, params, zeta_above_desc)[::-1]
+    psi[above] = _psi_from_invariant(phi[above], c, params)
 
     eta_below = beta * zeta[below] + math.log(beta)
     phi[below] = phi_from_Phi(match.Phi_inf, params)

@@ -75,10 +75,11 @@ def _flapack():
     """scipy's f2py LAPACK module ``scipy.linalg._flapack``.
 
     Reuses the module when it is already imported. Otherwise it is loaded
-    from its file under its real name and registered in ``sys.modules``, so
-    that a later ``import scipy.linalg`` reuses it; ``find_spec`` locates
-    scipy without executing its ``__init__``. Raises ImportError, naming
-    what was searched, when scipy or the extension is missing.
+    from its file under its real name (``find_spec`` finds scipy without
+    running its ``__init__``) and dropped from ``sys.modules``, so that a
+    later ``import scipy.linalg`` binds it as a submodule, from CPython's
+    extension cache. Raises ImportError, naming what was searched, when
+    scipy or the extension is missing.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -94,7 +95,7 @@ def _flapack():
                 spec = importlib.util.spec_from_file_location(name, path)
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
-                sys.modules[name] = module
+                sys.modules.pop(name, None)
                 return module
     searched = ", ".join(map(str, folders)) or scipy.origin
     raise ImportError(f"cannot load {name}: no _flapack extension in {searched}", name=name)

@@ -13,6 +13,7 @@ from basinwave.core import derive_params
 from basinwave.errors import (
     BasinwaveError,
     NoRootError,
+    ProfileRangeError,
     SingularProfileError,
     SolverError,
     StiffProfileError,
@@ -31,24 +32,24 @@ class TestOuterOdeRhs:
         p = params_default
         c = 0.25
         expected = p.phi0 + (c - p.sdot) * (1.0 - p.phi0) / p.lam
-        assert asym.outer_ode_rhs(p.phi0, c, p) == pytest.approx(expected, rel=1e-14)
+        assert asym._outer_rhs(c, p)(None, p.phi0) == pytest.approx(expected, rel=1e-14)
 
     def test_uncompacted_slope_when_c_equals_sdot(self, params_default):
         p = params_default
-        assert asym.outer_ode_rhs(p.phi0, p.sdot, p) == pytest.approx(p.phi0, rel=1e-14)
+        assert asym._outer_rhs(p.sdot, p)(None, p.phi0) == pytest.approx(p.phi0, rel=1e-14)
 
     def test_direct_arithmetic(self):
         p = derive_params(lam=1.0, sdot=1.0, phi0=0.5, m=7)
-        got = asym.outer_ode_rhs(0.45, 0.25, p)
+        got = asym._outer_rhs(0.25, p)(None, 0.45)
         assert got == pytest.approx(-0.30789744821678752, rel=1e-12)
 
     def test_nonpositive_phi_rejected(self, params_default):
         with pytest.raises(StiffProfileError):
-            asym.outer_ode_rhs(0.0, 0.25, params_default)
+            asym._outer_rhs(0.25, params_default)(None, 0.0)
 
     def test_overflow_reported_with_phi(self, params_default):
         with pytest.raises(StiffProfileError, match="phi"):
-            asym.outer_ode_rhs(1e-80, 0.25, params_default)
+            asym._outer_rhs(0.25, params_default)(None, 1e-80)
 
     @given(box_params())
     def test_solve_outer_slope_is_the_rhs_across_box(self, params):
@@ -57,8 +58,16 @@ class TestOuterOdeRhs:
             outer = asym.solve_outer(c, params)
         except BasinwaveError:
             return
-        expected = np.array([asym.outer_ode_rhs(phi, c, params) for phi in outer.phi])
+        rhs = asym._outer_rhs(c, params)
+        expected = np.array([rhs(None, phi) for phi in outer.phi])
         assert np.max(np.abs(outer.phi_zeta - expected)) <= 1e-14 * np.max(np.abs(outer.phi))
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except BasinwaveError as exc:
+        return type(exc)
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +108,12 @@ class TestSolveOuter:
         z_hi, z_lo = out.zeta[-1], out.zeta[0]
         steps = 10 * out.zeta.size
         dz = (z_lo - z_hi) / steps
+        rhs = asym._outer_rhs(match.c, p)
         for _ in range(steps):
-            k1 = asym.outer_ode_rhs(phi, match.c, p)
-            k2 = asym.outer_ode_rhs(phi + 0.5 * dz * k1, match.c, p)
-            k3 = asym.outer_ode_rhs(phi + 0.5 * dz * k2, match.c, p)
-            k4 = asym.outer_ode_rhs(phi + dz * k3, match.c, p)
+            k1 = rhs(None, phi)
+            k2 = rhs(None, phi + 0.5 * dz * k1)
+            k3 = rhs(None, phi + 0.5 * dz * k2)
+            k4 = rhs(None, phi + dz * k3)
             phi += dz / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert out.phi[0] == pytest.approx(phi, rel=1e-8)
 
@@ -115,6 +125,47 @@ class TestSolveOuter:
     def test_zero_zstar_rejected(self):
         with pytest.raises(ValidationError, match="outer region is empty"):
             asym.solve_outer(0.25, derive_params(zstar=0.0))
+
+    def test_negative_top_slope_refused_before_integrating(self, monkeypatch):
+        # phi' = phi0 + (c - sdot)(1 - phi0)/lam < 0 at the top: phi rises
+        # above phi0 at every node below zstar
+        p = derive_params(m=15, beta=27.85, phi0=0.388, psi0=0.259, sdot=1.243)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrated a profile that the top slope refuses")
+
+        monkeypatch.setattr(asym, "_rk45", unreachable)
+        match = asym.solve_c(p)
+        with pytest.raises(ProfileRangeError, match=r"left the admissible range \(0, phi0\]"):
+            asym.solve_outer(match.c, p)
+        with pytest.raises(ProfileRangeError, match=r"left the admissible range \(0, phi0\]"):
+            asym.build_wave_profile(match, p)
+
+    def test_negative_top_slope_within_the_range_bound_is_integrated(self):
+        # F(phi0) = -1e-10: phi rises above phi0 below zstar, but by less than
+        # the range check's 1e-10 phi0 tolerance, so the profile stands
+        p = derive_params(lam=0.5)
+        outer = asym.solve_outer(p.sdot - (p.phi0 + 1e-10) * p.lam / (1.0 - p.phi0), p)
+        assert np.all(outer.phi[:-1] > p.phi0)
+        assert np.all(outer.phi <= p.phi0 * (1.0 + 1e-10))
+
+    @given(box_params())
+    def test_top_slope_refuses_only_profiles_the_range_check_refuses(self, params):
+        # with and without the check: where the full integration returns, the
+        # outputs are the same bits; where the check raises, it fails too
+        for solver in (asym.solve_c, asym.solve_c_consistent):
+            match = solver(params)
+            for solve, arg in ((asym.solve_outer, match.c), (asym.build_wave_profile, match)):
+                got = _outcome(solve, arg, params)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(asym, "_check_outer_top", lambda c, params, zeta_desc: None)
+                    full = _outcome(solve, arg, params)
+                if isinstance(full, type):
+                    assert isinstance(got, type)
+                else:
+                    assert not isinstance(got, type)
+                    for name in full.__dataclass_fields__:
+                        assert np.array_equal(getattr(got, name), getattr(full, name)), name
 
     def test_singular_reactant_relation(self):
         p = derive_params(sdot=1e-15)
@@ -332,6 +383,25 @@ class TestWaveProfile:
         with pytest.raises(ValidationError, match="profile needs zstar > 0"):
             asym.build_wave_profile(match, derive_params(zstar=0.0))
 
+    def test_inner_failure_wins_where_both_regions_fail(self, monkeypatch):
+        # a box point whose primary root leaves the outer range only past the
+        # first interval while its inner layer underflows: the inner layer is
+        # solved before the outer integration, so its error is the one raised
+        p = derive_params(
+            m=19, beta=35.765123937107354, phi0=0.3855585849121089,
+            psi0=0.040344812471120185, sdot=0.9861309610836789,
+        )
+        match = asym.solve_c(p)
+        with pytest.raises(ProfileRangeError):
+            asym.solve_outer(match.c, p)
+
+        def unreachable(*args):
+            raise AssertionError("integrated the outer region before the inner layer")
+
+        monkeypatch.setattr(asym, "_integrate_outer", unreachable)
+        with pytest.raises(StiffProfileError, match="inner log-porosity underflowed"):
+            asym.build_wave_profile(match, p)
+
     def test_top_boundary_data(self, profile, params_default):
         _, prof = profile
         assert prof.phi[-1] == params_default.phi0
@@ -398,13 +468,6 @@ _BOX_POINTS = [
 ]
 
 
-def _profile_outcome(match, params):
-    try:
-        return asym.build_wave_profile(match, params)
-    except BasinwaveError as exc:
-        return type(exc)
-
-
 class TestRk45:
     def test_tableau_is_dormand_prince(self):
         assert np.array_equal(np.array(asym._DP_C), RK45.C)
@@ -467,10 +530,10 @@ class TestRk45:
     def test_profile_matches_solve_ivp_across_box(self, params):
         for solver in (asym.solve_c, asym.solve_c_consistent):
             match = solver(params)
-            got = _profile_outcome(match, params)
+            got = _outcome(asym.build_wave_profile, match, params)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(asym, "_rk45", _solve_ivp_rk45)
-                expected = _profile_outcome(match, params)
+                expected = _outcome(asym.build_wave_profile, match, params)
             if isinstance(expected, type):
                 assert got is expected
             else:
@@ -570,7 +633,6 @@ class TestBoundConstantsAreExact:
             bracket = c * (params.phi0 - phi) + (c - params.sdot) * (1.0 - params.phi0)
             arg = params.m * math.log(params.phi0 / phi)
             expected = phi + bracket * math.exp(arg) / params.lam
-            assert asym.outer_ode_rhs(phi, c, params) == expected
             assert asym._outer_rhs(c, params)(0.0, phi) == expected
 
     @given(_params_and_speeds(), st.floats(-800.0, 800.0), st.floats(-600.0, 700.0))

@@ -1246,7 +1246,7 @@ class TestLapackLoading:
     ], ids=["scipy_first", "basinwave_first"])
     def test_either_import_order_shares_one_dgtsv(self, first, second):
         result = run_python(f"""
-            import json
+            import json, sys
             import numpy as np
             {first}
             {second}
@@ -1256,11 +1256,13 @@ class TestLapackLoading:
             dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
             print(json.dumps({{
                 "same": pde.dgtsv is scipy.linalg.lapack.dgtsv,
+                "submodule": getattr(scipy.linalg, "_flapack", None) is sys.modules["scipy.linalg._flapack"],
                 "residual": float(np.max(np.abs(dense @ x - rhs))),
             }}))
         """)
         result = json.loads(result)
         assert result["same"]
+        assert result["submodule"]
         assert result["residual"] <= 1e-14
 
     def test_missing_extension_is_an_import_error_naming_the_folder(self, tmp_path):
