@@ -282,21 +282,21 @@ def _psi_from_invariant(phi, c: float, params: BasinParams):
 def _check_outer_top(c: float, params: BasinParams, zeta_desc: np.ndarray) -> None:
     """Check c, and raise the range error of :func:`_integrate_outer` before
     integrating when the top slope F(phi0) would carry phi on the first
-    interval below zeta_desc[0] = zstar 1e4 times past its 1e-10 phi0 bound."""
-    if not 0.0 < c < math.inf:
-        raise ValidationError(f"outer profile needs c > 0 and finite, got {c}")
+    interval below zeta_desc[0] = zstar 1e4 times past its 1e-10 phi0 bound.
+    Run once by :func:`solve_outer` and :func:`build_wave_profile`."""
+    _check_speed(c)
     slope = params.phi0 + (c - params.sdot) * (1.0 - params.phi0) / params.lam
     if slope * (zeta_desc[1] - zeta_desc[0]) > 1e-6 * params.phi0:
         raise ProfileRangeError(_OUTER_RANGE)
 
 
 def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np.ndarray:
-    """Integrate the outer porosity ODE downward from zeta = zstar.
+    """Integrate the outer porosity ODE downward from zeta = zstar; the
+    caller has run :func:`_check_outer_top`.
 
     Downward is the stable direction: the (phi0/phi)^m factor grows as phi
     decreases, so stiffness is met where the solution matters least.
     """
-    _check_outer_top(c, params, zeta_desc)
     rhs = _outer_rhs(c, params)
     phi = _rk45(rhs, params.phi0, zeta_desc, rtol=1e-11, atol=1e-13, label="outer profile")
     if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
@@ -317,6 +317,7 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     if params.zstar <= 0.0:
         raise ValidationError("outer region is empty: zstar must be positive")
     zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
+    _check_outer_top(c, params, zeta_desc)
     phi_desc = _integrate_outer(c, params, zeta_desc)
     zeta = zeta_desc[::-1].copy()
     phi = phi_desc[::-1].copy()
@@ -395,18 +396,14 @@ def inner_psi(eta, c: float, C: float):
         return C * np.exp(-np.exp(-eta) / c)
 
 
-def _B_constant(c: float, params: BasinParams) -> float:
-    phi_inf = phi_infinity(c, params)
-    return c * params.phistar * phi_inf - params.lam * params.phistar * math.exp(phi_inf)
-
-
 def default_inner_span(c: float, params: BasinParams) -> tuple[float, float]:
-    """Span covering the reaction transition (around eta = -ln c) up to the
-    physical top of the inner coordinate."""
+    """Span from -ln c - 12, below the reaction transition, to the physical
+    top of the inner coordinate, beta*zstar + ln(beta), held within
+    [-ln c + 12, -ln c + 38]: above that, e^(-eta)/c < 2^-54 and s rounds to 1."""
     _check_speed(c)
     low = -math.log(c) - 12.0
     high = max(params.beta * params.zstar + math.log(params.beta), -math.log(c) + 12.0)
-    return (low, high)
+    return (low, min(high, -math.log(c) + 38.0))
 
 
 def inner_Phi_ode(c: float, params: BasinParams, C: float, eta: np.ndarray) -> np.ndarray:
@@ -420,10 +417,10 @@ def inner_Phi_ode(c: float, params: BasinParams, C: float, eta: np.ndarray) -> n
     (where s vanishes double-exponentially, making Phi_inf a fixed point by
     the construction of B).
     """
-    B = _B_constant(c, params)
     phi_inf = phi_infinity(c, params)
     lam_ps = params.lam * params.phistar
     c_ps = c * params.phistar
+    B = c_ps * phi_inf - lam_ps * math.exp(phi_inf)
     A = params.A
     source_scale = c * params.a0 * C / A
     exp = math.exp
@@ -453,22 +450,17 @@ def jump_residual(c: float, params: BasinParams) -> float:
     of the inner solution integrated over :func:`default_inner_span`
     (Phi_eta by finite differences of the numerical profile, keeping the
     check independent of the ODE algebra) and subtracts the algebraic jump
-    -c a0 C / A. Identically zero with no reactant or no water yield.
+    -c a0 C / A. Identically zero with no reactant or no water yield. The
+    span is at most 50 long, so the cost does not grow with beta*zstar.
     """
     C = inner_C(c, params)
     if params.a0 == 0.0 or C == 0.0:
         return 0.0
     low, high = default_inner_span(c, params)
-    # Phi_eta at each end is the one-sided difference to the neighbouring
-    # node of an n-node uniform grid, fine enough that its error stays below
-    # the 1e-6 scale. Only those four nodes are integrated onto, placed as
-    # linspace places them; the integrator's steps do not depend on them.
-    nodes = (high - low) * 400.0
-    if not nodes < math.inf:
-        raise ValidationError(f"inner span ({low!r}, {high!r}) is too long to place grid nodes on")
-    n = max(1201, math.ceil(nodes))
-    eta = np.array([0.0, 1.0, n - 2.0, n - 1.0]) * ((high - low) / (n - 1)) + low
-    eta[-1] = high
+    # Phi_eta at each end is the one-sided difference to a node 1/400 inside
+    # it, fine enough that its error stays below the 1e-6 scale; the
+    # integrator's steps do not depend on the nodes
+    eta = np.array([low, low + 1 / 400, high - 1 / 400, high])
     Phi = inner_Phi_ode(c, params, C, eta)
     Phi_eta = np.gradient(Phi, eta)
     bracket = (
@@ -569,27 +561,24 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     if g_lo * g_hi > 0.0:
         raise NoRootError(f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})")
 
-    c_bis = None
-    bis_iters = 0
     for bis_iters in range(1, _MAX_ROOT_ITERS + 1):
-        mid = 0.5 * (lo + hi)
-        g_mid = residual(mid)
-        if abs(g_mid) <= _ROOT_TOL:
-            c_bis = mid
+        c_bis = 0.5 * (lo + hi)
+        g_bis = residual(c_bis)
+        if abs(g_bis) <= _ROOT_TOL:
             break
-        if g_lo * g_mid < 0.0:
-            hi = mid
+        if g_lo * g_bis < 0.0:
+            hi = c_bis
         else:
-            lo, g_lo = mid, g_mid
-        if hi - lo <= _BISECTION_REL_WIDTH * abs(mid):
+            lo, g_lo = c_bis, g_bis
+        if hi - lo <= _BISECTION_REL_WIDTH * abs(c_bis):
             break
-    if c_bis is None:
-        mid = 0.5 * (lo + hi)
-        if abs(residual(mid)) <= _ROOT_TOL:
-            c_bis = mid
-        else:
+    # the bracket stalled, its midpoint the last candidate; a NaN fails too
+    if not abs(g_bis) <= _ROOT_TOL:
+        c_bis = 0.5 * (lo + hi)
+        g_bis = residual(c_bis)
+        if not abs(g_bis) <= _ROOT_TOL:
             raise SolverError(
-                f"bisection stalled: residual {residual(mid):.3e} > tol "
+                f"bisection stalled: residual {g_bis:.3e} > tol "
                 f"{_ROOT_TOL:.3e} after {bis_iters} iterations"
             )
 
@@ -603,7 +592,7 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
         c=c_bis,
         Phi_inf=phi_infinity(c_bis, params),
         C=inner_C(c_bis, params),
-        residual=residual(c_bis),
+        residual=g_bis,
         iterations=bis_iters + fp_iters,
         c_fixed_point=c_fp,
     )

@@ -312,7 +312,7 @@ def _workspace(n):
     return (*block[:6, :-1], *block[6:9, :-2], *block[9:])
 
 
-def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work=None):
+def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
     """One trapezoidal sweep with coefficients frozen at (phi_c, h_c, hdot_c).
 
     The reactant is Strang-split: the exact reaction factor over half the
@@ -322,17 +322,15 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work=None)
     consume, per unit time, so the water released balances it exactly.
 
     Each field's A = I - (dt/2) L is built in place in the ``gtsv`` bands
-    dl[:-1], d[1:-1] and du[1:] of ``work``, a :func:`_workspace`, and the
-    interior of the explicit half (I + (dt/2) L) u is read back as 2u - A u.
-    Every array is a workspace row except the solves' right-hand sides,
-    which ``gtsv`` overwrites and which are returned as (phi, psi).
+    dl[:-1], d[1:-1] and du[1:] of ``work``, the caller's :func:`_workspace`,
+    and the interior of the explicit half (I + (dt/2) L) u is read back as
+    2u - A u. Every array is a workspace row except the solves' right-hand
+    sides, which ``gtsv`` overwrites and which are returned as (phi, psi).
     """
     # also catches NaN coefficients, which would otherwise reach the solve
     if not np.minimum.reduce(phi_c) > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    half, k_half, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d = (
-        _workspace(phi_n.size) if work is None else work
-    )
+    half, k_half, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d = work
     bands = (dl, d, du)
     lo, di, up = dl[:-1], d[1:-1], du[1:]
     scale = -0.5 * dt
@@ -390,11 +388,6 @@ def _rel_change(new, old):
     return float(change / (scale + 1e-300)) if math.isfinite(change) else None
 
 
-def _line(y, y_prev, r):
-    """y + r (y - y_prev): the line through y_prev and y, r intervals past y."""
-    return y + r * (y - y_prev)
-
-
 def _extrapolate(state: BasinState, previous: BasinState, dt: float):
     """(phi, h) at t_n + dt on the line through ``previous`` and ``state``:
     y_n + r (y_n - y_prev) with r = dt / (t_n - t_prev). No sweep reads a
@@ -412,7 +405,7 @@ def _extrapolate(state: BasinState, previous: BasinState, dt: float):
             f"previous state has {previous.phi.size} nodes, the state has {state.phi.size}"
         )
     r = dt / (state.t - previous.t)
-    return _line(state.phi, previous.phi, r), _line(state.h, previous.h, r)
+    return state.phi + r * (state.phi - previous.phi), state.h + r * (state.h - previous.h)
 
 
 def step_predictor_corrector(
@@ -561,9 +554,8 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             # the extrapolated predictor draws; psi is left out, so a
             # reactant that releases no water (a0 = 0) leaves the step sizes
             # as without any reactant
-            r = dt_step / (state.t - previous.t)
-            phi_change = _rel_change(stepped.phi, _line(state.phi, previous.phi, r))
-            estimate = max(phi_change, abs(stepped.h - _line(state.h, previous.h, r)) / abs(stepped.h))
+            phi_line, h_line = _extrapolate(state, previous, dt_step)
+            estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
             estimate_max = max(estimate_max, estimate)
             # the estimate scales as dt^2: grow dt so the next one is
             # predicted at the limit, at most doubling it; never shrink it

@@ -15,8 +15,8 @@ settings.register_profile("tier1", derandomize=True, max_examples=40, deadline=N
 settings.load_profile("tier1")
 
 #: Wave speed of the default parameter set from the implicit matching
-#: equation, frozen from an independent 50-digit bisection on the
-#: un-substituted matched form.
+#: equation, frozen from an independent 50-digit root of the un-substituted
+#: matched form (rebuilt by TestSolveC::test_oracles_rebuilt_at_50_digits).
 C_MATCHED_DEFAULT = 0.24944962882133271
 
 #: Same oracle with the reaction terms removed (a0 = psi0 = 0).

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -119,7 +120,7 @@ class TestSolveOuter:
 
     @pytest.mark.parametrize("c", _BAD_SPEEDS, ids=_BAD_SPEED_IDS)
     def test_nonpositive_speed_rejected(self, params_default, c):
-        with pytest.raises(ValidationError, match="outer profile needs c > 0"):
+        with pytest.raises(ValidationError, match="wave speed must be positive"):
             asym.solve_outer(c, params_default)
 
     def test_zero_zstar_rejected(self):
@@ -278,7 +279,7 @@ class TestInnerPorosity:
         p = params_default
         c = asym.solve_c(p).c
         C = asym.inner_C(c, p)
-        # jump_residual's node rule on a span ending at eta = 12
+        # a uniform grid of at least 400 nodes per unit on a span ending at eta = 12
         low, high = -math.log(c) - 12.0, 12.0
         eta = np.linspace(low, high, max(1201, int(math.ceil((high - low) * 400.0))))
         Phi = asym.inner_Phi_ode(c, p, C, eta)
@@ -292,8 +293,8 @@ class TestInnerPorosity:
         assert asym.jump_residual(0.25, p_noyield) == 0.0
         assert asym.jump_residual(0.25, params_pure) == 0.0
 
-    def test_jump_integrates_onto_four_linspace_nodes(self, params_default, monkeypatch):
-        # the bracket reads only the end nodes and their neighbours
+    def test_jump_integrates_onto_the_span_ends_and_their_neighbours(self, params_default, monkeypatch):
+        # the bracket reads only the end nodes and their neighbours, 1/400 inside
         p = params_default
         c = asym.solve_c(p).c
         seen = []
@@ -306,9 +307,25 @@ class TestInnerPorosity:
         monkeypatch.setattr(asym, "inner_Phi_ode", spy)
         asym.jump_residual(c, p)
         low, high = asym.default_inner_span(c, p)
-        full = np.linspace(low, high, max(1201, math.ceil((high - low) * 400.0)))
         assert len(seen) == 1
-        assert np.array_equal(seen[0], full[[0, 1, -2, -1]])
+        assert np.array_equal(seen[0], [low, low + 0.0025, high - 0.0025, high])
+
+    @pytest.mark.parametrize("zstar", [1.0, 3.0, 1e5, 1e307], ids=["1", "3", "1e5", "1e307"])
+    def test_jump_span_is_bounded_whatever_the_zone_depth(self, zstar, monkeypatch):
+        # beta * zstar overflows at 1e307; the span stops at -ln c + 38 anyway
+        p = derive_params(zstar=zstar)
+        c = 0.25
+        assert asym.default_inner_span(c, p)[1] <= -math.log(c) + 38.0
+        spans = []
+        real = asym.inner_Phi_ode
+
+        def spy(c, params, C, eta):
+            spans.append(eta[-1] - eta[0])
+            return real(c, params, C, eta)
+
+        monkeypatch.setattr(asym, "inner_Phi_ode", spy)
+        assert abs(asym.jump_residual(c, p)) <= 1e-6
+        assert len(spans) == 1 and spans[0] <= 50.0
 
     def test_jump_small_at_solved_speed(self, params_default):
         c = asym.solve_c(params_default).c
@@ -342,6 +359,25 @@ class TestSolveC:
             c = target / denom
         assert abs(c - C_MATCHED_DEFAULT) <= 1e-5
 
+    def test_stalled_bisection_evaluates_its_last_midpoint_once(self, params_default):
+        # a residual of -1 below c = 0.3 and +1 above it: the bracket closes
+        # on the jump, and no midpoint meets the tolerance
+        target = params_default.sdot * (1.0 - params_default.phi0)
+        calls = []
+
+        def build(params):
+            def denominator(c):
+                calls.append(c)
+                return (target + (1.0 if c > 0.3 else -1.0)) / c
+
+            return denominator
+
+        with pytest.raises(SolverError, match=r"bisection stalled: residual -?1\.000e\+00") as info:
+            asym._solve_speed(params_default, build)
+        iterations = int(re.search(r"after (\d+) iterations", str(info.value)).group(1))
+        # the two bracket ends, one midpoint per iteration, the final midpoint
+        assert len(calls) == 2 + iterations + 1
+
     def test_speed_below_sedimentation_rate(self, params_default):
         assert asym.solve_c(params_default).c < params_default.sdot
 
@@ -359,6 +395,36 @@ class TestSolveC:
     def test_monotone_in_sdot(self):
         speeds = [asym.solve_c(derive_params(sdot=s)).c for s in (0.5, 1.0, 2.0, 4.0)]
         assert all(np.diff(speeds) > 0.0)
+
+    @given(box_params())
+    def test_consistent_root_honors_the_floor_and_rises_with_sdot_across_box(self, params):
+        c = asym.solve_c_consistent(params).c
+        assert c >= params.sdot * (1.0 - params.phi0)
+        assert asym.solve_c_consistent(replace(params, sdot=1.1 * params.sdot)).c > c
+
+    @pytest.mark.parametrize(
+        "a0, psi0, frozen", [("1", "0.3", C_MATCHED_DEFAULT), ("0", "0", C_MATCHED_PURE)],
+        ids=["default", "pure"],
+    )
+    def test_oracles_rebuilt_at_50_digits(self, a0, psi0, frozen):
+        # the un-substituted matched form at the default parameters, with
+        # no package code: c phi0 + (c - sdot)(1 - phi0)
+        #   = c phistar Phi_inf - lam phistar e^Phi_inf - C c a0 / A
+        from mpmath import exp, log, mp, mpf
+
+        with mp.workdps(50):
+            lam, beta, m, phi0, zstar, sdot = mpf(1), mpf(21), mpf(7), mpf("0.5"), mpf(1), mpf(1)
+            a0, psi0 = mpf(a0), mpf(psi0)
+            phistar, A = phi0 * exp(-log(m) / m), beta / m
+
+            def defect(c):
+                phi_inf = log(c / lam)
+                C = psi0 * exp(exp(-(beta * zstar + log(beta))) / c)
+                inner = c * phistar * phi_inf - lam * phistar * exp(phi_inf) - C * c * a0 / A
+                return c * phi0 + (c - sdot) * (1 - phi0) - inner
+
+            root = mp.findroot(defect, (mpf("0.1"), mpf("0.5")))
+        assert float(root) == frozen
 
     def test_consistent_variant_honors_conservation_floor(self, params_default, params_pure):
         for p in (params_default, params_pure):
@@ -427,7 +493,9 @@ class TestWaveProfile:
         p = params_default
         # the construction matches flux invariants exactly at the solved c
         outer_const = match.c * p.phi0 + (match.c - p.sdot) * (1.0 - p.phi0)
-        inner_const = asym._B_constant(match.c, p) - match.c * p.a0 * match.C / p.A
+        phi_inf = math.log(match.c / p.lam)
+        B = match.c * p.phistar * phi_inf - p.lam * p.phistar * math.exp(phi_inf)
+        inner_const = B - match.c * p.a0 * match.C / p.A
         assert abs(outer_const - inner_const) <= 1e-9
         # the phi-level seam defect sits at its O(ln m / m) scale
         inner_idx = np.flatnonzero(prof.region == "inner")
@@ -577,12 +645,6 @@ class TestRk45Grid:
         with pytest.raises(ValidationError, match="inner profile grid"):
             asym.inner_Phi_ode(c, params_default, asym.inner_C(c, params_default), np.array(grid))
 
-    def test_unbounded_jump_span_is_typed(self):
-        # beta * zstar overflows, and the node count of the span with it
-        p = derive_params(zstar=1e307)
-        with pytest.raises(ValidationError, match="inner span"):
-            asym.jump_residual(0.25, p)
-
 
 @pytest.mark.parametrize("c", _BAD_SPEEDS, ids=_BAD_SPEED_IDS)
 @pytest.mark.parametrize(
@@ -649,7 +711,8 @@ class TestBoundConstantsAreExact:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(asym, "_rk45", capture)
                 asym.inner_Phi_ode(c, params, C, np.array([0.0, 1.0]))
-            B = asym._B_constant(c, params)
+            phi_inf = math.log(c / params.lam)
+            B = c * params.phistar * phi_inf - params.lam * params.phistar * math.exp(phi_inf)
             lam_ps = params.lam * params.phistar
             c_ps = c * params.phistar
             source_scale = c * params.a0 * C / params.A

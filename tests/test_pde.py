@@ -225,6 +225,7 @@ class TestStep:
             pde._sweep(
                 x, dx, state.phi, state.psi, config.dt,
                 bad_coeff, state.h, 0.0, state.h, params_default,
+                pde._workspace(config.n_nodes),
             )
 
     @pytest.mark.parametrize(
@@ -325,7 +326,7 @@ class TestTridiagonalElimination:
         h_bc = old.h + dt * hdot_c
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
         args = (x, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, h_bc)
-        phi, psi = pde._sweep(x, dx, *args[1:], p)
+        phi, psi = pde._sweep(x, dx, *args[1:], p, pde._workspace(x.size))
         phi_ref, psi_ref = _dense_reference_sweep(*args, p)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
@@ -381,7 +382,9 @@ class TestTridiagonalElimination:
             return real_solve(bands, bottom, rhs)
 
         monkeypatch.setattr(pde, "_solve_closed", solve)
-        pde._sweep(x, dx, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, old.h + dt * hdot_c, p)
+        pde._sweep(
+            x, dx, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, old.h + dt * hdot_c, p, pde._workspace(n)
+        )
         reacted = old.psi * np.exp(-0.5 * dt * reaction_rate(x * h_c, h_c, p))
         assert len(systems) == 2
         for (lo, di, up, rhs), u, field in zip(systems, (reacted, old.phi), ("psi", "phi")):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from basinwave import asymptotics as asym
 from basinwave import verify
 from basinwave.core import RunConfig, derive_params
+from basinwave.errors import BasinwaveError
 from conftest import below_zone_pde_residual_loop, box_params, inner_psi_ode_residual_loop
 
 
@@ -49,6 +51,18 @@ class TestResidualBattery:
         verify.residual_battery(params_default)
         # the supplied sdot and the halved and doubled sdot of the monotonicity check
         assert sorted(sdots) == [0.5, 1.0, 2.0]
+
+    @given(box_params())
+    def test_failures_are_typed_across_box(self, params):
+        # a profile at either root and the battery return or raise a package
+        # error; anything else (a raw OverflowError, a numpy warning turned
+        # error by the suite's filter) fails the test
+        calls = [(verify.residual_battery, params)]
+        for solver in (asym.solve_c, asym.solve_c_consistent):
+            calls.append((asym.build_wave_profile, solver(params), params))
+        for call, *args in calls:
+            with contextlib.suppress(BasinwaveError):
+                call(*args)
 
 
 def _battery_check(params, name):
