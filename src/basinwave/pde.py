@@ -16,22 +16,22 @@ z = h(t), and dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) there.
 Time stepping is an implicit predictor/corrector with one kind of sweep:
 trapezoidal corrector sweeps re-evaluate coefficients, the reaction factor,
 and the boundary velocity at the average of the old and the predicted new
-state. The prediction extrapolates the last two accepted states linearly
-and takes two sweeps; without them it holds the old fields, moves h by
-dt*hdot, and takes three. Every way a step attempt can fail raises
-StepRejected, and the driver alone decides the retry. The stiff reactant
-annihilation is Strang-split around the transport solve: half a step of
-its exact factor exp(-R dt/2), transport, and another half step, so psi
-stays non-negative for any dt and the splitting error is second order in
-dt.
+state. The driver extrapolates the last two accepted states linearly and
+passes the line as the prediction, from which the stepper takes two sweeps;
+without one it holds the old fields, moves h by dt*hdot, and takes three.
+Every way a step attempt can fail raises StepRejected, and the driver alone
+decides the retry. The stiff reactant annihilation is Strang-split around
+the transport solve: half a step of its exact factor exp(-R dt/2),
+transport, and another half step, so psi stays non-negative for any dt and
+the splitting error is second order in dt.
 
 The driver starts at ``RunConfig.dt``. Nearly all of the time error is made
 in the start-up transient, so after every accepted step it grows the step
 by what a Milne-style error estimate (the distance of the accepted phi and
-h from the line through the two states before them) allows, at most
-doubling it; a rejected step halves it. Each sample interval is stepped in
-the fewest equal steps no longer than the current dt, so steps land on
-every sample time and on t_end.
+h from the line the prediction was drawn on) allows, at most doubling it; a
+rejected step halves it. Each sample interval is stepped in the fewest
+equal steps no longer than the current dt, so steps land on every sample
+time and on t_end.
 
 Each sweep solves A u = b per field, A = I - (dt/2) L, with L assembled at
 scale -dt/2 straight into the ``gtsv`` bands; the explicit half
@@ -393,17 +393,9 @@ def _extrapolate(state: BasinState, previous: BasinState, dt: float):
     y_n + r (y_n - y_prev) with r = dt / (t_n - t_prev). No sweep reads a
     predicted psi, so none is drawn.
 
-    Raises :class:`ValidationError` when ``previous`` is not strictly
-    earlier than ``state`` or has another node count.
+    :func:`run_simulation` draws each line once, from two states it accepted
+    in order on one grid.
     """
-    if not previous.t < state.t:
-        raise ValidationError(
-            f"previous state at t = {previous.t!r} is not earlier than the state at t = {state.t!r}"
-        )
-    if previous.phi.size != state.phi.size:
-        raise ValidationError(
-            f"previous state has {previous.phi.size} nodes, the state has {state.phi.size}"
-        )
     r = dt / (state.t - previous.t)
     return state.phi + r * (state.phi - previous.phi), state.h + r * (state.h - previous.h)
 
@@ -413,17 +405,17 @@ def step_predictor_corrector(
     dt: float,
     params: BasinParams,
     *,
-    previous: BasinState | None = None,
+    prediction: tuple[np.ndarray, float] | None = None,
 ) -> BasinState:
     """Advance (phi, psi, h, t) by dt; returns the new state.
 
     The trapezoidal corrector sweeps start from a predicted end state.
-    Given ``previous``, the accepted state before ``state``, the prediction
-    extrapolates the two linearly (see :func:`_extrapolate`) and the
-    corrector makes exactly _CORRECTOR_SWEEPS (2) sweeps. When ``previous``
-    is None the prediction is the held state (phi_n, psi_n,
-    h_n + dt*hdot_n), and the corrector makes exactly one sweep more (3).
-    Neither prediction costs a solve, and neither predicts psi: the sweeps
+    Given ``prediction``, the pair (phi, h) predicted at t + dt (the driver
+    passes the line :func:`_extrapolate` draws), the corrector makes
+    exactly _CORRECTOR_SWEEPS (2) sweeps from it. When ``prediction`` is
+    None the prediction is the held state (phi_n, psi_n, h_n + dt*hdot_n),
+    and the corrector makes exactly one sweep more (3). The stepper reads
+    no state but ``state``, and neither prediction predicts psi: the sweeps
     start from psi_n. The sweeps share one :func:`_workspace`, which dies
     with the attempt; the returned fields are fresh arrays. Only the last
     sweep's update, against the sweep before it, is measured; the earlier
@@ -433,19 +425,21 @@ def step_predictor_corrector(
     be solved, the corrector leaves non-finite fields or a final relative
     update that is not within _CORRECTOR_REJECT_LIMIT, or the step ends
     with a non-positive porosity or a negative reactant; and
-    :class:`ValidationError` for a ``previous`` that :func:`_extrapolate`
-    cannot use.
+    :class:`ValidationError` when the predicted phi has another node count
+    than ``state``.
     """
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
     x = _grid(phi_n.size)
     dx = 1.0 / (phi_n.size - 1)
     hdot_n = hdot(phi_n, h_n, params)
-    if previous is None:
+    if prediction is None:
         # the held state, a cruder prediction, takes one sweep more
         phi_p, h_p = phi_n, h_n + dt * hdot_n
         sweeps = _CORRECTOR_SWEEPS + 1
     else:
-        phi_p, h_p = _extrapolate(state, previous, dt)
+        phi_p, h_p = prediction
+        if phi_p.size != phi_n.size:
+            raise ValidationError(f"predicted phi has {phi_p.size} nodes, the state has {phi_n.size}")
         sweeps = _CORRECTOR_SWEEPS
 
     work = _workspace(phi_n.size)
@@ -494,15 +488,16 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     sample slack), recounted on every step so that growth or a rejection
     part-way re-splits the rest, and the run ends on t_end.
 
-    Every step after the first passes the accepted state before it to the
-    stepper as ``previous``. Each :class:`StepRejected` is handled here: an
-    attempt that used ``previous`` is retaken once at the same dt without
-    it, from the held state, which is not a rejection. An attempt without
-    it is rejected: dt halves and ``previous`` is kept for
-    the next attempt. A step that would fall below ``config.dt``/1024 raises
-    :class:`SolverError` naming the time and the last reason, since a run
-    forced that far down has stalled rather than slowed; so does a column
-    whose advection coefficient hdot/(2 h dx) is not finite at t = 0.
+    The driver owns the step history: for each (state, dt) it tries after
+    the first step it draws the line through the two last accepted states
+    once, as the stepper's prediction and the estimate's reference. Each
+    :class:`StepRejected` is handled here: a failed extrapolated attempt is
+    retaken once at the same dt from the held state, which is not a
+    rejection; when that fails too, dt halves. A step that would fall below
+    ``config.dt``/1024 raises :class:`SolverError` naming the time and the
+    last reason, since a run forced that far down has stalled rather than
+    slowed; so does a column whose advection coefficient hdot/(2 h dx) is
+    not finite at t = 0.
 
     A single run is strictly sequential; distinct runs share no mutable
     state and may execute in parallel.
@@ -526,43 +521,43 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     accepted = rejected = 0
     dt_min, dt_max = math.inf, 0.0
 
-    previous = history = None
+    previous = None
     while state.t < end:
         gap = min(len(ts) * config.output_every, config.t_end) - state.t
         # max(): a gap inside landing_slack, left where a sample falls just
         # below t_end, is taken as one sliver step
         dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
-        try:
-            stepped = step_predictor_corrector(state, dt_step, params, previous=history)
-        except StepRejected as exc:
-            if history is not None:
-                # retake the attempt at the same dt from the held state;
-                # not a rejection
-                history = None
-                continue
-            history = previous
+        line = None if previous is None else _extrapolate(state, previous, dt_step)
+        # a failed extrapolated attempt is retaken at the same dt from the
+        # held state; only a failed held-state attempt is a rejection
+        for prediction in (None,) if line is None else (line, None):
+            try:
+                stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
+                break
+            except StepRejected as exc:
+                reason = exc
+        else:
             rejected += 1
             dt_cur = 0.5 * dt_step
             if dt_cur < dt_floor:
                 raise SolverError(
-                    f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {exc}"
-                ) from exc
+                    f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
+                ) from reason
             continue
 
-        if previous is not None:
+        if line is not None:
             # Milne-style estimate: the accepted phi and h against the line
-            # the extrapolated predictor draws; psi is left out, so a
-            # reactant that releases no water (a0 = 0) leaves the step sizes
-            # as without any reactant
-            phi_line, h_line = _extrapolate(state, previous, dt_step)
+            # the prediction was drawn on; psi is left out, so a reactant
+            # that releases no water (a0 = 0) leaves the step sizes as
+            # without any reactant
+            phi_line, h_line = line
             estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
             estimate_max = max(estimate_max, estimate)
             # the estimate scales as dt^2: grow dt so the next one is
             # predicted at the limit, at most doubling it; never shrink it
             growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
             dt_cur = max(dt_cur, growth * dt_step)
-        previous = history = state
-        state = stepped
+        previous, state = state, stepped
         accepted += 1
         dt_min, dt_max = min(dt_min, dt_step), max(dt_max, dt_step)
 

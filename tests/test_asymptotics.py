@@ -359,6 +359,25 @@ class TestSolveC:
             c = target / denom
         assert abs(c - C_MATCHED_DEFAULT) <= 1e-5
 
+    # below the validated box (beta < 10) the clamp inside C(c) makes the
+    # residual positive at both bracket ends, so the bracket grows until it
+    # catches a spurious large root; the fixed point finds the physical one
+    # and the cross-check refuses the pair
+    @pytest.mark.parametrize(
+        "beta, c_bisection, c_fixed_point",
+        [(2.0, "609.149", "0.126420"), (5.0, "114.273", "0.208815")],
+        ids=["beta-2", "beta-5"],
+    )
+    def test_cross_check_refuses_a_spurious_bisection_root(self, beta, c_bisection, c_fixed_point):
+        with pytest.warns(UserWarning, match=f"beta = {beta} is below 10"):
+            params = derive_params(beta=beta)
+        with pytest.raises(
+            SolverError,
+            match=rf"^bisection \({re.escape(c_bisection)}\d*\) and fixed point "
+            rf"\({re.escape(c_fixed_point)}\d*\) disagree beyond 10\*tol$",
+        ):
+            asym.solve_c(params)
+
     def test_stalled_bisection_evaluates_its_last_midpoint_once(self, params_default):
         # a residual of -1 below c = 0.3 and +1 above it: the bracket closes
         # on the jump, and no midpoint meets the tolerance

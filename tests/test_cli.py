@@ -542,6 +542,28 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: n_nodes = 100000000000000000000 ")
 
+    def test_verify_pass_is_0(self, tmp_path, capsys, monkeypatch):
+        # no physical config passes speed_gap_matched (the documented model
+        # discrepancy), so both batteries return passing stand-in reports
+        def passing(name):
+            def battery(*args):
+                report = verify.VerificationReport()
+                report.add(name, 0.0, 1.0, True)
+                return report
+
+            return battery
+
+        monkeypatch.setattr(verify, "residual_battery", passing("battery_stand_in"))
+        monkeypatch.setattr(verify, "cross_validate_speed", passing("speed_stand_in"))
+        out = tmp_path / "v"
+        assert main(["verify", "--out", str(out)]) == 0
+        header, rows = read_csv(out / "report.csv")
+        assert header == ["check", "value", "tolerance", "pass"]
+        assert [(r[0], r[3]) for r in rows] == [("battery_stand_in", "true"), ("speed_stand_in", "true")]
+        captured = capsys.readouterr()
+        assert "[PASS] speed_stand_in" in captured.out
+        assert "verification failed" not in captured.err
+
     def test_verify_failure_is_3(self, tmp_path, capsys):
         # a short horizon leaves the boundary speed far from the matching
         # root, so the primary gap check fails and verify exits 3

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from basinwave import core, pde
 from basinwave.core import (
@@ -31,6 +33,7 @@ from basinwave.pde import (
 )
 from conftest import (
     alter_corrector,
+    box_params,
     bottom_robin_residual,
     flux_null_defects,
     spatial_order_ladder,
@@ -525,6 +528,42 @@ class TestRunSimulation:
             run_simulation(params, config)
 
 
+class TestRunAcrossBox:
+    """Short runs across the validated parameter box, to t_end = 1.5, where
+    the reaction zone has entered the column at most points."""
+
+    @staticmethod
+    def config(params, share):
+        rule = core.resolution_nodes(params, RunConfig(t_end=1.5))
+        return RunConfig(n_nodes=max(16, math.floor(share * rule)), t_end=1.5)
+
+    @staticmethod
+    def assert_physical(state, params):
+        assert np.minimum.reduce(state.phi) > 0.0
+        assert np.minimum.reduce(state.psi) >= 0.0
+        assert state.phi[-1] == params.phi0 and state.psi[-1] == params.psi0
+
+    @settings(max_examples=15)
+    @given(box_params())
+    def test_run_at_the_resolution_rule_returns_a_physical_state(self, params):
+        series = run_simulation(params, self.config(params, 1.0))
+        assert series.final_state.t == pytest.approx(1.5, abs=1e-12)
+        self.assert_physical(series.final_state, params)
+
+    # a quarter of the rule under-resolves the zone once it is in the
+    # column; the run may then stop on a collapsed step, but only so
+    @settings(max_examples=15)
+    @given(box_params())
+    def test_run_at_a_quarter_of_the_rule_returns_or_raises_solver_error(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                series = run_simulation(params, self.config(params, 0.25))
+            except SolverError:
+                return
+        self.assert_physical(series.final_state, params)
+
+
 class TestExtrapolatedPredictor:
     CONFIG = RunConfig(n_nodes=64, dt=5e-3, t_end=0.5, h0=0.1, output_every=0.1)
 
@@ -539,13 +578,13 @@ class TestExtrapolatedPredictor:
     @staticmethod
     def count_sweeps(monkeypatch):
         """Record every step attempt as [history-free, sweeps it made]; an
-        attempt is history-free when the stepper gets no ``previous``."""
+        attempt is history-free when the stepper gets no ``prediction``."""
         attempts = []
         real_step, real_sweep = pde.step_predictor_corrector, pde._sweep
 
-        def step(state, dt, params, previous=None):
-            attempts.append([previous is None, 0])
-            return real_step(state, dt, params, previous=previous)
+        def step(state, dt, params, prediction=None):
+            attempts.append([prediction is None, 0])
+            return real_step(state, dt, params, prediction=prediction)
 
         def sweep(*args):
             attempts[-1][1] += 1
@@ -558,17 +597,17 @@ class TestExtrapolatedPredictor:
     @staticmethod
     def spoil_extrapolated_attempts(monkeypatch, failure):
         """Make every extrapolated attempt fail: each sweep of an attempt
-        given ``previous`` either raises StepRejected or returns a porosity
-        that makes the corrector diverge. History-free attempts are left
-        alone and counted."""
+        given a ``prediction`` either raises StepRejected or returns a
+        porosity that makes the corrector diverge. History-free attempts are
+        left alone and counted."""
         seen = {"spoiled": 0, "history_free": 0}
         extrapolated = {"now": False}
         real_step, real_sweep = pde.step_predictor_corrector, pde._sweep
 
-        def step(state, dt, params, previous=None):
-            extrapolated["now"] = previous is not None
-            seen["history_free"] += previous is None
-            return real_step(state, dt, params, previous=previous)
+        def step(state, dt, params, prediction=None):
+            extrapolated["now"] = prediction is not None
+            seen["history_free"] += prediction is None
+            return real_step(state, dt, params, prediction=prediction)
 
         def sweep(*args):
             phi, psi = real_sweep(*args)
@@ -594,8 +633,8 @@ class TestExtrapolatedPredictor:
     def test_sweeps_per_attempt(self, params_default, monkeypatch, extrapolated, sweeps, dt):
         previous, state = self.history(params_default)
         attempts = self.count_sweeps(monkeypatch)
-        given = previous if extrapolated else None
-        pde.step_predictor_corrector(state, dt, params_default, previous=given)
+        given = pde._extrapolate(state, previous, dt) if extrapolated else None
+        pde.step_predictor_corrector(state, dt, params_default, prediction=given)
         assert attempts == [[not extrapolated, sweeps]]
 
     # a run of accepted, unrejected steps, grown ones included: only the
@@ -616,9 +655,10 @@ class TestExtrapolatedPredictor:
     @pytest.mark.parametrize("failure, spoiled", [("rejected", 1), ("diverged", 2)], ids=["rejected", "diverged"])
     def test_failed_extrapolation_is_rejected(self, params_default, monkeypatch, failure, spoiled):
         previous, state = self.history(params_default)
+        line = pde._extrapolate(state, previous, self.CONFIG.dt)
         seen = self.spoil_extrapolated_attempts(monkeypatch, failure)
         with pytest.raises(StepRejected):
-            pde.step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=previous)
+            pde.step_predictor_corrector(state, self.CONFIG.dt, params_default, prediction=line)
         assert seen == {"spoiled": spoiled, "history_free": 0}
 
     @pytest.mark.parametrize("failure", ["rejected", "diverged"])
@@ -627,7 +667,7 @@ class TestExtrapolatedPredictor:
         calls = {"n": 0}
         real_step = pde.step_predictor_corrector
 
-        def without_history(state, dt, params, previous=None):
+        def without_history(state, dt, params, prediction=None):
             calls["n"] += 1
             return real_step(state, dt, params)
 
@@ -647,62 +687,74 @@ class TestExtrapolatedPredictor:
         assert np.array_equal(series.final_state.psi, expected.final_state.psi)
 
     def test_prediction_after_rejection_uses_the_real_interval(self, params_default, monkeypatch):
-        steps, predictions = [], []
-        in_step = {"now": False}
-        real_step, real_extrapolate = pde.step_predictor_corrector, pde._extrapolate
+        steps = []
+        real_step = pde.step_predictor_corrector
 
-        # the fourth attempt and the driver's history-free retake of it
-        def flaky(state, dt, params, previous=None):
-            steps.append((state, previous, dt))
+        # the fourth attempt and the driver's held-state retake of it
+        def flaky(state, dt, params, prediction=None):
+            steps.append((state, prediction, dt))
             if len(steps) in (4, 5):
                 raise StepRejected("synthetic rejection")
-            in_step["now"] = True
-            try:
-                return real_step(state, dt, params, previous=previous)
-            finally:
-                in_step["now"] = False
-
-        # the stepper's predictions only; the driver draws the same line
-        # after each accepted step for its error estimate
-        def extrapolate(state, previous, dt):
-            predicted = real_extrapolate(state, previous, dt)
-            if in_step["now"]:
-                predictions.append((state, previous, dt, predicted))
-            return predicted
+            return real_step(state, dt, params, prediction=prediction)
 
         monkeypatch.setattr(pde, "step_predictor_corrector", flaky)
-        monkeypatch.setattr(pde, "_extrapolate", extrapolate)
         config = replace(self.CONFIG, t_end=0.03)
         run_simulation(params_default, config)
 
-        # the failed attempt is retaken at its dt without history; the
-        # halved retry shares the state and its history
-        (state, previous, dt), retake, (retry_state, retry_previous, retry_dt) = steps[3:6]
-        assert previous is not None and retake == (state, None, dt)
-        assert retry_state is state and retry_previous is previous
+        # the failed attempt is retaken at its dt from the held state; the
+        # halved retry is predicted from the same state on a line of its own
+        assert steps[0][1] is None
+        (state, line, dt), retake, retry = steps[3:6]
+        (retake_state, retake_line, retake_dt), (retry_state, retry_line, retry_dt) = retake, retry
+        assert line is not None and retake_state is state and retake_line is None and retake_dt == dt
+        assert retry_state is state and retry_line is not None
         assert retry_dt == 0.5 * dt == 0.5 * config.dt
-        # calls 2 and 3 predicted at r = 1; calls 4 and 5 were rejected
-        # before they could, so the third prediction is the retry's
-        assert [dt / (s.t - prev.t) for s, prev, dt, _ in predictions[:2]] == pytest.approx([1.0, 1.0])
-        state, previous, dt, (phi_p, h_p) = predictions[2]
-        assert state is retry_state and dt == retry_dt
-        r = dt / (state.t - previous.t)
-        assert r == pytest.approx(0.5, rel=1e-12)
-        assert h_p == state.h + r * (state.h - previous.h)
-        assert np.array_equal(phi_p, state.phi + r * (state.phi - previous.phi))
+        # attempts 2 to 4 predict at r = 1 on the line through the accepted
+        # state before theirs; the retry, from the same two states, at 1/2
+        for attempt, before, r_expected in [(1, 0, 1.0), (2, 1, 1.0), (3, 2, 1.0), (5, 2, 0.5)]:
+            state, (phi_p, h_p), dt = steps[attempt]
+            previous = steps[before][0]
+            r = dt / (state.t - previous.t)
+            assert r == pytest.approx(r_expected, rel=1e-12)
+            assert h_p == state.h + r * (state.h - previous.h)
+            assert np.array_equal(phi_p, state.phi + r * (state.phi - previous.phi))
 
-    @pytest.mark.parametrize("offset", [0.0, 1e-3], ids=["same-time", "later"])
-    def test_previous_must_be_earlier(self, params_default, offset):
-        previous, state = self.history(params_default)
-        not_earlier = replace(previous, t=state.t + offset)
-        with pytest.raises(ValidationError, match="is not earlier than the state"):
-            step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=not_earlier)
+    # the driver draws the line through the last two accepted states once
+    # for each (state, dt) it tries after the first step, and uses it both
+    # as the prediction and as the Milne estimate's reference. The coarse
+    # run retakes two failed extrapolations from the held state, which draw
+    # no line.
+    def test_the_line_is_drawn_once_per_state_and_dt(self, params_default, monkeypatch):
+        attempts, lines = [], []
+        real_step, real_extrapolate = pde.step_predictor_corrector, pde._extrapolate
 
-    def test_previous_must_have_the_same_node_count(self, params_default):
+        def step(state, dt, params, prediction=None):
+            attempts.append((state.t, dt, prediction))
+            return real_step(state, dt, params, prediction=prediction)
+
+        def extrapolate(state, previous, dt):
+            lines.append(real_extrapolate(state, previous, dt))
+            return lines[-1]
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        monkeypatch.setattr(pde, "_extrapolate", extrapolate)
+        config = RunConfig(n_nodes=64, dt=0.05, t_end=1.0, output_every=0.25)
+        series = run_simulation(params_default, config)
+        assert (series.stats.steps_accepted, series.stats.steps_rejected) == (20, 0)
+        retakes = [(t, dt) for t, dt, prediction in attempts if prediction is None and t > 0.0]
+        assert len(retakes) == 2
+        tried = list(dict.fromkeys((t, dt) for t, dt, _ in attempts if t > 0.0))
+        assert len(lines) == len(tried) == 19
+        # each line is the prediction handed to the stepper, by identity
+        predictions = [prediction for *_, prediction in attempts if prediction is not None]
+        assert len(predictions) == len(lines)
+        assert all(given is drawn for given, drawn in zip(predictions, lines))
+
+    def test_prediction_must_have_the_same_node_count(self, params_default):
         previous, state = self.history(params_default)
-        coarser = replace(previous, phi=previous.phi[::3], psi=previous.psi[::3])
-        with pytest.raises(ValidationError, match="previous state has 22 nodes, the state has 64"):
-            step_predictor_corrector(state, self.CONFIG.dt, params_default, previous=coarser)
+        phi_p, h_p = pde._extrapolate(state, previous, self.CONFIG.dt)
+        with pytest.raises(ValidationError, match="predicted phi has 22 nodes, the state has 64"):
+            step_predictor_corrector(state, self.CONFIG.dt, params_default, prediction=(phi_p[::3], h_p))
 
 
 class TestAttemptWorkspace:
@@ -720,23 +772,28 @@ class TestAttemptWorkspace:
             states.append(state)
             copies.append((state.phi.copy(), state.psi.copy()))
 
+        def extrapolated(k, dt):
+            """The attempt from states[k] predicted on the line through states[k - 1]."""
+            line = pde._extrapolate(states[k], states[k - 1], dt)
+            return step_predictor_corrector(states[k], dt, p, prediction=line)
+
         keep(initial_state(p, self.CONFIG))
         for _ in range(2):
             keep(step_predictor_corrector(states[-1], dt, p))
         # the driver's pattern: an extrapolated attempt fails and is retaken
         # from the held state at the same dt
         with pytest.raises(StepRejected, match="corrector update"):
-            step_predictor_corrector(states[-1], 0.05, p, previous=states[-2])
+            extrapolated(-1, 0.05)
         keep(step_predictor_corrector(states[-1], 0.05, p))
         with pytest.raises(StepRejected, match="corrector update"):
             step_predictor_corrector(states[-1], 0.2, p)
         for _ in range(2):
-            keep(step_predictor_corrector(states[-1], dt, p, previous=states[-2]))
+            keep(extrapolated(-1, dt))
         # rejected by the final check, after all three sweeps
         keep(TestStep.planted_state(p, -1e-13 * p.psi0))
         with pytest.raises(StepRejected, match="reactant went negative"):
             step_predictor_corrector(states[-1], 1e-10, p)
-        keep(step_predictor_corrector(states[-2], dt, p, previous=states[-3]))
+        keep(extrapolated(-2, dt))
 
         for state, (phi, psi) in zip(states, copies):
             assert np.array_equal(state.phi, phi) and np.array_equal(state.psi, psi)
@@ -744,6 +801,30 @@ class TestAttemptWorkspace:
         for i, field in enumerate(fields):
             assert field.flags.owndata
             assert not any(np.shares_memory(field, other) for other in fields[i + 1 :])
+
+    @classmethod
+    def attempt_poisoned(cls, params, monkeypatch, extrapolated, poisoned, field, bad):
+        """Take one attempt from a two-state history whose sweep number
+        ``poisoned`` leaves ``bad`` at node 3 of ``field``; returns the
+        numbers of the sweeps that ran."""
+        previous, state = TestExtrapolatedPredictor.history(params)
+        prediction = pde._extrapolate(state, previous, cls.CONFIG.dt) if extrapolated else None
+        sweeps = []
+
+        def poison(phi, psi):
+            sweeps.append(len(sweeps) + 1)
+            if len(sweeps) != poisoned:
+                return phi, psi
+            fields = {"phi": phi.copy(), "psi": psi.copy()}
+            fields[field][3] = bad
+            return fields["phi"], fields["psi"]
+
+        alter_corrector(monkeypatch, poison)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StepRejected, match="^corrector left non-finite fields$"):
+                step_predictor_corrector(state, cls.CONFIG.dt, params, prediction=prediction)
+        return sweeps
 
     # only the last sweep's update is measured; what an earlier sweep leaves
     # must still be finite, in either field
@@ -756,23 +837,20 @@ class TestAttemptWorkspace:
     def test_nan_in_an_earlier_sweep_rejects_the_attempt(
         self, params_default, monkeypatch, field, extrapolated, poisoned
     ):
-        previous, state = TestExtrapolatedPredictor.history(params_default)
-        sweeps = []
-
-        def poison(phi, psi):
-            sweeps.append(len(sweeps) + 1)
-            if len(sweeps) != poisoned:
-                return phi, psi
-            fields = {"phi": phi.copy(), "psi": psi.copy()}
-            fields[field][3] = np.nan
-            return fields["phi"], fields["psi"]
-
-        alter_corrector(monkeypatch, poison)
-        with pytest.raises(StepRejected, match="^corrector left non-finite fields$"):
-            step_predictor_corrector(
-                state, self.CONFIG.dt, params_default, previous=previous if extrapolated else None
-            )
+        sweeps = self.attempt_poisoned(params_default, monkeypatch, extrapolated, poisoned, field, np.nan)
         assert len(sweeps) == poisoned
+
+    # the last sweep's fields meet no finiteness check of their own: the
+    # update norm sees a NaN or an inf there and rejects the attempt
+    # without a numpy warning
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["phi", "psi"])
+    @pytest.mark.parametrize("extrapolated, last", [(True, 2), (False, 3)], ids=["extrapolated", "held"])
+    def test_non_finite_last_sweep_rejects_the_attempt(
+        self, params_default, monkeypatch, extrapolated, last, field, bad
+    ):
+        sweeps = self.attempt_poisoned(params_default, monkeypatch, extrapolated, last, field, bad)
+        assert sweeps == list(range(1, last + 1))
 
     def test_concurrent_runs_match_sequential_ones(self):
         # distinct runs share no mutable state: two runs on the same grid,
@@ -827,12 +905,12 @@ class TestStepGrowth:
         rejected = set()
         real_step = pde.step_predictor_corrector
 
-        def step(state, dt, params, previous=None):
+        def step(state, dt, params, prediction=None):
             attempts.append((state.t, dt))
             if (state.t, dt) in rejected or reject(attempts):
                 rejected.add((state.t, dt))
                 raise StepRejected("synthetic rejection")
-            return alter(real_step(state, dt, params, previous=previous))
+            return alter(real_step(state, dt, params, prediction=prediction))
 
         monkeypatch.setattr(pde, "step_predictor_corrector", step)
         return attempts
@@ -858,7 +936,7 @@ class TestStepGrowth:
 
     def test_zero_estimate_doubles_dt(self, params_default, monkeypatch):
         # states on a line in t, exact in binary, leave a zero estimate
-        def linear(state, dt, params, previous=None):
+        def linear(state, dt, params, prediction=None):
             return replace(state, t=state.t + dt, h=state.h + dt)
 
         monkeypatch.setattr(pde, "step_predictor_corrector", linear)
