@@ -652,20 +652,18 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     zeta_above_desc = zeta[above][::-1]
     _check_outer_top(c, params, zeta_above_desc)
 
-    eta_inner = beta * zeta[inner] + math.log(beta)
+    eta = beta * zeta + math.log(beta)
+    eta_inner = eta[inner]
     if eta_inner.size == 0:
         raise ValidationError("profile grid too coarse to place nodes inside the reaction zone")
     eta_lo = min(default_inner_span(c, params)[0], eta_inner[0] - 2.0)
     eta_grid = np.concatenate(([eta_lo], eta_inner))
     Phi = inner_Phi_ode(c, params, match.C, eta_grid)
     phi[inner] = phi_from_Phi(Phi[1:], params)
-    psi[inner] = inner_psi(eta_inner, c, match.C)
+    psi[~above] = inner_psi(eta[~above], c, match.C)
 
     phi[above] = _integrate_outer(c, params, zeta_above_desc)[::-1]
     psi[above] = _psi_from_invariant(phi[above], c, params)
-
-    eta_below = beta * zeta[below] + math.log(beta)
     phi[below] = phi_from_Phi(match.Phi_inf, params)
-    psi[below] = inner_psi(eta_below, c, match.C)
 
     return TravellingWaveProfile(zeta=zeta, phi=phi, psi=psi, region=region)

@@ -17,7 +17,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,17 +27,12 @@ from . import __version__, asymptotics, pde, verify
 from .core import BasinParams, RunConfig, resolution_nodes
 from .errors import SolverError, ValidationError
 
+# config and manifest keys: the settable fields of the types, with lam
+# written out as lambda
 PARAM_KEYS = {
-    "lambda": "lam",
-    "beta": "beta",
-    "m": "m",
-    "phi0": "phi0",
-    "psi0": "psi0",
-    "a0": "a0",
-    "zstar": "zstar",
-    "sdot": "sdot",
+    ("lambda" if f.name == "lam" else f.name): f.name for f in fields(BasinParams) if f.init
 }
-RUN_KEYS = ("n_nodes", "dt", "t_end", "h0", "output_every")
+RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
@@ -197,13 +192,13 @@ def cmd_verify(args, params, config, out_dir: Path) -> int:
     # a horizon with too few samples for the speed fit is refused before any solve
     pde.speed_window(pde.sample_bound(config))
     report = verify.residual_battery(params)
-    report.extend(verify.cross_validate_speed(params, config))
+    report.checks.extend(verify.cross_validate_speed(params, config).checks)
     table = ("report.csv", "report", ("check", "value", "tolerance", "pass"), report.rows())
     _record(out_dir, "verify", params, config, [table])
     print(report)
-    if not report.all_passed():
-        failed = ", ".join(c.name for c in report.failures())
-        print(f"verification failed: {failed}", file=sys.stderr)
+    failed = report.failures()
+    if failed:
+        print(f"verification failed: {', '.join(c.name for c in failed)}", file=sys.stderr)
         return 3
     return 0
 

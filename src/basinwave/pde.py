@@ -13,25 +13,30 @@ with R the clamped reaction kernel, a Robin condition phi_z - phi = 0 at
 the basement z = 0, Dirichlet data (phi0, psi0) in the fresh sediment at
 z = h(t), and dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) there.
 
-Time stepping is an implicit predictor/corrector with one kind of sweep:
-trapezoidal corrector sweeps re-evaluate coefficients, the reaction factor,
-and the boundary velocity at the average of the old and the predicted new
-state. The driver extrapolates the last two accepted states linearly and
-passes the line as the prediction, from which the stepper takes two sweeps;
-without one it holds the old fields, moves h by dt*hdot, and takes three.
-Every way a step attempt can fail raises StepRejected, and the driver alone
-decides the retry. The stiff reactant annihilation is Strang-split around
-the transport solve: half a step of its exact factor exp(-R dt/2),
-transport, and another half step, so psi stays non-negative for any dt and
-the splitting error is second order in dt.
+Time stepping, described here once. A step attempt makes trapezoidal
+corrector sweeps that re-evaluate the coefficients, the reaction factor and
+the boundary velocity at the average of the old and the predicted new
+state. The stiff reactant annihilation is Strang-split around the transport
+solve (half a step of its exact factor exp(-R dt/2), transport, another
+half step), so psi stays non-negative for any dt and the splitting error is
+second order. The driver owns the step history: for each (state, dt) it
+tries after the first step it draws the line through the last two accepted
+states once, and the attempt makes two sweeps from it. On the first step,
+and to retake a failed extrapolated attempt at the same dt (not a
+rejection), the attempt makes three sweeps from the held state (the old
+fields, h moved by dt*hdot).
 
-The driver starts at ``RunConfig.dt``. Nearly all of the time error is made
-in the start-up transient, so after every accepted step it grows the step
-by what a Milne-style error estimate (the distance of the accepted phi and
-h from the line the prediction was drawn on) allows, at most doubling it; a
-rejected step halves it. Each sample interval is stepped in the fewest
-equal steps no longer than the current dt, so steps land on every sample
-time and on t_end.
+Every failure raises StepRejected and the driver alone decides the retry:
+when the held-state attempt fails too, dt halves, and below 1/1024 of
+``RunConfig.dt`` the run has stalled and raises SolverError. Nearly all of
+the time error is made in the start-up transient, so the run starts at
+``RunConfig.dt`` and, after each accepted step that had a line, a
+Milne-style estimate e (the distance of the accepted phi and h from that
+line; psi is left out) sets dt to max(dt, f * dt_step) with
+f = min(2, sqrt(_DT_GROWTH_LIMIT / e)), or 2 at e = 0; the estimate never
+shrinks dt. No step crosses the next sample time or t_end: the rest of the
+interval is stepped in the fewest equal steps no longer than dt (beyond
+the sample slack), recounted every step.
 
 Each sweep solves A u = b per field, A = I - (dt/2) L, with L assembled at
 scale -dt/2 straight into the ``gtsv`` bands; the explicit half
@@ -407,26 +412,21 @@ def step_predictor_corrector(
     *,
     prediction: tuple[np.ndarray, float] | None = None,
 ) -> BasinState:
-    """Advance (phi, psi, h, t) by dt; returns the new state.
+    """One attempt to advance (phi, psi, h, t) by dt; returns the new state.
 
-    The trapezoidal corrector sweeps start from a predicted end state.
-    Given ``prediction``, the pair (phi, h) predicted at t + dt (the driver
-    passes the line :func:`_extrapolate` draws), the corrector makes
-    exactly _CORRECTOR_SWEEPS (2) sweeps from it. When ``prediction`` is
-    None the prediction is the held state (phi_n, psi_n, h_n + dt*hdot_n),
-    and the corrector makes exactly one sweep more (3). The stepper reads
-    no state but ``state``, and neither prediction predicts psi: the sweeps
-    start from psi_n. The sweeps share one :func:`_workspace`, which dies
-    with the attempt; the returned fields are fresh arrays. Only the last
-    sweep's update, against the sweep before it, is measured; the earlier
-    sweeps' fields only have to be finite.
+    The protocol is in the module docstring. ``prediction`` is the pair
+    (phi, h) predicted at t + dt, from which the corrector makes
+    _CORRECTOR_SWEEPS (2) sweeps; with None it makes one more from the held
+    state. Only ``state`` is read, and psi is never predicted. The returned
+    fields are fresh arrays. Only the last sweep's update, against the
+    sweep before it, is measured; earlier sweeps need only leave finite
+    fields.
 
-    One attempt, no retry: raises :class:`StepRejected` when a sweep cannot
-    be solved, the corrector leaves non-finite fields or a final relative
-    update that is not within _CORRECTOR_REJECT_LIMIT, or the step ends
-    with a non-positive porosity or a negative reactant; and
-    :class:`ValidationError` when the predicted phi has another node count
-    than ``state``.
+    No retry: raises :class:`StepRejected` when a sweep cannot be solved,
+    or the corrector leaves non-finite fields, a final relative update not
+    within _CORRECTOR_REJECT_LIMIT, a non-positive porosity or a negative
+    reactant; and :class:`ValidationError` when the predicted phi has
+    another node count than ``state``.
     """
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
     x = _grid(phi_n.size)
@@ -472,58 +472,41 @@ def step_predictor_corrector(
 
 
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
-    """March from the uniform initial column to t_end.
+    """March from the uniform initial column to t_end by the protocol of
+    the module docstring.
 
-    Samples (t, h, dh/dt) at every multiple of ``output_every``. ``config.dt``
-    is the start step. Every accepted step after the first has a
-    Milne-style estimate e (the distance of the accepted phi and h from the
-    line :func:`_extrapolate` draws), and after it dt becomes
-    max(dt, f * dt_step) with f = min(2, sqrt(_DT_GROWTH_LIMIT / e)), or
-    f = 2 when e = 0: the step grows once the start-up transient has passed,
-    at most doubling per step. The estimate only grows dt: a grown dt never
-    shrinks on a large estimate, only on a rejected step, so a late fast
-    phase keeps the grown dt unless the corrector rejects it. No step
-    crosses the next sample time or t_end: what is left of the interval to
-    it is stepped in the fewest equal steps no longer than dt (beyond the
-    sample slack), recounted on every step so that growth or a rejection
-    part-way re-splits the rest, and the run ends on t_end.
-
-    The driver owns the step history: for each (state, dt) it tries after
-    the first step it draws the line through the two last accepted states
-    once, as the stepper's prediction and the estimate's reference. Each
-    :class:`StepRejected` is handled here: a failed extrapolated attempt is
-    retaken once at the same dt from the held state, which is not a
-    rejection; when that fails too, dt halves. A step that would fall below
-    ``config.dt``/1024 raises :class:`SolverError` naming the time and the
-    last reason, since a run forced that far down has stalled rather than
-    slowed; so does a column whose advection coefficient hdot/(2 h dx) is
-    not finite at t = 0.
-
-    A single run is strictly sequential; distinct runs share no mutable
-    state and may execute in parallel.
+    Samples (t, h, dh/dt) at t = 0 and every multiple of ``output_every``,
+    ending on t_end. The run records each accepted dt and each Milne
+    estimate; :class:`RunStats` holds their count, the rejections, the
+    smallest and largest dt, and the largest estimate (0 without any).
+    With psi0 > 0 it warns once (``UserWarning``) at the first step where
+    the column is deeper than zstar and :func:`core.layer_nodes` asks for
+    more nodes than it has. Raises :class:`SolverError` when dt collapses,
+    naming the time and the last reason, or when the advection coefficient
+    hdot/(2 h dx) is not finite at t = 0. A single run is strictly
+    sequential; distinct runs share no mutable state and may execute in
+    parallel.
     """
     state = initial_state(params, config)
-    dx = 1.0 / (config.n_nodes - 1)
-    ts = [state.t]
-    hs = [state.h]
-    hds = [hdot(state.phi, state.h, params)]
-    if not math.isfinite(float(hds[0]) / (2.0 * state.h * dx)):
+    samples = [(state.t, state.h, hdot(state.phi, state.h, params))]
+    if not math.isfinite(samples[0][2] / (2.0 * state.h / (config.n_nodes - 1))):
         raise SolverError(
-            f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {hds[0]:.3g})"
+            f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
         )
 
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-10
-    estimate_max = 0.0
     end = config.t_end * (1.0 - _HORIZON_SLACK)
     landing_slack = _SAMPLE_SLACK * config.output_every
-    resolution_warned = False
-    accepted = rejected = 0
-    dt_min, dt_max = math.inf, 0.0
+    # the resolution warning fires once, the first time the layer is in the
+    # column and needs more nodes than the run has
+    warn_above = params.zstar if params.psi0 > 0.0 else math.inf
+    steps, estimates = [], []
+    rejected = 0
 
     previous = None
     while state.t < end:
-        gap = min(len(ts) * config.output_every, config.t_end) - state.t
+        gap = min(len(samples) * config.output_every, config.t_end) - state.t
         # max(): a gap inside landing_slack, left where a sample falls just
         # below t_end, is taken as one sliver step
         dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
@@ -552,41 +535,30 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             # without any reactant
             phi_line, h_line = line
             estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
-            estimate_max = max(estimate_max, estimate)
+            estimates.append(estimate)
             # the estimate scales as dt^2: grow dt so the next one is
             # predicted at the limit, at most doubling it; never shrink it
             growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
             dt_cur = max(dt_cur, growth * dt_step)
         previous, state = state, stepped
-        accepted += 1
-        dt_min, dt_max = min(dt_min, dt_step), max(dt_max, dt_step)
+        steps.append(dt_step)
 
-        if (
-            not resolution_warned
-            and params.psi0 > 0.0
-            and state.h > params.zstar
-            and config.n_nodes < layer_nodes(params, state.h)
-        ):
+        if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
             warnings.warn(
                 f"reaction layer under-resolved at t = {state.t:.4g}: "
                 f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
                 UserWarning,
                 stacklevel=2,
             )
-            resolution_warned = True
+            warn_above = math.inf
 
-        if state.t >= len(ts) * config.output_every - landing_slack:
-            ts.append(state.t)
-            hs.append(state.h)
-            hds.append(hdot(state.phi, state.h, params))
+        if state.t >= len(samples) * config.output_every - landing_slack:
+            samples.append((state.t, state.h, hdot(state.phi, state.h, params)))
 
-    return TimeSeries(
-        t=np.array(ts),
-        h=np.array(hs),
-        hdot=np.array(hds),
-        final_state=state,
-        stats=RunStats(accepted, rejected, dt_min, dt_max, estimate_max),
-    )
+    # copied so that each field is a contiguous array
+    t, h, rate = np.array(samples).T.copy()
+    stats = RunStats(len(steps), rejected, min(steps), max(steps), max(estimates, default=0.0))
+    return TimeSeries(t=t, h=h, hdot=rate, final_state=state, stats=stats)
 
 
 def sample_bound(config: RunConfig) -> int:

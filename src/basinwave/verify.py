@@ -55,12 +55,6 @@ class VerificationReport:
             )
         )
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
-    def all_passed(self) -> bool:
-        return not self.failures()
-
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.tier == "primary" and not c.passed]
 

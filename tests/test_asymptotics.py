@@ -445,6 +445,15 @@ class TestSolveC:
             root = mp.findroot(defect, (mpf("0.1"), mpf("0.5")))
         assert float(root) == frozen
 
+    def test_fixed_point_refuses_a_non_positive_denominator(self, params_default):
+        with pytest.raises(SolverError, match=r"denominator went non-positive at c = 0\.362673$"):
+            asym._fixed_point_speed(params_default, lambda c: -1.0)
+
+    def test_fixed_point_refuses_a_cycle(self, params_default):
+        # the iteration jumps between 0.5 and 1/6 for ever
+        with pytest.raises(SolverError, match="did not converge in 200 steps"):
+            asym._fixed_point_speed(params_default, lambda c: 1.0 if c < 0.3 else 1.5 / c)
+
     def test_consistent_variant_honors_conservation_floor(self, params_default, params_pure):
         for p in (params_default, params_pure):
             mc = asym.solve_c_consistent(p)
@@ -467,6 +476,19 @@ class TestWaveProfile:
         match, _ = profile
         with pytest.raises(ValidationError, match="profile needs zstar > 0"):
             asym.build_wave_profile(match, derive_params(zstar=0.0))
+
+    def test_no_node_inside_the_zone_is_refused(self):
+        # for beta < 1 the seam 10 ln(beta)/beta is negative, so the zone
+        # holds no node of the profile grid
+        with pytest.warns(UserWarning, match="beta = 0.5 is below"):
+            p = derive_params(beta=0.5)
+        c = 0.7
+        match = asym.MatchResult(
+            c=c, Phi_inf=asym.phi_infinity(c, p), C=asym.inner_C(c, p),
+            residual=0.0, iterations=0, c_fixed_point=c,
+        )
+        with pytest.raises(ValidationError, match="profile grid too coarse"):
+            asym.build_wave_profile(match, p)
 
     def test_inner_failure_wins_where_both_regions_fail(self, monkeypatch):
         # a box point whose primary root leaves the outer range only past the

@@ -21,13 +21,13 @@ def short_config():
 class TestResidualBattery:
     def test_defaults_all_pass(self, params_default):
         report = verify.residual_battery(params_default)
-        assert report.all_passed(), str(report)
+        assert not report.failures(), str(report)
 
     def test_reaction_free_jump_is_exactly_zero(self, params_pure):
         report = verify.residual_battery(params_pure)
         jump = {c.name: c for c in report.checks}["jump_condition_defect"]
         assert jump.value == 0.0
-        assert report.all_passed(), str(report)
+        assert not report.failures(), str(report)
 
     def test_perturbed_speed_breaks_matching(self, params_default):
         c = asym.solve_c(params_default).c
@@ -138,7 +138,7 @@ class TestReportType:
         report.add("bad_check", 3.0, 2.0, False)
         report.add("fyi", 0.0, np.inf, False, tier="info")
         assert report.rows()[0] == ("ok_check", 1.0, 2.0, True)
-        assert not report.all_passed()
+        assert report.failures()
         assert [c.name for c in report.failures()] == ["bad_check"]
         text = str(report)
         assert "FAIL" in text and "ok_check" in text
