@@ -141,11 +141,13 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     RK45: the Hairer-Norsett-Wanner first step, error scaled by
     atol + max(|y|, |y_new|) rtol, step factors within [0.2, 10], no growth
     right after a rejection, and the last step clipped to t_eval[-1]. Each
-    accepted step is recorded and the quartic interpolant is evaluated for
-    all nodes in one pass at the end. A step that shrinks below 10 ulp of t
-    (as it does once the right-hand side turns NaN) raises SolverError; a
-    grid of fewer than two nodes, with a non-finite node or not strictly
-    monotone raises ValidationError.
+    accepted step appends its ten floats (the seven stage slopes, t, y and
+    h) to one flat list, turned into a (steps, 10) array once at the end,
+    where the quartic interpolant is evaluated for all nodes in one pass;
+    so the steps depend on t_eval only through its ends. A step that
+    shrinks below 10 ulp of t (as it does once the right-hand side turns
+    NaN) raises SolverError; a grid of fewer than two nodes, with a
+    non-finite node or not strictly monotone raises ValidationError.
     """
     if t_eval.size < 2:
         raise ValidationError(f"{label} grid needs at least two nodes, got {t_eval.size}")
@@ -213,10 +215,10 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
             factor = safety * error_norm ** exponent
             h_abs *= factor if factor > min_factor else min_factor
             rejected = True
-        records.append((f, k1, k2, k3, k4, k5, f_new, t, y, h))
+        records += (f, k1, k2, k3, k4, k5, f_new, t, y, h)
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
 
-    records = np.array(records)
+    records = np.array(records, dtype=float).reshape(-1, 10)
     starts = records[:, 7]
     ends = np.append(starts[1:], t)
     # node -> first step whose end reaches it, as solve_ivp assigns t_eval
@@ -314,10 +316,22 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     puts it above phi0 at every node below zstar, a ProfileRangeError raised
     before any step where the first interval shows it (:func:`_check_outer_top`).
     """
+    return _outer_profile(c, params, _outer_grid(c, params))
+
+
+def _outer_grid(c: float, params: BasinParams) -> np.ndarray:
+    """The descending output nodes of :func:`solve_outer`, returned once
+    zstar > 0, c and the top slope pass their checks."""
     if params.zstar <= 0.0:
         raise ValidationError("outer region is empty: zstar must be positive")
     zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
     _check_outer_top(c, params, zeta_desc)
+    return zeta_desc
+
+
+def _outer_profile(c: float, params: BasinParams, zeta_desc: np.ndarray) -> OuterProfile:
+    """The integration of :func:`solve_outer` onto the checked nodes of
+    :func:`_outer_grid`."""
     phi_desc = _integrate_outer(c, params, zeta_desc)
     zeta = zeta_desc[::-1].copy()
     phi = phi_desc[::-1].copy()
@@ -646,7 +660,6 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     above = zeta > delta
     below = zeta < -delta
     inner = ~(above | below)
-    region = np.where(above, "outer-above", np.where(below, "below", "inner"))
 
     phi, psi = np.empty(n), np.empty(n)
     zeta_above_desc = zeta[above][::-1]
@@ -666,4 +679,5 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     psi[above] = _psi_from_invariant(phi[above], c, params)
     phi[below] = phi_from_Phi(match.Phi_inf, params)
 
+    region = np.where(above, "outer-above", np.where(below, "below", "inner"))
     return TravellingWaveProfile(zeta=zeta, phi=phi, psi=psi, region=region)

@@ -10,6 +10,11 @@ are reported for visibility only. ``speed_solver_agreement`` restates the
 ``outer_flux_invariant`` checks the first-integral inversion at the
 integrated nodes: a finite-difference slope of the same profile misses it
 by 6.9e-6 at the primary root and 6.8e-7 at the consistent one (defaults).
+
+``residual_battery`` raises the first failure it meets, cheapest first as
+``asymptotics.build_wave_profile`` does: where the outer region and the
+inner layer both fail, the inner error wins unless the outer top slope
+decides it.
 """
 
 from __future__ import annotations
@@ -113,7 +118,16 @@ def matching_defect(c: float, params: BasinParams) -> float:
 
 def residual_battery(params: BasinParams) -> VerificationReport:
     """Exact-solution residuals, first-integral scan, jump defect, and
-    solver cross-agreement, each at its stated tolerance."""
+    solver cross-agreement, each at its stated tolerance.
+
+    Failures are decided cheapest first, as in
+    :func:`asymptotics.build_wave_profile`: after the primary speed and the
+    reactant scan come the outer grid's checks (zstar > 0, then the top
+    slope), the jump defect's inner integration, the two sdot-variant speed
+    solves, and only then the outer integration. Where the outer region and
+    the inner layer both fail, the inner error wins unless the top slope
+    decides it. The rows keep their order whatever the order of the work.
+    """
     report = VerificationReport()
 
     r = below_zone_pde_residual(params)
@@ -125,14 +139,21 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     r = inner_psi_ode_residual(c, params)
     report.add("inner_psi_ode_residual", r, 1e-6, r <= 1e-6)
 
-    outer = asymptotics.solve_outer(c, params)
+    zeta_desc = asymptotics._outer_grid(c, params)
+    jump = abs(asymptotics.jump_residual(c, params))
+    speeds = [
+        asymptotics.solve_c(replace(params, sdot=0.5 * params.sdot)).c,
+        c,
+        asymptotics.solve_c(replace(params, sdot=2.0 * params.sdot)).c,
+    ]
+    outer = asymptotics._outer_profile(c, params, zeta_desc)
+
     invariant = c * outer.phi + asymptotics.outer_flux_invariant(outer.phi, outer.phi_zeta, params)
     expected = c * params.phi0 + (c - params.sdot) * (1.0 - params.phi0)
     r = float(np.max(np.abs(invariant - expected)))
     report.add("outer_flux_invariant", r, 1e-8, r <= 1e-8)
 
-    r = abs(asymptotics.jump_residual(c, params))
-    report.add("jump_condition_defect", r, 1e-6, r <= 1e-6)
+    report.add("jump_condition_defect", jump, 1e-6, jump <= 1e-6)
 
     r = abs(matching_defect(c, params))
     report.add("matching_defect", r, 1e-9, r <= 1e-9)
@@ -141,11 +162,6 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     agreement = 10.0 * asymptotics._ROOT_TOL
     report.add("speed_solver_agreement", r, agreement, r <= agreement)
 
-    speeds = [
-        asymptotics.solve_c(replace(params, sdot=0.5 * params.sdot)).c,
-        c,
-        asymptotics.solve_c(replace(params, sdot=2.0 * params.sdot)).c,
-    ]
     min_gain = min(np.diff(speeds))
     report.add(
         "monotone_sdot_response", min_gain, 0.0, min_gain > 0.0,

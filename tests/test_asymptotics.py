@@ -604,6 +604,23 @@ class TestRk45:
         monkeypatch.setattr(asym, "_rk45", _solve_ivp_rk45)
         assert _agree(got, asym.inner_Phi_ode(c, p, C, eta), 1e-12)
 
+    @pytest.mark.parametrize("solver", [asym.solve_c, asym.solve_c_consistent],
+                             ids=["primary", "consistent"])
+    def test_steps_depend_on_the_grid_only_through_its_ends(self, params_default, solver):
+        # a node shared by a 3-node and a 400-node grid with the same ends
+        # gets the same bits from both, in both regional integrations
+        p = params_default
+        c = solver(p).c
+        C = asym.inner_C(c, p)
+        shared = [0, 199, 399]
+        for integrate, grid in (
+            (lambda nodes: asym._integrate_outer(c, p, nodes),
+             np.linspace(p.zstar, p.zstar * 1e-6, 400)),
+            (lambda nodes: asym.inner_Phi_ode(c, p, C, nodes),
+             np.linspace(*asym.default_inner_span(c, p), 400)),
+        ):
+            assert np.array_equal(integrate(grid)[shared], integrate(grid[shared]))
+
     def test_nan_rhs_fails_like_solve_ivp(self, params_default, monkeypatch):
         def rhs(t, y):
             return -y if t < 0.5 else math.nan

@@ -8,7 +8,7 @@ from hypothesis import given
 from basinwave import asymptotics as asym
 from basinwave import verify
 from basinwave.core import RunConfig, derive_params
-from basinwave.errors import BasinwaveError
+from basinwave.errors import BasinwaveError, ProfileRangeError, StiffProfileError, ValidationError
 from conftest import below_zone_pde_residual_loop, box_params, inner_psi_ode_residual_loop
 
 
@@ -52,6 +52,64 @@ class TestResidualBattery:
         # the supplied sdot and the halved and doubled sdot of the monotonicity check
         assert sorted(sdots) == [0.5, 1.0, 2.0]
 
+    def test_top_slope_decides_before_the_jump_check(self, monkeypatch):
+        # a pool point whose primary root fails both the outer top slope and
+        # the inner layer: the slope is checked first, so its error is raised
+        p = derive_params(
+            m=9, beta=15.058087721935717, phi0=0.44462661738501036,
+            psi0=0.16698244848259464, sdot=1.1616077354088694,
+        )
+        c = asym.solve_c(p).c
+        with pytest.raises(StiffProfileError):
+            asym.jump_residual(c, p)
+        monkeypatch.setattr(asym, "jump_residual", _unreachable("jump_residual"))
+        with pytest.raises(ProfileRangeError):
+            verify.residual_battery(p)
+
+    def test_inner_failure_is_raised_before_the_speed_variants_and_outer_integration(
+        self, monkeypatch
+    ):
+        p = derive_params(
+            m=16, beta=24.6239679051183, phi0=0.41742298540882894,
+            psi0=0.21918830092845504, sdot=0.9629120785388258,
+        )
+        real_solve = asym.solve_c
+
+        def primary_only(params):
+            if params.sdot != p.sdot:
+                raise AssertionError("solved an sdot variant before the jump check")
+            return real_solve(params)
+
+        monkeypatch.setattr(asym, "solve_c", primary_only)
+        monkeypatch.setattr(asym, "_integrate_outer", _unreachable("_integrate_outer"))
+        with pytest.raises(StiffProfileError, match="inner log-porosity underflowed"):
+            verify.residual_battery(p)
+
+    def test_inner_failure_wins_where_both_regions_fail(self):
+        # pool point 878: the primary root's outer profile leaves the range
+        # only past the first interval, and the jump check's upward inner
+        # integration overflows at eta = 14.2, so the battery raises the inner
+        # error. The primary-root profile still raises the outer one: its
+        # inner grid stops at the seam, eta = 13.2, below the overflow.
+        p = derive_params(
+            m=7, beta=22.417648150621368, phi0=0.30220931209589,
+            psi0=0.31667525661340473, sdot=0.7797556939781252,
+        )
+        match = asym.solve_c(p)
+        with pytest.raises(ProfileRangeError):
+            asym.solve_outer(match.c, p)
+        with pytest.raises(StiffProfileError, match="inner log-porosity overflowed"):
+            verify.residual_battery(p)
+        with pytest.raises(ProfileRangeError):
+            asym.build_wave_profile(match, p)
+
+    def test_empty_outer_region_is_refused_first(self, monkeypatch):
+        monkeypatch.setattr(asym, "jump_residual", _unreachable("jump_residual"))
+        # without reactant; with it, solve_c refuses zstar = 0 first (beta
+        # zstar small puts both ends of its bracket on one side)
+        with pytest.raises(ValidationError, match="outer region is empty"):
+            verify.residual_battery(derive_params(zstar=0.0, psi0=0.0))
+
     @given(box_params())
     def test_failures_are_typed_across_box(self, params):
         # a profile at either root and the battery return or raise a package
@@ -63,6 +121,13 @@ class TestResidualBattery:
         for call, *args in calls:
             with contextlib.suppress(BasinwaveError):
                 call(*args)
+
+
+def _unreachable(name):
+    def fail(*args):
+        raise AssertionError(f"called {name}")
+
+    return fail
 
 
 def _battery_check(params, name):

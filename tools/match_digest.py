@@ -17,6 +17,11 @@ list, or its error, then ``solve_outer``'s four arrays, or its error.
 Last, per point, it is fed ``repr(residual_battery(params).checks)``, or
 its error.
 
+Before the digest it prints one line per operation and outcome, with its
+count over the pool: "result" or the error's type. The profile and outer
+operations are named with the root they ran at. A change that is meant to
+move some outcomes shows which ones here, where the digest only differs.
+
 Run from the repository root: ``PYTHONPATH=src python tools/match_digest.py``.
 It takes about 7 s on two cores.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 
 from basinwave import asymptotics
@@ -36,14 +42,16 @@ from basinwave.verify import residual_battery
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
-def _feed(sha, fn, *args, encode):
-    """Feed ``encode(fn(*args))``, or the package error it raises, and
-    return the result, or None on an error."""
+def _feed(sha, outcomes, operation, fn, *args, encode):
+    """Feed ``encode(fn(*args))``, or the package error it raises, count the
+    outcome under ``operation``, and return the result, or None on an error."""
     try:
         result = fn(*args)
     except BasinwaveError as exc:
         sha.update(f"{type(exc).__name__}: {exc}".encode())
+        outcomes[operation, type(exc).__name__] += 1
         return None
+    outcomes[operation, "result"] += 1
     for chunk in encode(result):
         sha.update(chunk)
     return result
@@ -58,21 +66,30 @@ def _outer_bytes(outer):
     yield from (outer.zeta.tobytes(), outer.phi.tobytes(), outer.psi.tobytes(), outer.phi_zeta.tobytes())
 
 
-def digest() -> str:
+def digest() -> tuple[str, Counter]:
+    """The SHA-256 and the count of each (operation, outcome) pair."""
     sha = hashlib.sha256()
+    outcomes = Counter()
     for point in json.loads(REFERENCE.read_text())["match_box"]:
         with warnings.catch_warnings():
             # points with a small beta warn that the thin-zone analysis is stretched
             warnings.simplefilter("ignore", UserWarning)
             params = derive_params(**point["params"])
             for solve in (asymptotics.solve_c, asymptotics.solve_c_consistent):
-                match = _feed(sha, solve, params, encode=lambda m: [repr(m).encode()])
+                root = solve.__name__
+                match = _feed(sha, outcomes, root, solve, params, encode=lambda m: [repr(m).encode()])
                 if match is not None:
-                    _feed(sha, asymptotics.build_wave_profile, match, params, encode=_profile_bytes)
-                    _feed(sha, asymptotics.solve_outer, match.c, params, encode=_outer_bytes)
-            _feed(sha, residual_battery, params, encode=lambda report: [repr(report.checks).encode()])
-    return sha.hexdigest()
+                    _feed(sha, outcomes, f"build_wave_profile at {root}",
+                          asymptotics.build_wave_profile, match, params, encode=_profile_bytes)
+                    _feed(sha, outcomes, f"solve_outer at {root}",
+                          asymptotics.solve_outer, match.c, params, encode=_outer_bytes)
+            _feed(sha, outcomes, "residual_battery", residual_battery, params,
+                  encode=lambda report: [repr(report.checks).encode()])
+    return sha.hexdigest(), outcomes
 
 
 if __name__ == "__main__":
-    print(digest())
+    hexdigest, outcomes = digest()
+    for (operation, outcome), count in sorted(outcomes.items()):
+        print(f"{operation}: {outcome} x{count}")
+    print(hexdigest)
