@@ -257,6 +257,53 @@ def _outer_rhs(c: float, params: BasinParams):
     return rhs
 
 
+def _outer_tail(c: float, params: BasinParams):
+    """``(phi_f, rhs)``: the zero phi_f < phi0 of F that the outer porosity
+    decays onto, and du/dzeta in u = ln(phi - phi_f) as ``rhs(zeta, u)``;
+    None where phi does not fall onto such a zero (no plateau).
+
+    F = (phi0/phi)^m G/lam with the convex G(phi) = lam phi^(m+1)/phi0^m
+    + c phi0 + (c - sdot)(1 - phi0) - c phi, so Newton on G from phi0 falls
+    monotonically onto phi_f, or passes the minimum of G, or zero, where
+    there is none. With r = e^u/phi_f, taken from u and never from
+    phi - phi_f, G(phi_f) = 0 gives du/dzeta = F(phi)/(phi - phi_f) =
+    1 - expm1(-m log1p(r))/r - (c/lam)(phi0/phi)^m, which tends to F'(phi_f)
+    as r -> 0: the tail is a straight line, and its steps grow unbounded.
+    """
+    phi0, m, lam = params.phi0, params.m, params.lam
+    a = c * phi0 + (c - params.sdot) * (1.0 - phi0)
+    phi_f = phi0
+    while True:
+        ratio = lam * (phi_f / phi0) ** m
+        g = phi_f * (ratio - c) + a
+        if not g > 0.0:
+            break  # on the zero, to rounding
+        slope = (m + 1) * ratio - c
+        below = phi_f - g / slope if slope > 0.0 else 0.0
+        if not below > 0.0:
+            return None  # past the minimum of G, or past zero
+        if not below < phi_f:
+            break
+        phi_f = below
+    if phi_f == phi0:
+        return None  # F(phi0) <= 0 to rounding: phi does not fall
+    log_ratio = math.log(phi0 / phi_f)
+    c_lam = c / lam
+    log1p, expm1, exp = math.log1p, math.expm1, math.exp
+
+    def rhs(_zeta, u):
+        r = exp(u) / phi_f
+        log_phi = log1p(r)  # ln(phi/phi_f)
+        # m ln(phi0/phi), guarded against overflow as in _outer_rhs
+        arg = m * (log_ratio - log_phi)
+        if arg > _POW_OVERFLOW_LIMIT:
+            raise _permeability_overflow(phi_f * (1.0 + r), arg)
+        # (1 - (phi_f/phi)^m)/r, which is m once r underflows
+        return 1.0 + (-expm1(-m * log_phi) / r if r else m) - c_lam * exp(arg)
+
+    return phi_f, rhs
+
+
 def outer_flux_invariant(phi, phi_zeta, params: BasinParams):
     """c-free part of the first integral: lam (phi/phi0)^m (phi_zeta - phi),
     combined with c*phi by the caller. Kept separate so checks do not reuse
@@ -297,10 +344,22 @@ def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np
     caller has run :func:`_check_outer_top`.
 
     Downward is the stable direction: the (phi0/phi)^m factor grows as phi
-    decreases, so stiffness is met where the solution matters least.
+    decreases, so stiffness is met where the solution matters least. Where
+    phi decays onto a zero phi_f of F it is integrated as u = ln(phi - phi_f)
+    (:func:`_outer_tail`), whose plateau is a straight line: under 400
+    right-hand-side calls at any zstar, where phi's steps sat at
+    Dormand-Prince's stability bound. Elsewhere there is no plateau, and phi
+    itself is integrated.
     """
-    rhs = _outer_rhs(c, params)
-    phi = _rk45(rhs, params.phi0, zeta_desc, rtol=1e-11, atol=1e-13, label="outer profile")
+    tail = _outer_tail(c, params)
+    if tail is None:
+        phi = _rk45(_outer_rhs(c, params), params.phi0, zeta_desc, rtol=1e-11, atol=1e-13,
+                    label="outer profile")
+    else:
+        phi_f, rhs = tail
+        u = _rk45(rhs, math.log(params.phi0 - phi_f), zeta_desc, rtol=1e-11, atol=1e-13,
+                  label="outer profile")
+        phi = phi_f + np.exp(u)
     if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
         raise ProfileRangeError(_OUTER_RANGE)
     return phi
@@ -310,7 +369,9 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     """Outer-region profile on (0, zstar], top-down adaptive integration.
 
     Porosity is integrated with an adaptive 4th/5th-order method from
-    phi(zstar) = phi0; the reactant and the slope phi_zeta (the formula of
+    phi(zstar) = phi0, in u = ln(phi - phi_f) where it decays onto a zero
+    phi_f of F (:func:`_integrate_outer`), in under 400 right-hand-side calls
+    at any zstar; the reactant and the slope phi_zeta (the formula of
     :func:`_outer_rhs`) are evaluated on all 400 output nodes at once. As
     phi' = F(phi) is autonomous and scalar, phi is monotone: F(phi0) < 0
     puts it above phi0 at every node below zstar, a ProfileRangeError raised

@@ -10,6 +10,9 @@ are reported for visibility only. ``speed_solver_agreement`` restates the
 ``outer_flux_invariant`` checks the first-integral inversion at the
 integrated nodes: a finite-difference slope of the same profile misses it
 by 6.9e-6 at the primary root and 6.8e-7 at the consistent one (defaults).
+``monotone_sdot_response`` reports dc/dsdot at the primary root from the
+implicit function theorem, in closed form, so no speed is solved at another
+sdot.
 
 ``residual_battery`` raises the first failure it meets, cheapest first as
 ``asymptotics.build_wave_profile`` does: where the outer region and the
@@ -20,7 +23,7 @@ decides it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,17 +119,34 @@ def matching_defect(c: float, params: BasinParams) -> float:
     return lhs - rhs
 
 
+def sdot_response(c: float, params: BasinParams) -> float:
+    """dc/dsdot = (1 - phi0)/(d(c D)/dc) at a root c of the primary matching
+    equation c D(c) = sdot (1 - phi0) (implicit function theorem), with
+    d(c D)/dc = 1 - phistar ln(c/lam) + a0 C(c) (1 - e^(-eta_top)/c)/A;
+    NaN where that derivative vanishes."""
+    decay = math.exp(-(params.beta * params.zstar + math.log(params.beta)))
+    slope = (
+        1.0
+        - params.phistar * asymptotics.phi_infinity(c, params)
+        + params.a0 * asymptotics.inner_C(c, params) * (1.0 - decay / c) / params.A
+    )
+    return (1.0 - params.phi0) / slope if slope else math.nan
+
+
 def residual_battery(params: BasinParams) -> VerificationReport:
     """Exact-solution residuals, first-integral scan, jump defect, and
     solver cross-agreement, each at its stated tolerance.
 
+    ``monotone_sdot_response`` is :func:`sdot_response` at the primary
+    root, which must be positive: no speed is solved at another sdot.
+
     Failures are decided cheapest first, as in
     :func:`asymptotics.build_wave_profile`: after the primary speed and the
     reactant scan come the outer grid's checks (zstar > 0, then the top
-    slope), the jump defect's inner integration, the two sdot-variant speed
-    solves, and only then the outer integration. Where the outer region and
-    the inner layer both fail, the inner error wins unless the top slope
-    decides it. The rows keep their order whatever the order of the work.
+    slope), the jump defect's inner integration, and only then the outer
+    integration. Where the outer region and the inner layer both fail, the
+    inner error wins unless the top slope decides it. The rows keep their
+    order whatever the order of the work.
     """
     report = VerificationReport()
 
@@ -141,11 +161,6 @@ def residual_battery(params: BasinParams) -> VerificationReport:
 
     zeta_desc = asymptotics._outer_grid(c, params)
     jump = abs(asymptotics.jump_residual(c, params))
-    speeds = [
-        asymptotics.solve_c(replace(params, sdot=0.5 * params.sdot)).c,
-        c,
-        asymptotics.solve_c(replace(params, sdot=2.0 * params.sdot)).c,
-    ]
     outer = asymptotics._outer_profile(c, params, zeta_desc)
 
     invariant = c * outer.phi + asymptotics.outer_flux_invariant(outer.phi, outer.phi_zeta, params)
@@ -162,10 +177,10 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     agreement = 10.0 * asymptotics._ROOT_TOL
     report.add("speed_solver_agreement", r, agreement, r <= agreement)
 
-    min_gain = min(np.diff(speeds))
+    gain = sdot_response(c, params)
     report.add(
-        "monotone_sdot_response", min_gain, 0.0, min_gain > 0.0,
-        note="c must increase strictly with sdot",
+        "monotone_sdot_response", gain, 0.0, gain > 0.0,
+        note="dc/dsdot at the root must be positive",
     )
 
     mc = asymptotics.solve_c_consistent(params)

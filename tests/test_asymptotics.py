@@ -173,6 +173,118 @@ class TestSolveOuter:
         with pytest.raises(SingularProfileError):
             asym.solve_outer(5e-16, p)
 
+    @pytest.mark.parametrize("solver", [asym.solve_c, asym.solve_c_consistent],
+                             ids=["primary", "consistent"])
+    def test_plateau_costs_a_bounded_number_of_calls(self, solver, monkeypatch):
+        # at zstar = 1e5 phi is on its plateau, where phi_f + e^u rounds to
+        # phi_f, below the top ~5 of the region; integrated in phi, DP5's
+        # stability bound took 1.6M (primary) and 0.87M (consistent) calls
+        p = derive_params(zstar=1e5)
+        c = solver(p).c
+        calls = []
+
+        def counted(rhs):
+            def rhs_counted(zeta, y):
+                calls.append(zeta)
+                assert len(calls) < 10_000
+                return rhs(zeta, y)
+
+            return rhs_counted
+
+        real_rhs, real_tail = asym._outer_rhs, asym._outer_tail
+
+        def counted_tail(c, params):
+            phi_f, rhs = real_tail(c, params)
+            return phi_f, counted(rhs)
+
+        monkeypatch.setattr(asym, "_outer_rhs", lambda c, params: counted(real_rhs(c, params)))
+        monkeypatch.setattr(asym, "_outer_tail", counted_tail)
+        outer = asym.solve_outer(c, p)
+        assert len(calls) <= 400
+        assert outer.phi[0] == outer.phi[1] < p.phi0
+
+    @pytest.mark.parametrize("zstar", [1.0, 100.0, 1e5])
+    @pytest.mark.parametrize("solver", [asym.solve_c, asym.solve_c_consistent],
+                             ids=["primary", "consistent"])
+    def test_matches_a_30_digit_quadrature_oracle(self, solver, zstar):
+        p = derive_params(zstar=zstar)
+        c = solver(p).c
+        outer = asym.solve_outer(c, p)
+        # nodes 1, 50, 199 and 399 below the top, deepest last
+        nodes = [398, 349, 200, 0]
+        expected = _outer_oracle(c, p, outer.zeta[nodes])
+        assert np.max(np.abs(outer.phi[nodes] - expected) / expected) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "point, solver, outcome",
+        [
+            # pool point 122 at the consistent root: F has no zero below
+            # phi0, so phi has no plateau, and the profile returns
+            (dict(m=19, beta=32.69293339440707, phi0=0.5395480021105685,
+                  psi0=0.0013017247276970957, sdot=1.3612919618928756),
+             asym.solve_c_consistent, asym.OuterProfile),
+            # pool point 878 at the primary root: no zero of F either, and phi
+            # leaves the range
+            (dict(m=7, beta=22.417648150621368, phi0=0.30220931209589,
+                  psi0=0.31667525661340473, sdot=0.7797556939781252),
+             asym.solve_c, ProfileRangeError),
+        ],
+        ids=["point-122-consistent", "point-878-primary"],
+    )
+    def test_without_a_plateau_phi_itself_is_integrated(self, point, solver, outcome):
+        p = derive_params(**point)
+        c = solver(p).c
+        assert asym._outer_tail(c, p) is None
+        got = _outcome(asym.solve_outer, c, p)
+        assert got is outcome or isinstance(got, outcome)
+
+
+def _outer_oracle(c, params, zeta):
+    """phi at the nodes ``zeta`` from the 30-digit inversion of
+    zeta(phi) = zstar - int_phi^phi0 dphi'/F(phi'), with F written out in
+    mpmath and no package code.
+
+    The zero phi_f of F is bracketed by the minimum of the convex
+    G = lam (phi/phi0)^m F and phi0. In phi' = phi_f + e^v the integrand is
+    bounded, and depth(v) = zstar - zeta is one quadrature from v to
+    v0 = ln(phi0 - phi_f); Newton on v inverts it. A node deeper than
+    v = -36 (phi - phi_f < 2.3e-16) gets phi_f, which is phi to double
+    precision.
+    """
+    from mpmath import exp, log, mp, mpf
+
+    with mp.workdps(30):
+        phi0, m, lam = mpf(params.phi0), mpf(params.m), mpf(params.lam)
+        c, zstar = mpf(c), mpf(params.zstar)
+        a = c * phi0 + (c - mpf(params.sdot)) * (1 - phi0)
+
+        def F(phi):
+            return phi + (a - c * phi) * (phi0 / phi) ** m / lam
+
+        phi_min = phi0 * (c / ((m + 1) * lam)) ** (1 / m)
+        phi_f = mp.findroot(lambda phi: lam * (phi / phi0) ** m * F(phi), (phi_min, phi0),
+                            solver="anderson")
+        v0 = log(phi0 - phi_f)
+
+        def dzeta_dv(v):
+            return exp(v) / F(phi_f + exp(v))
+
+        def depth(v):
+            return mp.quad(dzeta_dv, [v, v0])
+
+        v_deep = mpf(-36)
+        deepest = depth(v_deep)
+        phi = []
+        for node in zeta:
+            target = zstar - mpf(node)
+            if target >= deepest:
+                phi.append(phi_f)
+                continue
+            v = mp.findroot(lambda v: depth(v) - target, v_deep / 2, solver="newton",
+                            df=lambda v: -dzeta_dv(v))
+            phi.append(phi_f + exp(v))
+        return np.array([float(x) for x in phi])
+
 
 class TestBelowZone:
     def test_origin_value(self, params_default):
@@ -630,15 +742,17 @@ class TestRk45:
             asym._rk45(rhs, 1.0, t_eval, rtol=1e-10, atol=1e-12, label="test")
         assert not solve_ivp(lambda t, y: [rhs(t, y[0])], (0.0, 1.0), [1.0], rtol=1e-10, atol=1e-12).success
 
-        # through the package: an outer right-hand side that turns NaN below
-        # phi = 0.49 (the default outer profile falls from 0.5 to about 0.48)
-        real_rhs = asym._outer_rhs
+        # through the package: a right-hand side in u = ln(phi - phi_f) that
+        # turns NaN below phi = 0.49 (the default outer profile falls from 0.5
+        # toward phi_f = 0.4816)
+        real_tail = asym._outer_tail
 
         def nan_below(c, p):
-            rhs = real_rhs(c, p)
-            return lambda zeta, phi: rhs(zeta, phi) if phi > 0.49 else math.nan
+            phi_f, rhs = real_tail(c, p)
+            u_nan = math.log(0.49 - phi_f)
+            return phi_f, lambda zeta, u: rhs(zeta, u) if u > u_nan else math.nan
 
-        monkeypatch.setattr(asym, "_outer_rhs", nan_below)
+        monkeypatch.setattr(asym, "_outer_tail", nan_below)
         with pytest.raises(SolverError, match="outer profile integration failed"):
             asym.solve_outer(asym.solve_c(params_default).c, params_default)
 

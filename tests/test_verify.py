@@ -1,5 +1,6 @@
 import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,8 +50,44 @@ class TestResidualBattery:
 
         monkeypatch.setattr(verify.asymptotics, "solve_c", counting_solve)
         verify.residual_battery(params_default)
-        # the supplied sdot and the halved and doubled sdot of the monotonicity check
-        assert sorted(sdots) == [0.5, 1.0, 2.0]
+        # only the supplied sdot: the monotonicity row reads dc/dsdot at the root
+        assert sdots == [1.0]
+
+    @given(box_params())
+    def test_sdot_response_is_the_derivative_of_the_root(self, params):
+        # the implicit-function value against a central difference of two
+        # solves, 1e-3 sdot either side (worst 2.2e-8 relative over the
+        # first 400 benchmark pool points)
+        step = 1e-3 * params.sdot
+        c = asym.solve_c(params).c
+        above, below = (asym.solve_c(replace(params, sdot=params.sdot + s)).c for s in (step, -step))
+        expected = (above - below) / (2.0 * step)
+        assert verify.sdot_response(c, params) == pytest.approx(expected, rel=1e-6)
+
+    def test_falling_branch_root_fails_the_sdot_row(self, monkeypatch):
+        # below the box, at beta = 2, bisection lands on a root where c D(c)
+        # falls with c (the fixed point then refuses it); planted as the
+        # primary root, its dc/dsdot is negative and the row fails
+        with pytest.warns(UserWarning, match="beta = 2"):
+            p = derive_params(beta=2.0)
+        c = 609.1498192850897
+        assert abs(c * asym._match_denominator(p)(c) - p.sdot * (1.0 - p.phi0)) <= 1e-12
+        match = asym.MatchResult(
+            c=c, Phi_inf=asym.phi_infinity(c, p), C=asym.inner_C(c, p),
+            residual=0.0, iterations=0, c_fixed_point=c,
+        )
+        monkeypatch.setattr(asym, "solve_c", lambda params: match)
+        # at that speed the inner layer underflows and phi drains to zero
+        # above the zone, and the consistent variant has no root at beta = 2;
+        # stand-ins for all three let the report be built
+        monkeypatch.setattr(asym, "solve_c_consistent", lambda params: match)
+        monkeypatch.setattr(asym, "jump_residual", lambda c, params: 0.0)
+        monkeypatch.setattr(asym, "_integrate_outer",
+                            lambda c, params, zeta_desc: np.full(zeta_desc.size, params.phi0))
+        report = verify.residual_battery(p)
+        row = {check.name: check for check in report.checks}["monotone_sdot_response"]
+        assert row.value < 0.0
+        assert [check.name for check in report.failures()] == ["monotone_sdot_response"]
 
     def test_top_slope_decides_before_the_jump_check(self, monkeypatch):
         # a pool point whose primary root fails both the outer top slope and
