@@ -41,7 +41,7 @@ from .errors import (
 
 _POW_OVERFLOW_LIMIT = 700.0
 _MAX_ROOT_ITERS = 200
-# Stopping tolerance of both speed solvers, which must agree within 10 times it.
+# Stopping tolerance of the speed bisection on the matching residual.
 _ROOT_TOL = 1e-12
 # Bisection also stops once its bracket is this narrow relative to the midpoint.
 _BISECTION_REL_WIDTH = 8.0 * np.finfo(float).eps
@@ -102,18 +102,14 @@ class TravellingWaveProfile:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Solved wave speed with matching diagnostics.
-
-    ``c_fixed_point`` is the secondary solver's answer, kept for
-    cross-agreement reporting.
-    """
+    """Solved wave speed with matching diagnostics; ``iterations`` counts
+    the bisection's residual evaluations at midpoints."""
 
     c: float
     Phi_inf: float
     C: float
     residual: float
     iterations: int
-    c_fixed_point: float
 
 
 def _initial_step(rhs, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
@@ -595,26 +591,17 @@ def _consistent_denominator(params: BasinParams):
     return denominator
 
 
-def _fixed_point_speed(params: BasinParams, denominator) -> tuple[float, int]:
-    target = params.sdot * (1.0 - params.phi0)
-    c = target / (1.0 + params.phistar)
-    for k in range(1, _MAX_ROOT_ITERS + 1):
-        denom = denominator(c)
-        if denom <= 0.0:
-            raise SolverError(
-                f"fixed-point denominator went non-positive at c = {c:.6g}"
-            )
-        c_next = target / denom
-        if abs(c_next - c) <= _ROOT_TOL:
-            return c_next, k
-        c = c_next
-    raise SolverError(f"fixed-point iteration did not converge in {_MAX_ROOT_ITERS} steps")
-
-
 def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
-    """Root of c * denominator(c) = sdot (1 - phi0) by bisection, checked
-    against the fixed-point iteration c <- sdot (1 - phi0) / denominator(c),
-    where ``denominator = build_denominator(params)``."""
+    """Root of c * denominator(c) = sdot (1 - phi0) by bisection, where
+    ``denominator = build_denominator(params)``.
+
+    The residual must be negative at the bracket's low end c = 1e-6, else
+    NoRootError: for small beta*zstar the clamp inside C(c) makes it
+    positive there, and a grown bracket would catch a falling root. The
+    high end grows from 10*sdot (capped at 1e3*sdot) while the residual
+    there is negative. Bisection keeps the low end's residual negative, so
+    the root is a rising crossing of c * denominator(c).
+    """
     target = params.sdot * (1.0 - params.phi0)
 
     def residual(c):
@@ -629,58 +616,57 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     lo = 1e-6
     hi = 10.0 * params.sdot
     g_lo = residual(lo)
+    if not g_lo < 0.0:
+        raise NoRootError(
+            f"matching residual is not negative at the bracket's low end c = {lo:.3g} "
+            f"({g_lo:.3e}): C(c) = psi0 exp(min(e^(-eta_top)/c, {_POW_OVERFLOW_LIMIT:g})) "
+            "is that large there when beta*zstar is small"
+        )
     g_hi = residual(hi)
-    while g_lo * g_hi > 0.0 and hi < 1e3 * params.sdot:
+    while g_hi < 0.0 and hi < 1e3 * params.sdot:
         hi *= 2.0
         g_hi = residual(hi)
-    if g_lo * g_hi > 0.0:
+    if g_hi < 0.0:
         raise NoRootError(f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})")
 
-    for bis_iters in range(1, _MAX_ROOT_ITERS + 1):
-        c_bis = 0.5 * (lo + hi)
-        g_bis = residual(c_bis)
-        if abs(g_bis) <= _ROOT_TOL:
+    for iterations in range(1, _MAX_ROOT_ITERS + 1):
+        c = 0.5 * (lo + hi)
+        g = residual(c)
+        if abs(g) <= _ROOT_TOL:
             break
-        if g_lo * g_bis < 0.0:
-            hi = c_bis
+        # a NaN moves the low end, as a negative residual does
+        if g > 0.0:
+            hi = c
         else:
-            lo, g_lo = c_bis, g_bis
-        if hi - lo <= _BISECTION_REL_WIDTH * abs(c_bis):
+            lo = c
+        if hi - lo <= _BISECTION_REL_WIDTH * abs(c):
             break
     # the bracket stalled, its midpoint the last candidate; a NaN fails too
-    if not abs(g_bis) <= _ROOT_TOL:
-        c_bis = 0.5 * (lo + hi)
-        g_bis = residual(c_bis)
-        if not abs(g_bis) <= _ROOT_TOL:
+    if not abs(g) <= _ROOT_TOL:
+        c = 0.5 * (lo + hi)
+        g = residual(c)
+        if not abs(g) <= _ROOT_TOL:
             raise SolverError(
-                f"bisection stalled: residual {g_bis:.3e} > tol "
-                f"{_ROOT_TOL:.3e} after {bis_iters} iterations"
+                f"bisection stalled: residual {g:.3e} > tol "
+                f"{_ROOT_TOL:.3e} after {iterations} iterations"
             )
 
-    c_fp, fp_iters = _fixed_point_speed(params, denominator)
-    if abs(c_bis - c_fp) > 10.0 * _ROOT_TOL:
-        raise SolverError(
-            f"bisection ({c_bis!r}) and fixed point ({c_fp!r}) disagree beyond 10*tol"
-        )
-
     return MatchResult(
-        c=c_bis,
-        Phi_inf=phi_infinity(c_bis, params),
-        C=inner_C(c_bis, params),
-        residual=g_bis,
-        iterations=bis_iters + fp_iters,
-        c_fixed_point=c_fp,
+        c=c,
+        Phi_inf=phi_infinity(c, params),
+        C=inner_C(c, params),
+        residual=g,
+        iterations=iterations,
     )
 
 
 def solve_c(params: BasinParams) -> MatchResult:
     """Wave speed from the implicit matching equation.
 
-    Primary method: safeguarded bisection on the residual
-    c * :func:`_match_denominator` - sdot (1 - phi0) over a bracket grown
-    geometrically from (1e-6, 10*sdot] until a sign change (capped at
-    1e3*sdot). Secondary: the natural fixed-point iteration.
-    Both must agree within 1e-11. Note c < sdot in compacting regimes
+    Bisection on the residual c * :func:`_match_denominator` - sdot (1 - phi0)
+    over a bracket grown geometrically from (1e-6, 10*sdot] until a sign
+    change (capped at 1e3*sdot); the residual must be negative at 1e-6, so
+    the root is a rising crossing. Note c < sdot in compacting regimes
     (Phi_inf < 0); no c >= sdot assumption is made anywhere.
     """
     return _solve_speed(params, _match_denominator)
@@ -689,7 +675,7 @@ def solve_c(params: BasinParams) -> MatchResult:
 def solve_c_consistent(params: BasinParams) -> MatchResult:
     """Wave speed from the conservation-consistent matching variant.
 
-    Same bisection/fixed-point machinery as :func:`solve_c`, applied to
+    Same bracketed bisection as :func:`solve_c`, applied to
     :func:`_consistent_denominator`. This is the speed a resolved
     simulation actually selects (solid conservation forces
     c >= sdot*(1 - phi0), which the primary matching root can violate).

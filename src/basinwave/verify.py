@@ -1,18 +1,16 @@
-"""Cross-validation batteries: exact-solution residuals, solver agreement,
-and the simulation-vs-matching speed comparison. The spatial order of the
+"""Cross-validation batteries: exact-solution residuals and the
+simulation-vs-matching speed comparison. The spatial order of the
 stepper's discretization is checked in the test suite, which applies the
 assembled operators to an exact profile on a refinement ladder.
 
 Every check carries an explicit tolerance and a machine-checkable pass
 flag; "primary" checks gate the verification exit status, "info" entries
-are reported for visibility only. ``speed_solver_agreement`` restates the
-10*tol cross-check ``solve_c`` makes before returning, so it cannot fail.
-``outer_flux_invariant`` checks the first-integral inversion at the
-integrated nodes: a finite-difference slope of the same profile misses it
-by 6.9e-6 at the primary root and 6.8e-7 at the consistent one (defaults).
-``monotone_sdot_response`` reports dc/dsdot at the primary root from the
-implicit function theorem, in closed form, so no speed is solved at another
-sdot.
+are reported for visibility only. ``outer_flux_invariant`` checks the
+first-integral inversion at the integrated nodes: a finite-difference slope
+of the same profile misses it by 6.9e-6 at the primary root and 6.8e-7 at
+the consistent one (defaults). ``monotone_sdot_response`` reports dc/dsdot
+at the primary root from the implicit function theorem, in closed form, so
+no speed is solved at another sdot.
 
 ``residual_battery`` raises the first failure it meets, cheapest first as
 ``asymptotics.build_wave_profile`` does: where the outer region and the
@@ -134,8 +132,8 @@ def sdot_response(c: float, params: BasinParams) -> float:
 
 
 def residual_battery(params: BasinParams) -> VerificationReport:
-    """Exact-solution residuals, first-integral scan, jump defect, and
-    solver cross-agreement, each at its stated tolerance.
+    """Exact-solution residuals, first-integral scan, jump and matching
+    defects, and the speed's response to sdot, each at its stated tolerance.
 
     ``monotone_sdot_response`` is :func:`sdot_response` at the primary
     root, which must be positive: no speed is solved at another sdot.
@@ -172,10 +170,6 @@ def residual_battery(params: BasinParams) -> VerificationReport:
 
     r = abs(matching_defect(c, params))
     report.add("matching_defect", r, 1e-9, r <= 1e-9)
-
-    r = abs(match.c - match.c_fixed_point)
-    agreement = 10.0 * asymptotics._ROOT_TOL
-    report.add("speed_solver_agreement", r, agreement, r <= agreement)
 
     gain = sdot_response(c, params)
     report.add(

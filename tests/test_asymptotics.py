@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
 from basinwave import asymptotics as asym
+from basinwave import verify
 from basinwave.core import derive_params
 from basinwave.errors import (
     BasinwaveError,
@@ -26,6 +27,12 @@ from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE, box_params
 # every check on a wave speed refuses NaN and infinity as well as c <= 0
 _BAD_SPEEDS = [0.0, -0.25, math.nan, math.inf, -math.inf]
 _BAD_SPEED_IDS = ["zero", "negative", "nan", "inf", "minus-inf"]
+
+# each speed solver with the denominator D(c) of its residual c D(c) - sdot (1 - phi0)
+_SOLVERS = (
+    (asym.solve_c, asym._match_denominator),
+    (asym.solve_c_consistent, asym._consistent_denominator),
+)
 
 
 class TestOuterOdeRhs:
@@ -449,7 +456,7 @@ class TestSolveC:
         match = asym.solve_c(params_default)
         assert abs(match.c - C_MATCHED_DEFAULT) <= 1e-6
         assert abs(match.residual) <= 1e-10
-        assert abs(match.c - match.c_fixed_point) <= 1e-8
+        assert verify.sdot_response(match.c, params_default) > 0.0
         assert match.Phi_inf == asym.phi_infinity(match.c, params_default)
         assert match.c > 0.0
 
@@ -472,23 +479,35 @@ class TestSolveC:
         assert abs(c - C_MATCHED_DEFAULT) <= 1e-5
 
     # below the validated box (beta < 10) the clamp inside C(c) makes the
-    # residual positive at both bracket ends, so the bracket grows until it
-    # catches a spurious large root; the fixed point finds the physical one
-    # and the cross-check refuses the pair
-    @pytest.mark.parametrize(
-        "beta, c_bisection, c_fixed_point",
-        [(2.0, "609.149", "0.126420"), (5.0, "114.273", "0.208815")],
-        ids=["beta-2", "beta-5"],
-    )
-    def test_cross_check_refuses_a_spurious_bisection_root(self, beta, c_bisection, c_fixed_point):
+    # residual positive at the bracket's low end, where a grown bracket
+    # would catch a spurious root on a falling branch of c D(c)
+    @pytest.mark.parametrize("beta", [2.0, 5.0], ids=["beta-2", "beta-5"])
+    def test_positive_low_end_residual_raises_no_root(self, beta):
         with pytest.warns(UserWarning, match=f"beta = {beta} is below 10"):
             params = derive_params(beta=beta)
-        with pytest.raises(
-            SolverError,
-            match=rf"^bisection \({re.escape(c_bisection)}\d*\) and fixed point "
-            rf"\({re.escape(c_fixed_point)}\d*\) disagree beyond 10\*tol$",
-        ):
-            asym.solve_c(params)
+        target = params.sdot * (1.0 - params.phi0)
+        for solve, build in _SOLVERS:
+            assert 1e-6 * build(params)(1e-6) - target > 0.0
+            with pytest.raises(
+                NoRootError,
+                match=r"^matching residual is not negative at the bracket's low end "
+                r"c = 1e-06 \(\d\.\d{3}e\+29\d\): "
+                + re.escape("C(c) = psi0 exp(min(e^(-eta_top)/c, 700)) is that large"),
+            ):
+                solve(params)
+
+    @given(box_params())
+    def test_roots_are_rising_crossings_above_a_negative_low_end_across_box(self, params):
+        target = params.sdot * (1.0 - params.phi0)
+        for solve, build in _SOLVERS:
+            denominator = build(params)
+
+            def residual(c):
+                return c * denominator(c) - target
+
+            c = solve(params).c
+            assert residual(1e-6) < 0.0
+            assert residual(c * (1.0 - 1e-9)) < 0.0 < residual(c * (1.0 + 1e-9))
 
     def test_stalled_bisection_evaluates_its_last_midpoint_once(self, params_default):
         # a residual of -1 below c = 0.3 and +1 above it: the bracket closes
@@ -557,15 +576,6 @@ class TestSolveC:
             root = mp.findroot(defect, (mpf("0.1"), mpf("0.5")))
         assert float(root) == frozen
 
-    def test_fixed_point_refuses_a_non_positive_denominator(self, params_default):
-        with pytest.raises(SolverError, match=r"denominator went non-positive at c = 0\.362673$"):
-            asym._fixed_point_speed(params_default, lambda c: -1.0)
-
-    def test_fixed_point_refuses_a_cycle(self, params_default):
-        # the iteration jumps between 0.5 and 1/6 for ever
-        with pytest.raises(SolverError, match="did not converge in 200 steps"):
-            asym._fixed_point_speed(params_default, lambda c: 1.0 if c < 0.3 else 1.5 / c)
-
     def test_consistent_variant_honors_conservation_floor(self, params_default, params_pure):
         for p in (params_default, params_pure):
             mc = asym.solve_c_consistent(p)
@@ -597,7 +607,7 @@ class TestWaveProfile:
         c = 0.7
         match = asym.MatchResult(
             c=c, Phi_inf=asym.phi_infinity(c, p), C=asym.inner_C(c, p),
-            residual=0.0, iterations=0, c_fixed_point=c,
+            residual=0.0, iterations=0,
         )
         with pytest.raises(ValidationError, match="profile grid too coarse"):
             asym.build_wave_profile(match, p)

@@ -65,16 +65,17 @@ class TestResidualBattery:
         assert verify.sdot_response(c, params) == pytest.approx(expected, rel=1e-6)
 
     def test_falling_branch_root_fails_the_sdot_row(self, monkeypatch):
-        # below the box, at beta = 2, bisection lands on a root where c D(c)
-        # falls with c (the fixed point then refuses it); planted as the
-        # primary root, its dc/dsdot is negative and the row fails
+        # below the box, at beta = 2, a bracket grown from a positive low end
+        # would land on a root where c D(c) falls with c (solve_c refuses
+        # that bracket); planted as the primary root, its dc/dsdot is
+        # negative and the row fails
         with pytest.warns(UserWarning, match="beta = 2"):
             p = derive_params(beta=2.0)
         c = 609.1498192850897
         assert abs(c * asym._match_denominator(p)(c) - p.sdot * (1.0 - p.phi0)) <= 1e-12
         match = asym.MatchResult(
             c=c, Phi_inf=asym.phi_infinity(c, p), C=asym.inner_C(c, p),
-            residual=0.0, iterations=0, c_fixed_point=c,
+            residual=0.0, iterations=0,
         )
         monkeypatch.setattr(asym, "solve_c", lambda params: match)
         # at that speed the inner layer underflows and phi drains to zero
