@@ -234,40 +234,25 @@ def _permeability_overflow(phi, arg) -> StiffProfileError:
     )
 
 
-def _outer_rhs(c: float, params: BasinParams):
-    """dphi/dzeta = phi + [c (phi0 - phi) + (c - sdot)(1 - phi0)] (phi0/phi)^m / lam
-    at speed c, the inverted flux first-integral, as ``rhs(zeta, phi)``."""
-    phi0, m, lam = params.phi0, params.m, params.lam
-    supply = (c - params.sdot) * (1.0 - phi0)
-    log, exp = math.log, math.exp
-
-    def rhs(_zeta, phi):
-        if phi <= 0.0:
-            raise StiffProfileError(f"outer porosity must be positive, got phi = {phi!r}")
-        # (phi0/phi)^m via exp(m ln(phi0/phi)), guarded against overflow
-        arg = m * log(phi0 / phi)
-        if arg > _POW_OVERFLOW_LIMIT:
-            raise _permeability_overflow(phi, arg)
-        return phi + (c * (phi0 - phi) + supply) * exp(arg) / lam
-
-    return rhs
-
-
 def _outer_tail(c: float, params: BasinParams):
-    """``(phi_f, rhs)``: the zero phi_f < phi0 of F that the outer porosity
-    decays onto, and du/dzeta in u = ln(phi - phi_f) as ``rhs(zeta, u)``;
-    None where phi does not fall onto such a zero (no plateau).
+    """``(phi_f, rhs)``: the floor phi_f < phi0 that the outer porosity
+    decays onto, and du/dzeta in u = ln(phi - phi_f) as ``rhs(zeta, u)``.
 
-    F = (phi0/phi)^m G/lam with the convex G(phi) = lam phi^(m+1)/phi0^m
-    + c phi0 + (c - sdot)(1 - phi0) - c phi, so Newton on G from phi0 falls
-    monotonically onto phi_f, or passes the minimum of G, or zero, where
-    there is none. With r = e^u/phi_f, taken from u and never from
-    phi - phi_f, G(phi_f) = 0 gives du/dzeta = F(phi)/(phi - phi_f) =
-    1 - expm1(-m log1p(r))/r - (c/lam)(phi0/phi)^m, which tends to F'(phi_f)
-    as r -> 0: the tail is a straight line, and its steps grow unbounded.
+    The outer slope is phi' = F(phi) = phi + (a - c phi)(phi0/phi)^m/lam
+    with a = c phi0 + (c - sdot)(1 - phi0); F = (phi0/phi)^m G/lam with the
+    convex G(phi) = lam phi^(m+1)/phi0^m + a - c phi, so Newton on G from
+    phi0 falls monotonically onto its zero below phi0, or passes the minimum
+    of G, or zero, where there is none. At a zero phi_f, with r = e^u/phi_f
+    taken from u and never from phi - phi_f, du/dzeta = F(phi)/(phi - phi_f)
+    = 1 - expm1(-m log1p(r))/r - (c/lam)(phi0/phi)^m, which tends to
+    F'(phi_f) as r -> 0: the plateau is a straight line, and its steps grow
+    unbounded. Where G has no zero below phi0, or G(phi0) <= 0 to rounding,
+    there is no plateau: phi_f = 0, u = ln phi and
+    du/dzeta = F/phi = 1 + (phi0/phi)^m (a e^(-u) - c)/lam.
     """
     phi0, m, lam = params.phi0, params.m, params.lam
     a = c * phi0 + (c - params.sdot) * (1.0 - phi0)
+    exp = math.exp
     phi_f = phi0
     while True:
         ratio = lam * (phi_f / phi0) ** m
@@ -277,20 +262,30 @@ def _outer_tail(c: float, params: BasinParams):
         slope = (m + 1) * ratio - c
         below = phi_f - g / slope if slope > 0.0 else 0.0
         if not below > 0.0:
-            return None  # past the minimum of G, or past zero
+            phi_f = phi0  # past the minimum of G, or past zero: no zero below phi0
+            break
         if not below < phi_f:
             break
         phi_f = below
-    if phi_f == phi0:
-        return None  # F(phi0) <= 0 to rounding: phi does not fall
+    if phi_f == phi0:  # no plateau: phi_f = 0 and u = ln phi
+        log_phi0 = math.log(phi0)
+
+        def rhs(_zeta, u):
+            # m ln(phi0/phi), guarded against overflow
+            arg = m * (log_phi0 - u)
+            if arg > _POW_OVERFLOW_LIMIT:
+                raise _permeability_overflow(exp(u), arg)
+            return 1.0 + exp(arg) * (a * exp(-u) - c) / lam
+
+        return 0.0, rhs
     log_ratio = math.log(phi0 / phi_f)
     c_lam = c / lam
-    log1p, expm1, exp = math.log1p, math.expm1, math.exp
+    log1p, expm1 = math.log1p, math.expm1
 
     def rhs(_zeta, u):
         r = exp(u) / phi_f
         log_phi = log1p(r)  # ln(phi/phi_f)
-        # m ln(phi0/phi), guarded against overflow as in _outer_rhs
+        # m ln(phi0/phi), guarded against overflow
         arg = m * (log_ratio - log_phi)
         if arg > _POW_OVERFLOW_LIMIT:
             raise _permeability_overflow(phi_f * (1.0 + r), arg)
@@ -303,7 +298,7 @@ def _outer_tail(c: float, params: BasinParams):
 def outer_flux_invariant(phi, phi_zeta, params: BasinParams):
     """c-free part of the first integral: lam (phi/phi0)^m (phi_zeta - phi),
     combined with c*phi by the caller. Kept separate so checks do not reuse
-    the inverted algebra of :func:`_outer_rhs`."""
+    the inverted first integral, the slope F of :func:`solve_outer`."""
     phi = np.asarray(phi, dtype=float)
     return params.lam * permeability_factor(phi, params) * (np.asarray(phi_zeta) - phi)
 
@@ -324,38 +319,33 @@ def _psi_from_invariant(phi, c: float, params: BasinParams):
     return params.sdot * params.psi0 / denominator
 
 
-def _check_outer_top(c: float, params: BasinParams, zeta_desc: np.ndarray) -> None:
+def _check_outer_top(c: float, params: BasinParams) -> None:
     """Check c, and raise the range error of :func:`_integrate_outer` before
-    integrating when the top slope F(phi0) would carry phi on the first
-    interval below zeta_desc[0] = zstar 1e4 times past its 1e-10 phi0 bound.
-    Run once by :func:`solve_outer` and :func:`build_wave_profile`."""
+    integrating where the top slope F(phi0) = phi0 + (c - sdot)(1 - phi0)/lam
+    is negative: phi' = F(phi) is autonomous and scalar, so phi is monotone,
+    and F(phi0) < 0 puts it above phi0 at every node below zstar. Run once by
+    :func:`solve_outer` and :func:`build_wave_profile`."""
     _check_speed(c)
-    slope = params.phi0 + (c - params.sdot) * (1.0 - params.phi0) / params.lam
-    if slope * (zeta_desc[1] - zeta_desc[0]) > 1e-6 * params.phi0:
+    if params.phi0 + (c - params.sdot) * (1.0 - params.phi0) / params.lam < 0.0:
         raise ProfileRangeError(_OUTER_RANGE)
 
 
 def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np.ndarray:
-    """Integrate the outer porosity ODE downward from zeta = zstar; the
-    caller has run :func:`_check_outer_top`.
+    """Integrate the outer porosity ODE downward from zeta = zstar in
+    u = ln(phi - phi_f) (:func:`_outer_tail`) and return phi = phi_f + e^u;
+    the caller has run :func:`_check_outer_top`.
 
     Downward is the stable direction: the (phi0/phi)^m factor grows as phi
     decreases, so stiffness is met where the solution matters least. Where
-    phi decays onto a zero phi_f of F it is integrated as u = ln(phi - phi_f)
-    (:func:`_outer_tail`), whose plateau is a straight line: under 400
-    right-hand-side calls at any zstar, where phi's steps sat at
-    Dormand-Prince's stability bound. Elsewhere there is no plateau, and phi
-    itself is integrated.
+    phi decays onto a zero phi_f of F, u's plateau is a straight line: under
+    400 right-hand-side calls at any zstar, where phi's steps sat at
+    Dormand-Prince's stability bound. Without a plateau phi_f = 0 and
+    u = ln phi.
     """
-    tail = _outer_tail(c, params)
-    if tail is None:
-        phi = _rk45(_outer_rhs(c, params), params.phi0, zeta_desc, rtol=1e-11, atol=1e-13,
-                    label="outer profile")
-    else:
-        phi_f, rhs = tail
-        u = _rk45(rhs, math.log(params.phi0 - phi_f), zeta_desc, rtol=1e-11, atol=1e-13,
-                  label="outer profile")
-        phi = phi_f + np.exp(u)
+    phi_f, rhs = _outer_tail(c, params)
+    u = _rk45(rhs, math.log(params.phi0 - phi_f), zeta_desc, rtol=1e-11, atol=1e-13,
+              label="outer profile")
+    phi = phi_f + np.exp(u)
     if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
         raise ProfileRangeError(_OUTER_RANGE)
     return phi
@@ -365,13 +355,13 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     """Outer-region profile on (0, zstar], top-down adaptive integration.
 
     Porosity is integrated with an adaptive 4th/5th-order method from
-    phi(zstar) = phi0, in u = ln(phi - phi_f) where it decays onto a zero
-    phi_f of F (:func:`_integrate_outer`), in under 400 right-hand-side calls
-    at any zstar; the reactant and the slope phi_zeta (the formula of
-    :func:`_outer_rhs`) are evaluated on all 400 output nodes at once. As
+    phi(zstar) = phi0 in u = ln(phi - phi_f), with phi_f the zero of F that
+    phi decays onto, or 0 where there is none (:func:`_integrate_outer`), in
+    under 400 right-hand-side calls at any zstar; the reactant and the slope
+    phi_zeta = F(phi) are evaluated on all 400 output nodes at once. As
     phi' = F(phi) is autonomous and scalar, phi is monotone: F(phi0) < 0
     puts it above phi0 at every node below zstar, a ProfileRangeError raised
-    before any step where the first interval shows it (:func:`_check_outer_top`).
+    before any step (:func:`_check_outer_top`).
     """
     return _outer_profile(c, params, _outer_grid(c, params))
 
@@ -382,7 +372,7 @@ def _outer_grid(c: float, params: BasinParams) -> np.ndarray:
     if params.zstar <= 0.0:
         raise ValidationError("outer region is empty: zstar must be positive")
     zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
-    _check_outer_top(c, params, zeta_desc)
+    _check_outer_top(c, params)
     return zeta_desc
 
 
@@ -694,8 +684,9 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     zeta = (eta - ln beta)/beta.
 
     Failures are decided cheapest first: the outer top-slope check of
-    :func:`solve_outer`, the inner layer, then the outer integration. Where
-    both regions fail, the inner error wins unless the top slope decides it.
+    :func:`solve_outer`, which refuses every profile that rises above phi0,
+    then the inner layer, then the outer integration. Where the inner layer
+    and the outer integration both fail, the inner error wins.
     """
     if params.zstar <= 0.0:
         raise ValidationError("profile needs zstar > 0")
@@ -709,8 +700,7 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     inner = ~(above | below)
 
     phi, psi = np.empty(n), np.empty(n)
-    zeta_above_desc = zeta[above][::-1]
-    _check_outer_top(c, params, zeta_above_desc)
+    _check_outer_top(c, params)
 
     eta = beta * zeta + math.log(beta)
     eta_inner = eta[inner]
@@ -722,7 +712,7 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     phi[inner] = phi_from_Phi(Phi[1:], params)
     psi[~above] = inner_psi(eta[~above], c, match.C)
 
-    phi[above] = _integrate_outer(c, params, zeta_above_desc)[::-1]
+    phi[above] = _integrate_outer(c, params, zeta[above][::-1])[::-1]
     psi[above] = _psi_from_invariant(phi[above], c, params)
     phi[below] = phi_from_Phi(match.Phi_inf, params)
 

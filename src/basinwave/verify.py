@@ -13,9 +13,9 @@ at the primary root from the implicit function theorem, in closed form, so
 no speed is solved at another sdot.
 
 ``residual_battery`` raises the first failure it meets, cheapest first as
-``asymptotics.build_wave_profile`` does: where the outer region and the
-inner layer both fail, the inner error wins unless the outer top slope
-decides it.
+``asymptotics.build_wave_profile`` does: the outer top slope decides every
+profile that rises above phi0, before the inner layer; where the inner layer
+and the outer integration both fail, the inner error wins.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     Failures are decided cheapest first, as in
     :func:`asymptotics.build_wave_profile`: after the primary speed and the
     reactant scan come the outer grid's checks (zstar > 0, then the top
-    slope), the jump defect's inner integration, and only then the outer
-    integration. Where the outer region and the inner layer both fail, the
-    inner error wins unless the top slope decides it. The rows keep their
-    order whatever the order of the work.
+    slope, which refuses every profile that rises above phi0), the jump
+    defect's inner integration, and only then the outer integration. Where
+    the inner layer and the outer integration both fail, the inner error
+    wins. The rows keep their order whatever the order of the work.
     """
     report = VerificationReport()
 

@@ -35,29 +35,54 @@ _SOLVERS = (
 )
 
 
+# pool point 122: at its consistent root F has no zero below phi0
+_POINT_122 = dict(m=19, beta=32.69293339440707, phi0=0.5395480021105685,
+                  psi0=0.0013017247276970957, sdot=1.3612919618928756)
+
+
+def _outer_slope(c, params):
+    """The outer slope F(phi) = phi + [c (phi0 - phi) + (c - sdot)(1 - phi0)]
+    (phi0/phi)^m / lam at speed c, the inverted flux first integral, written
+    out with no package code."""
+    phi0, m, lam, sdot = params.phi0, params.m, params.lam, params.sdot
+
+    def F(phi):
+        bracket = c * (phi0 - phi) + (c - sdot) * (1.0 - phi0)
+        return phi + bracket * math.exp(m * math.log(phi0 / phi)) / lam
+
+    return F
+
+
+def _tail_slope(c, params, phi):
+    """F(phi) from the package's du/dzeta in u = ln(phi - phi_f)."""
+    phi_f, rhs = asym._outer_tail(c, params)
+    return rhs(None, math.log(phi - phi_f)) * (phi - phi_f)
+
+
 class TestOuterOdeRhs:
     def test_at_top_porosity(self, params_default):
         p = params_default
         c = 0.25
         expected = p.phi0 + (c - p.sdot) * (1.0 - p.phi0) / p.lam
-        assert asym._outer_rhs(c, p)(None, p.phi0) == pytest.approx(expected, rel=1e-14)
+        assert _outer_slope(c, p)(p.phi0) == pytest.approx(expected, rel=1e-14)
+        assert _tail_slope(c, p, p.phi0) == pytest.approx(expected, rel=1e-14)
 
     def test_uncompacted_slope_when_c_equals_sdot(self, params_default):
         p = params_default
-        assert asym._outer_rhs(p.sdot, p)(None, p.phi0) == pytest.approx(p.phi0, rel=1e-14)
+        assert _outer_slope(p.sdot, p)(p.phi0) == pytest.approx(p.phi0, rel=1e-14)
+        assert _tail_slope(p.sdot, p, p.phi0) == pytest.approx(p.phi0, rel=1e-14)
 
     def test_direct_arithmetic(self):
         p = derive_params(lam=1.0, sdot=1.0, phi0=0.5, m=7)
-        got = asym._outer_rhs(0.25, p)(None, 0.45)
+        got = _outer_slope(0.25, p)(0.45)
         assert got == pytest.approx(-0.30789744821678752, rel=1e-12)
 
-    def test_nonpositive_phi_rejected(self, params_default):
-        with pytest.raises(StiffProfileError):
-            asym._outer_rhs(0.25, params_default)(None, 0.0)
-
     def test_overflow_reported_with_phi(self, params_default):
+        # at c = sdot, F has no zero below phi0, so u = ln phi
+        phi_f, rhs = asym._outer_tail(params_default.sdot, params_default)
+        assert phi_f == 0.0
         with pytest.raises(StiffProfileError, match="phi"):
-            asym._outer_rhs(0.25, params_default)(None, 1e-80)
+            rhs(None, math.log(1e-80))
 
     @given(box_params())
     def test_solve_outer_slope_is_the_rhs_across_box(self, params):
@@ -66,8 +91,8 @@ class TestOuterOdeRhs:
             outer = asym.solve_outer(c, params)
         except BasinwaveError:
             return
-        rhs = asym._outer_rhs(c, params)
-        expected = np.array([rhs(None, phi) for phi in outer.phi])
+        rhs = _outer_slope(c, params)
+        expected = np.array([rhs(phi) for phi in outer.phi])
         assert np.max(np.abs(outer.phi_zeta - expected)) <= 1e-14 * np.max(np.abs(outer.phi))
 
 
@@ -116,12 +141,12 @@ class TestSolveOuter:
         z_hi, z_lo = out.zeta[-1], out.zeta[0]
         steps = 10 * out.zeta.size
         dz = (z_lo - z_hi) / steps
-        rhs = asym._outer_rhs(match.c, p)
+        rhs = _outer_slope(match.c, p)
         for _ in range(steps):
-            k1 = rhs(None, phi)
-            k2 = rhs(None, phi + 0.5 * dz * k1)
-            k3 = rhs(None, phi + 0.5 * dz * k2)
-            k4 = rhs(None, phi + dz * k3)
+            k1 = rhs(phi)
+            k2 = rhs(phi + 0.5 * dz * k1)
+            k3 = rhs(phi + 0.5 * dz * k2)
+            k4 = rhs(phi + dz * k3)
             phi += dz / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert out.phi[0] == pytest.approx(phi, rel=1e-8)
 
@@ -149,29 +174,49 @@ class TestSolveOuter:
         with pytest.raises(ProfileRangeError, match=r"left the admissible range \(0, phi0\]"):
             asym.build_wave_profile(match, p)
 
-    def test_negative_top_slope_within_the_range_bound_is_integrated(self):
-        # F(phi0) = -1e-10: phi rises above phi0 below zstar, but by less than
-        # the range check's 1e-10 phi0 tolerance, so the profile stands
+    def test_tiny_negative_top_slope_is_refused(self, monkeypatch):
+        # F(phi0) = -1e-10: phi rises above phi0 at every node below zstar,
+        # however little, so the sign alone refuses the profile
         p = derive_params(lam=0.5)
-        outer = asym.solve_outer(p.sdot - (p.phi0 + 1e-10) * p.lam / (1.0 - p.phi0), p)
-        assert np.all(outer.phi[:-1] > p.phi0)
-        assert np.all(outer.phi <= p.phi0 * (1.0 + 1e-10))
+        c = p.sdot - (p.phi0 + 1e-10) * p.lam / (1.0 - p.phi0)
+        assert _outer_slope(c, p)(p.phi0) == pytest.approx(-1e-10, rel=1e-5)
+        match = asym.MatchResult(
+            c=c, Phi_inf=asym.phi_infinity(c, p), C=asym.inner_C(c, p),
+            residual=0.0, iterations=0,
+        )
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrated a profile that the top slope refuses")
+
+        monkeypatch.setattr(asym, "_rk45", unreachable)
+        with pytest.raises(ProfileRangeError, match=r"left the admissible range \(0, phi0\]"):
+            asym.solve_outer(c, p)
+        with pytest.raises(ProfileRangeError, match=r"left the admissible range \(0, phi0\]"):
+            asym.build_wave_profile(match, p)
 
     @given(box_params())
     def test_top_slope_refuses_only_profiles_the_range_check_refuses(self, params):
-        # with and without the check: where the full integration returns, the
-        # outputs are the same bits; where the check raises, it fails too
+        # with and without the check: where it refuses, the full integration
+        # raises or returns phi above phi0 at every outer node below the top;
+        # where it passes, both return the same bits
         for solver in (asym.solve_c, asym.solve_c_consistent):
             match = solver(params)
+            refused = _outer_slope(match.c, params)(params.phi0) < 0.0
             for solve, arg in ((asym.solve_outer, match.c), (asym.build_wave_profile, match)):
                 got = _outcome(solve, arg, params)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(asym, "_check_outer_top", lambda c, params, zeta_desc: None)
+                    mp.setattr(asym, "_check_outer_top", lambda c, params: None)
                     full = _outcome(solve, arg, params)
-                if isinstance(full, type):
-                    assert isinstance(got, type)
+                if refused:
+                    assert got is ProfileRangeError
+                    if not isinstance(full, type):
+                        phi = full.phi
+                        if solve is asym.build_wave_profile:
+                            phi = phi[full.region == "outer-above"]
+                        assert np.all(phi[:-1] > params.phi0)
+                elif isinstance(full, type):
+                    assert got is full
                 else:
-                    assert not isinstance(got, type)
                     for name in full.__dataclass_fields__:
                         assert np.array_equal(getattr(got, name), getattr(full, name)), name
 
@@ -198,13 +243,12 @@ class TestSolveOuter:
 
             return rhs_counted
 
-        real_rhs, real_tail = asym._outer_rhs, asym._outer_tail
+        real_tail = asym._outer_tail
 
         def counted_tail(c, params):
             phi_f, rhs = real_tail(c, params)
             return phi_f, counted(rhs)
 
-        monkeypatch.setattr(asym, "_outer_rhs", lambda c, params: counted(real_rhs(c, params)))
         monkeypatch.setattr(asym, "_outer_tail", counted_tail)
         outer = asym.solve_outer(c, p)
         assert len(calls) <= 400
@@ -227,23 +271,30 @@ class TestSolveOuter:
         [
             # pool point 122 at the consistent root: F has no zero below
             # phi0, so phi has no plateau, and the profile returns
-            (dict(m=19, beta=32.69293339440707, phi0=0.5395480021105685,
-                  psi0=0.0013017247276970957, sdot=1.3612919618928756),
-             asym.solve_c_consistent, asym.OuterProfile),
-            # pool point 878 at the primary root: no zero of F either, and phi
-            # leaves the range
+            (_POINT_122, asym.solve_c_consistent, asym.OuterProfile),
+            # pool point 878 at the primary root: F(phi0) < 0, so G has no
+            # zero below phi0 either, and the top slope refuses the profile
             (dict(m=7, beta=22.417648150621368, phi0=0.30220931209589,
                   psi0=0.31667525661340473, sdot=0.7797556939781252),
              asym.solve_c, ProfileRangeError),
         ],
         ids=["point-122-consistent", "point-878-primary"],
     )
-    def test_without_a_plateau_phi_itself_is_integrated(self, point, solver, outcome):
+    def test_without_a_plateau_u_is_ln_phi(self, point, solver, outcome):
         p = derive_params(**point)
         c = solver(p).c
-        assert asym._outer_tail(c, p) is None
+        assert asym._outer_tail(c, p)[0] == 0.0
         got = _outcome(asym.solve_outer, c, p)
         assert got is outcome or isinstance(got, outcome)
+
+    def test_without_a_plateau_matches_a_30_digit_quadrature_oracle(self):
+        p = derive_params(**_POINT_122)
+        c = asym.solve_c_consistent(p).c
+        outer = asym.solve_outer(c, p)
+        # nodes 1, 50, 199 and 399 below the top, deepest last
+        nodes = [398, 349, 200, 0]
+        expected = _unfloored_outer_oracle(c, p, outer.zeta[nodes])
+        assert np.max(np.abs(outer.phi[nodes] - expected) / expected) <= 1e-10
 
 
 def _outer_oracle(c, params, zeta):
@@ -291,6 +342,35 @@ def _outer_oracle(c, params, zeta):
                             df=lambda v: -dzeta_dv(v))
             phi.append(phi_f + exp(v))
         return np.array([float(x) for x in phi])
+
+
+def _unfloored_outer_oracle(c, params, zeta):
+    """phi at the nodes ``zeta`` (descending) from the 30-digit inversion of
+    zeta(phi) = zstar - int_phi^phi0 dphi'/F(phi'), with F written out in
+    mpmath and no package code, and no zero of G assumed.
+
+    depth(phi) = zstar - zeta falls as phi rises, so each node is one root
+    of depth(phi) - (zstar - zeta) on the bracket from phi0/100 to the node
+    above; F must be positive down to the deepest node.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(30):
+        phi0, m, lam = mpf(params.phi0), mpf(params.m), mpf(params.lam)
+        c, zstar = mpf(c), mpf(params.zstar)
+        a = c * phi0 + (c - mpf(params.sdot)) * (1 - phi0)
+
+        def F(phi):
+            return phi + (a - c * phi) * (phi0 / phi) ** m / lam
+
+        phi = phi0
+        out = []
+        for node in zeta:
+            target = zstar - mpf(node)
+            phi = mp.findroot(lambda x: mp.quad(lambda y: 1 / F(y), [x, phi0]) - target,
+                              (phi0 / 100, phi), solver="anderson")
+            out.append(phi)
+        return np.array([float(x) for x in out])
 
 
 class TestBelowZone:
@@ -612,17 +692,37 @@ class TestWaveProfile:
         with pytest.raises(ValidationError, match="profile grid too coarse"):
             asym.build_wave_profile(match, p)
 
-    def test_inner_failure_wins_where_both_regions_fail(self, monkeypatch):
-        # a box point whose primary root leaves the outer range only past the
-        # first interval while its inner layer underflows: the inner layer is
-        # solved before the outer integration, so its error is the one raised
+    def test_top_slope_decides_where_both_regions_fail(self, monkeypatch):
+        # pool point 1530: at the primary root F(phi0) < 0 and the inner
+        # layer underflows; the top slope is checked first, so its error is
+        # raised and the inner layer is never integrated
         p = derive_params(
             m=19, beta=35.765123937107354, phi0=0.3855585849121089,
             psi0=0.040344812471120185, sdot=0.9861309610836789,
         )
         match = asym.solve_c(p)
+        assert _outer_slope(match.c, p)(p.phi0) < 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asym, "_check_outer_top", lambda c, params: None)
+            with pytest.raises(StiffProfileError, match="inner log-porosity underflowed"):
+                asym.build_wave_profile(match, p)
+
+        def unreachable(*args):
+            raise AssertionError("integrated the inner layer of a profile the top slope refuses")
+
+        monkeypatch.setattr(asym, "inner_Phi_ode", unreachable)
         with pytest.raises(ProfileRangeError):
-            asym.solve_outer(match.c, p)
+            asym.build_wave_profile(match, p)
+
+    def test_inner_layer_is_solved_before_the_outer_integration(self, monkeypatch):
+        # a pool point whose primary root has F(phi0) >= 0 and an inner layer
+        # that underflows: the inner error is raised before any outer step
+        p = derive_params(
+            m=16, beta=24.6239679051183, phi0=0.41742298540882894,
+            psi0=0.21918830092845504, sdot=0.9629120785388258,
+        )
+        match = asym.solve_c(p)
+        assert _outer_slope(match.c, p)(p.phi0) >= 0.0
 
         def unreachable(*args):
             raise AssertionError("integrated the outer region before the inner layer")
@@ -871,13 +971,21 @@ class TestBoundConstantsAreExact:
     @given(_params_and_speeds(), st.floats(0.0, 600.0, exclude_max=True))
     def test_outer_slope(self, point, depth):
         params, speeds = point
-        # phi in (phi0 e^(-600/m), phi0], where (phi0/phi)^m stays below e^600
-        phi = params.phi0 * math.exp(-depth / params.m)
+        # u = ln phi with phi in (phi0 e^(-600/m), phi0], where (phi0/phi)^m
+        # stays below e^600
+        u = math.log(params.phi0) - depth / params.m
+        unfloored = 0
         for c in speeds:
-            bracket = c * (params.phi0 - phi) + (c - params.sdot) * (1.0 - params.phi0)
-            arg = params.m * math.log(params.phi0 / phi)
-            expected = phi + bracket * math.exp(arg) / params.lam
-            assert asym._outer_rhs(c, params)(0.0, phi) == expected
+            phi_f, rhs = asym._outer_tail(c, params)
+            if phi_f:
+                continue  # the plateau's closure, in u = ln(phi - phi_f)
+            unfloored += 1
+            a = c * params.phi0 + (c - params.sdot) * (1.0 - params.phi0)
+            arg = params.m * (math.log(params.phi0) - u)
+            expected = 1.0 + math.exp(arg) * (a * math.exp(-u) - c) / params.lam
+            assert rhs(0.0, u) == expected
+        # speeds at or above sdot leave F no zero below phi0
+        assert unfloored > 0
 
     @given(_params_and_speeds(), st.floats(-800.0, 800.0), st.floats(-600.0, 700.0))
     def test_inner_rhs(self, point, eta, Phi):

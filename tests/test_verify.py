@@ -123,20 +123,22 @@ class TestResidualBattery:
         with pytest.raises(StiffProfileError, match="inner log-porosity underflowed"):
             verify.residual_battery(p)
 
-    def test_inner_failure_wins_where_both_regions_fail(self):
-        # pool point 878: the primary root's outer profile leaves the range
-        # only past the first interval, and the jump check's upward inner
-        # integration overflows at eta = 14.2, so the battery raises the inner
-        # error. The primary-root profile still raises the outer one: its
-        # inner grid stops at the seam, eta = 13.2, below the overflow.
+    def test_top_slope_decides_where_both_regions_fail(self, monkeypatch):
+        # pool point 878: at the primary root F(phi0) < 0, and the jump
+        # check's upward inner integration overflows at eta = 14.2; the top
+        # slope is checked first, so the battery and the profile raise its
+        # error and the inner layer is never integrated
         p = derive_params(
             m=7, beta=22.417648150621368, phi0=0.30220931209589,
             psi0=0.31667525661340473, sdot=0.7797556939781252,
         )
         match = asym.solve_c(p)
-        with pytest.raises(ProfileRangeError):
-            asym.solve_outer(match.c, p)
+        c = match.c
+        assert p.phi0 + (c - p.sdot) * (1.0 - p.phi0) / p.lam < 0.0
         with pytest.raises(StiffProfileError, match="inner log-porosity overflowed"):
+            asym.jump_residual(c, p)
+        monkeypatch.setattr(asym, "inner_Phi_ode", _unreachable("inner_Phi_ode"))
+        with pytest.raises(ProfileRangeError):
             verify.residual_battery(p)
         with pytest.raises(ProfileRangeError):
             asym.build_wave_profile(match, p)
