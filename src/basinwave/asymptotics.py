@@ -320,11 +320,19 @@ def _psi_from_invariant(phi, c: float, params: BasinParams):
 
 
 def _check_outer_top(c: float, params: BasinParams) -> None:
-    """Check c, and raise the range error of :func:`_integrate_outer` before
-    integrating where the top slope F(phi0) = phi0 + (c - sdot)(1 - phi0)/lam
-    is negative: phi' = F(phi) is autonomous and scalar, so phi is monotone,
-    and F(phi0) < 0 puts it above phi0 at every node below zstar. Run once by
-    :func:`solve_outer` and :func:`build_wave_profile`."""
+    """The outer region's one pre-check, run before any step. It raises, in
+    this order: ValidationError where zstar <= 0; the :func:`_check_speed`
+    error for an invalid c; and the range error of :func:`_integrate_outer`
+    where the top slope F(phi0) = phi0 + (c - sdot)(1 - phi0)/lam is
+    negative: phi' = F(phi) is autonomous and scalar, so phi is monotone,
+    and F(phi0) < 0 puts it above phi0 at every node below zstar.
+
+    Failures are decided cheapest first: :func:`build_wave_profile` and
+    ``verify.residual_battery`` run this check, then the inner layer, then
+    the outer integration, so where the inner layer and the outer
+    integration both fail, the inner error wins."""
+    if params.zstar <= 0.0:
+        raise ValidationError("outer region is empty: zstar must be positive")
     _check_speed(c)
     if params.phi0 + (c - params.sdot) * (1.0 - params.phi0) / params.lam < 0.0:
         raise ProfileRangeError(_OUTER_RANGE)
@@ -332,53 +340,38 @@ def _check_outer_top(c: float, params: BasinParams) -> None:
 
 def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np.ndarray:
     """Integrate the outer porosity ODE downward from zeta = zstar in
-    u = ln(phi - phi_f) (:func:`_outer_tail`) and return phi = phi_f + e^u;
-    the caller has run :func:`_check_outer_top`.
+    u = ln(phi - phi_f) (:func:`_outer_tail`) and return phi = phi_f + e^u,
+    with the top node set to phi0, the value u starts from; the caller has
+    run :func:`_check_outer_top`.
 
     Downward is the stable direction: the (phi0/phi)^m factor grows as phi
     decreases, so stiffness is met where the solution matters least. Where
-    phi decays onto a zero phi_f of F, u's plateau is a straight line: under
-    400 right-hand-side calls at any zstar, where phi's steps sat at
-    Dormand-Prince's stability bound. Without a plateau phi_f = 0 and
-    u = ln phi.
+    phi decays onto a zero phi_f of F, u's plateau is a straight line:
+    under 400 right-hand-side calls at any zstar. Without a plateau
+    phi_f = 0 and u = ln phi.
     """
     phi_f, rhs = _outer_tail(c, params)
     u = _rk45(rhs, math.log(params.phi0 - phi_f), zeta_desc, rtol=1e-11, atol=1e-13,
               label="outer profile")
     phi = phi_f + np.exp(u)
+    phi[0] = params.phi0
     if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
         raise ProfileRangeError(_OUTER_RANGE)
     return phi
 
 
 def solve_outer(c: float, params: BasinParams) -> OuterProfile:
-    """Outer-region profile on (0, zstar], top-down adaptive integration.
+    """Outer-region profile on (0, zstar], top-down adaptive integration,
+    once :func:`_check_outer_top` passes.
 
     Porosity is integrated with an adaptive 4th/5th-order method from
     phi(zstar) = phi0 in u = ln(phi - phi_f), with phi_f the zero of F that
     phi decays onto, or 0 where there is none (:func:`_integrate_outer`), in
     under 400 right-hand-side calls at any zstar; the reactant and the slope
-    phi_zeta = F(phi) are evaluated on all 400 output nodes at once. As
-    phi' = F(phi) is autonomous and scalar, phi is monotone: F(phi0) < 0
-    puts it above phi0 at every node below zstar, a ProfileRangeError raised
-    before any step (:func:`_check_outer_top`).
+    phi_zeta = F(phi) are evaluated on all 400 output nodes at once.
     """
-    return _outer_profile(c, params, _outer_grid(c, params))
-
-
-def _outer_grid(c: float, params: BasinParams) -> np.ndarray:
-    """The descending output nodes of :func:`solve_outer`, returned once
-    zstar > 0, c and the top slope pass their checks."""
-    if params.zstar <= 0.0:
-        raise ValidationError("outer region is empty: zstar must be positive")
-    zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
     _check_outer_top(c, params)
-    return zeta_desc
-
-
-def _outer_profile(c: float, params: BasinParams, zeta_desc: np.ndarray) -> OuterProfile:
-    """The integration of :func:`solve_outer` onto the checked nodes of
-    :func:`_outer_grid`."""
+    zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
     phi_desc = _integrate_outer(c, params, zeta_desc)
     zeta = zeta_desc[::-1].copy()
     phi = phi_desc[::-1].copy()
@@ -683,10 +676,8 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     regions survive at moderate beta*zstar. Inner eta converts back through
     zeta = (eta - ln beta)/beta.
 
-    Failures are decided cheapest first: the outer top-slope check of
-    :func:`solve_outer`, which refuses every profile that rises above phi0,
-    then the inner layer, then the outer integration. Where the inner layer
-    and the outer integration both fail, the inner error wins.
+    Failures are decided cheapest first, in the order that
+    :func:`_check_outer_top` states.
     """
     if params.zstar <= 0.0:
         raise ValidationError("profile needs zstar > 0")

@@ -12,10 +12,8 @@ the consistent one (defaults). ``monotone_sdot_response`` reports dc/dsdot
 at the primary root from the implicit function theorem, in closed form, so
 no speed is solved at another sdot.
 
-``residual_battery`` raises the first failure it meets, cheapest first as
-``asymptotics.build_wave_profile`` does: the outer top slope decides every
-profile that rises above phi0, before the inner layer; where the inner layer
-and the outer integration both fail, the inner error wins.
+``residual_battery`` raises the first failure it meets, cheapest first in
+the order that ``asymptotics._check_outer_top`` states.
 """
 
 from __future__ import annotations
@@ -138,13 +136,9 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     ``monotone_sdot_response`` is :func:`sdot_response` at the primary
     root, which must be positive: no speed is solved at another sdot.
 
-    Failures are decided cheapest first, as in
-    :func:`asymptotics.build_wave_profile`: after the primary speed and the
-    reactant scan come the outer grid's checks (zstar > 0, then the top
-    slope, which refuses every profile that rises above phi0), the jump
-    defect's inner integration, and only then the outer integration. Where
-    the inner layer and the outer integration both fail, the inner error
-    wins. The rows keep their order whatever the order of the work.
+    Failures are decided cheapest first: after the primary speed and the
+    reactant scan, in the order that ``asymptotics._check_outer_top``
+    states. The rows keep their order whatever the order of the work.
     """
     report = VerificationReport()
 
@@ -157,9 +151,9 @@ def residual_battery(params: BasinParams) -> VerificationReport:
     r = inner_psi_ode_residual(c, params)
     report.add("inner_psi_ode_residual", r, 1e-6, r <= 1e-6)
 
-    zeta_desc = asymptotics._outer_grid(c, params)
+    asymptotics._check_outer_top(c, params)
     jump = abs(asymptotics.jump_residual(c, params))
-    outer = asymptotics._outer_profile(c, params, zeta_desc)
+    outer = asymptotics.solve_outer(c, params)
 
     invariant = c * outer.phi + asymptotics.outer_flux_invariant(outer.phi, outer.phi_zeta, params)
     expected = c * params.phi0 + (c - params.sdot) * (1.0 - params.phi0)

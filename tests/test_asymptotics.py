@@ -296,6 +296,39 @@ class TestSolveOuter:
         expected = _unfloored_outer_oracle(c, p, outer.zeta[nodes])
         assert np.max(np.abs(outer.phi[nodes] - expected) / expected) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # pool points 617 and 1414 (plateau) and 1988 (no plateau), where
+            # phi_f + e^(ln(phi0 - phi_f)) rounds 1 ulp off phi0 at the
+            # consistent root
+            dict(m=7, beta=47.88958479105524, phi0=0.49509273997813835,
+                 psi0=0.3219467071706723, sdot=0.6676135237443379),
+            dict(m=7, beta=16.590853273599308, phi0=0.4909162599934606,
+                 psi0=0.28878965795301675, sdot=0.8413973505503054),
+            dict(m=18, beta=58.2601295766967, phi0=0.3546189217909346,
+                 psi0=0.006584832614294412, sdot=1.4760488161223937),
+        ],
+        ids=["point-617", "point-1414", "point-1988"],
+    )
+    def test_top_node_is_phi0_exactly(self, point):
+        _assert_exact_top_data(derive_params(**point))
+
+    @given(box_params())
+    def test_top_node_is_phi0_exactly_across_box(self, params):
+        _assert_exact_top_data(params)
+
+
+def _assert_exact_top_data(params):
+    """Wherever the outer or the wave profile returns at either root, its
+    top node holds phi0 exactly."""
+    for solver in (asym.solve_c, asym.solve_c_consistent):
+        match = solver(params)
+        for solve, arg in ((asym.solve_outer, match.c), (asym.build_wave_profile, match)):
+            got = _outcome(solve, arg, params)
+            if not isinstance(got, type):
+                assert got.phi[-1] == params.phi0
+
 
 def _outer_oracle(c, params, zeta):
     """phi at the nodes ``zeta`` from the 30-digit inversion of
@@ -608,6 +641,26 @@ class TestSolveC:
         # the two bracket ends, one midpoint per iteration, the final midpoint
         assert len(calls) == 2 + iterations + 1
 
+    def test_bracket_grows_by_doubling_to_a_root_above_10_sdot(self, params_default):
+        # the root c = 30 sdot of the planted denominator: the high end
+        # doubles from 10 sdot while its residual is negative
+        p = params_default
+        calls = []
+        match = asym._solve_speed(p, _constant_denominator(30.0, calls))
+        assert calls[:4] == [1e-6, 10.0 * p.sdot, 20.0 * p.sdot, 40.0 * p.sdot]
+        assert match.c == pytest.approx(30.0 * p.sdot, rel=1e-12)
+        assert abs(match.residual) <= 1e-12
+
+    def test_bracket_stops_growing_past_1e3_sdot(self, params_default):
+        # the root c = 2000 sdot lies past the cap: the high end stops at
+        # 1280 sdot with its residual still negative
+        p = params_default
+        calls = []
+        with pytest.raises(NoRootError, match=re.escape(
+                "no sign change for the matching residual on (1e-06, 1.28e+03)")):
+            asym._solve_speed(p, _constant_denominator(2000.0, calls))
+        assert calls == [1e-6] + [10.0 * 2.0**i * p.sdot for i in range(8)]
+
     def test_speed_below_sedimentation_rate(self, params_default):
         assert asym.solve_c(params_default).c < params_default.sdot
 
@@ -665,6 +718,21 @@ class TestSolveC:
             asym.solve_c_consistent(params_default).c
             < asym.solve_c_consistent(params_pure).c
         )
+
+
+def _constant_denominator(k, calls):
+    """``build_denominator`` for :func:`asym._solve_speed` whose denominator
+    is the constant sdot (1 - phi0)/(k sdot), which puts the root at
+    c = k sdot; every argument is appended to ``calls``."""
+
+    def build(params):
+        def denominator(c):
+            calls.append(c)
+            return params.sdot * (1.0 - params.phi0) / (k * params.sdot)
+
+        return denominator
+
+    return build
 
 
 @pytest.fixture(scope="module")

@@ -163,6 +163,37 @@ class TestResidualBattery:
                 call(*args)
 
 
+class TestPlantedFaults:
+    # each planted fault must fail its own battery row and no other
+
+    def test_dropped_jump_term_in_the_matching_fails_the_matching_defect(
+        self, params_default, monkeypatch
+    ):
+        # without a0 C/A, solve_c returns the root of the reaction-free
+        # denominator, which the un-substituted matching misses by 0.027
+        def denominator_without_jump(params):
+            one_plus, phistar, lam = 1.0 + params.phistar, params.phistar, params.lam
+            return lambda c: one_plus - phistar * math.log(c / lam)
+
+        monkeypatch.setattr(asym, "_match_denominator", denominator_without_jump)
+        report = verify.residual_battery(params_default)
+        assert [check.name for check in report.failures()] == ["matching_defect"]
+
+    def test_scaled_reactant_in_the_inner_layer_fails_the_jump_defect(
+        self, params_default, monkeypatch
+    ):
+        # 1.01 C in the inner balance moves the jump across the zone by 1%,
+        # 2.5e-4 against the row's 1e-6
+        real = asym.inner_Phi_ode
+
+        def scaled(c, params, C, eta):
+            return real(c, params, 1.01 * C, eta)
+
+        monkeypatch.setattr(asym, "inner_Phi_ode", scaled)
+        report = verify.residual_battery(params_default)
+        assert [check.name for check in report.failures()] == ["jump_condition_defect"]
+
+
 def _unreachable(name):
     def fail(*args):
         raise AssertionError(f"called {name}")
