@@ -24,6 +24,7 @@ implicit equation that selects the wave speed c.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -512,17 +513,18 @@ def jump_residual(c: float, params: BasinParams) -> float:
         return 0.0
     low, high = default_inner_span(c, params)
     # Phi_eta at each end is the one-sided difference to a node 1/400 inside
-    # it, fine enough that its error stays below the 1e-6 scale; the
-    # integrator's steps do not depend on the nodes
+    # it, fine enough that its error stays below the 1e-6 scale (np.gradient's
+    # edge formula); the integrator's steps do not depend on the nodes
     eta = np.array([low, low + 1 / 400, high - 1 / 400, high])
     Phi = inner_Phi_ode(c, params, C, eta)
-    Phi_eta = np.gradient(Phi, eta)
+    Phi_eta = (Phi[1::2] - Phi[::2]) / (eta[1::2] - eta[::2])
+    Phi = Phi[::3]
     bracket = (
         c * params.phistar * Phi
         + params.lam * params.phistar * np.exp(Phi) * (params.A * Phi_eta - 1.0)
     )
     jump = -c * params.a0 * C / params.A
-    return float((bracket[-1] - bracket[0]) - jump)
+    return float((bracket[1] - bracket[0]) - jump)
 
 
 def _match_denominator(params: BasinParams):
@@ -574,6 +576,7 @@ def _consistent_denominator(params: BasinParams):
     return denominator
 
 
+@functools.lru_cache(maxsize=16)
 def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     """Root of c * denominator(c) = sdot (1 - phi0) by bisection, where
     ``denominator = build_denominator(params)``.
@@ -584,6 +587,10 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     high end grows from 10*sdot (capped at 1e3*sdot) while the residual
     there is negative. Bisection keeps the low end's residual negative, so
     the root is a rising crossing of c * denominator(c).
+
+    Memoized on (params, build_denominator) for the last 16 pairs: a repeated
+    call returns the same frozen :class:`MatchResult`, errors are never
+    cached, and a replaced ``build_denominator`` is a new key, solved afresh.
     """
     target = params.sdot * (1.0 - params.phi0)
 
@@ -651,6 +658,8 @@ def solve_c(params: BasinParams) -> MatchResult:
     change (capped at 1e3*sdot); the residual must be negative at 1e-6, so
     the root is a rising crossing. Note c < sdot in compacting regimes
     (Phi_inf < 0); no c >= sdot assumption is made anywhere.
+    Repeated calls with equal params return the same :class:`MatchResult`
+    (memoized in :func:`_solve_speed`).
     """
     return _solve_speed(params, _match_denominator)
 
@@ -662,6 +671,7 @@ def solve_c_consistent(params: BasinParams) -> MatchResult:
     :func:`_consistent_denominator`. This is the speed a resolved
     simulation actually selects (solid conservation forces
     c >= sdot*(1 - phi0), which the primary matching root can violate).
+    Memoized with :func:`solve_c`'s root, each under its own denominator.
     """
     return _solve_speed(params, _consistent_denominator)
 

@@ -28,7 +28,10 @@ fields, h moved by dt*hdot).
 
 Every failure raises StepRejected and the driver alone decides the retry:
 when the held-state attempt fails too, dt halves, and below 1/1024 of
-``RunConfig.dt`` the run has stalled and raises SolverError. Nearly all of
+``RunConfig.dt`` the run has stalled and raises SolverError. The run loop
+is under ``np.errstate(over="raise", invalid="raise")``, so a numpy
+overflow or invalid value in an attempt raises FloatingPointError, which
+fails the attempt as StepRejected does. Nearly all of
 the time error is made in the start-up transient, so the run starts at
 ``RunConfig.dt`` and, after each accepted step that had a line, a
 Milne-style estimate e (the distance of the accepted phi and h from that
@@ -471,6 +474,15 @@ def step_predictor_corrector(
     return BasinState(t=t_n + dt, h=h_new, phi=phi_c, psi=psi_c)
 
 
+def _sample(state: BasinState, params: BasinParams) -> tuple[float, float, float]:
+    """(t, h, dh/dt) of ``state``; a numpy FloatingPointError in dh/dt, as
+    :func:`run_simulation` raises one, becomes :class:`SolverError`."""
+    try:
+        return state.t, state.h, hdot(state.phi, state.h, params)
+    except FloatingPointError as exc:
+        raise SolverError(f"dh/dt is not finite at t = {state.t:.6g}: {exc}") from exc
+
+
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     """March from the uniform initial column to t_end by the protocol of
     the module docstring.
@@ -482,18 +494,14 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     With psi0 > 0 it warns once (``UserWarning``) at the first step where
     the column is deeper than zstar and :func:`core.layer_nodes` asks for
     more nodes than it has. Raises :class:`SolverError` when dt collapses,
-    naming the time and the last reason, or when the advection coefficient
-    hdot/(2 h dx) is not finite at t = 0. A single run is strictly
+    naming the time and the last reason, when the advection coefficient
+    hdot/(2 h dx) is not finite at t = 0, or when a dh/dt sample meets a
+    numpy overflow or invalid value. Inside a step attempt such a value
+    rejects the attempt, so numpy prints no warning. A single run is strictly
     sequential; distinct runs share no mutable state and may execute in
     parallel.
     """
     state = initial_state(params, config)
-    samples = [(state.t, state.h, hdot(state.phi, state.h, params))]
-    if not math.isfinite(samples[0][2] / (2.0 * state.h / (config.n_nodes - 1))):
-        raise SolverError(
-            f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
-        )
-
     dt_cur = config.dt
     dt_floor = config.dt * 2.0**-10
     end = config.t_end * (1.0 - _HORIZON_SLACK)
@@ -504,56 +512,65 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     steps, estimates = [], []
     rejected = 0
 
-    previous = None
-    while state.t < end:
-        gap = min(len(samples) * config.output_every, config.t_end) - state.t
-        # max(): a gap inside landing_slack, left where a sample falls just
-        # below t_end, is taken as one sliver step
-        dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
-        line = None if previous is None else _extrapolate(state, previous, dt_step)
-        # a failed extrapolated attempt is retaken at the same dt from the
-        # held state; only a failed held-state attempt is a rejection
-        for prediction in (None,) if line is None else (line, None):
-            try:
-                stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
-                break
-            except StepRejected as exc:
-                reason = exc
-        else:
-            rejected += 1
-            dt_cur = 0.5 * dt_step
-            if dt_cur < dt_floor:
-                raise SolverError(
-                    f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
-                ) from reason
-            continue
-
-        if line is not None:
-            # Milne-style estimate: the accepted phi and h against the line
-            # the prediction was drawn on; psi is left out, so a reactant
-            # that releases no water (a0 = 0) leaves the step sizes as
-            # without any reactant
-            phi_line, h_line = line
-            estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
-            estimates.append(estimate)
-            # the estimate scales as dt^2: grow dt so the next one is
-            # predicted at the limit, at most doubling it; never shrink it
-            growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
-            dt_cur = max(dt_cur, growth * dt_step)
-        previous, state = state, stepped
-        steps.append(dt_step)
-
-        if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
-            warnings.warn(
-                f"reaction layer under-resolved at t = {state.t:.4g}: "
-                f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
-                UserWarning,
-                stacklevel=2,
+    # numpy overflow and invalid arithmetic raise FloatingPointError here
+    # instead of warning: a step attempt that meets one is rejected, and a
+    # dh/dt sample that meets one fails the run (_sample)
+    with np.errstate(over="raise", invalid="raise"):
+        previous = None
+        samples = [_sample(state, params)]
+        if not math.isfinite(samples[0][2] / (2.0 * state.h / (config.n_nodes - 1))):
+            raise SolverError(
+                f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
             )
-            warn_above = math.inf
+        while state.t < end:
+            gap = min(len(samples) * config.output_every, config.t_end) - state.t
+            # max(): a gap inside landing_slack, left where a sample falls just
+            # below t_end, is taken as one sliver step
+            dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
+            line = None if previous is None else _extrapolate(state, previous, dt_step)
+            # a failed extrapolated attempt is retaken at the same dt from the
+            # held state; only a failed held-state attempt is a rejection
+            for prediction in (None,) if line is None else (line, None):
+                try:
+                    stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
+                    break
+                except (StepRejected, FloatingPointError) as exc:
+                    reason = exc
+            else:
+                rejected += 1
+                dt_cur = 0.5 * dt_step
+                if dt_cur < dt_floor:
+                    raise SolverError(
+                        f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
+                    ) from reason
+                continue
 
-        if state.t >= len(samples) * config.output_every - landing_slack:
-            samples.append((state.t, state.h, hdot(state.phi, state.h, params)))
+            if line is not None:
+                # Milne-style estimate: the accepted phi and h against the line
+                # the prediction was drawn on; psi is left out, so a reactant
+                # that releases no water (a0 = 0) leaves the step sizes as
+                # without any reactant
+                phi_line, h_line = line
+                estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
+                estimates.append(estimate)
+                # the estimate scales as dt^2: grow dt so the next one is
+                # predicted at the limit, at most doubling it; never shrink it
+                growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
+                dt_cur = max(dt_cur, growth * dt_step)
+            previous, state = state, stepped
+            steps.append(dt_step)
+
+            if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
+                warnings.warn(
+                    f"reaction layer under-resolved at t = {state.t:.4g}: "
+                    f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
+                    UserWarning,
+                    stacklevel=2,
+                )
+                warn_above = math.inf
+
+            if state.t >= len(samples) * config.output_every - landing_slack:
+                samples.append(_sample(state, params))
 
     # copied so that each field is a contiguous array
     t, h, rate = np.array(samples).T.copy()

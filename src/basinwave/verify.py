@@ -18,6 +18,7 @@ the order that ``asymptotics._check_outer_top`` states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,25 +81,47 @@ def _central_fd(f, u, step):
     return (f(u + step) - f(u - step)) / (2.0 * step)
 
 
-def below_zone_pde_residual(params: BasinParams, rng_seed: int = 0) -> float:
-    """Max finite-difference residual of Phi_t + lam e^Phi Phi_z at random
-    (z, t) samples; the drainage solution satisfies it identically."""
+@functools.lru_cache(maxsize=4)
+def _drainage_samples(rng_seed: int):
+    """The seeded (z, t) samples of :func:`below_zone_pde_residual` and
+    their finite-difference steps (z_step, t_step), drawn once per seed as
+    read-only arrays."""
     rng = np.random.default_rng(rng_seed)
     z = rng.uniform(0.0, 5.0, _DRAINAGE_SAMPLES)
     t = rng.uniform(0.0, 5.0, _DRAINAGE_SAMPLES)
-    phi_t = _central_fd(lambda u: asymptotics.below_zone_Phi(z, u, params), t, _FD_STEP * (1 + t))
-    phi_z = _central_fd(lambda u: asymptotics.below_zone_Phi(u, t, params), z, _FD_STEP * (1 + z))
+    samples = (z, t, _FD_STEP * (1 + z), _FD_STEP * (1 + t))
+    for array in samples:
+        array.flags.writeable = False
+    return samples
+
+
+def below_zone_pde_residual(params: BasinParams, rng_seed: int = 0) -> float:
+    """Max finite-difference residual of Phi_t + lam e^Phi Phi_z at random
+    (z, t) samples; the drainage solution satisfies it identically."""
+    z, t, z_step, t_step = _drainage_samples(rng_seed)
+    phi_t = _central_fd(lambda u: asymptotics.below_zone_Phi(z, u, params), t, t_step)
+    phi_z = _central_fd(lambda u: asymptotics.below_zone_Phi(u, t, params), z, z_step)
     val = asymptotics.below_zone_Phi(z, t, params)
     return float(np.max(np.abs(phi_t + params.lam * np.exp(val) * phi_z)))
+
+
+@functools.cache
+def _inner_psi_nodes():
+    """The eta nodes of :func:`inner_psi_ode_residual` and e^(-eta) there,
+    built once as read-only arrays."""
+    eta = np.linspace(-3.0, 10.0, _INNER_PSI_SAMPLES)
+    decay = np.exp(-eta)
+    eta.flags.writeable = decay.flags.writeable = False
+    return eta, decay
 
 
 def inner_psi_ode_residual(c: float, params: BasinParams) -> float:
     """Max finite-difference residual of c psi_eta = e^(-eta) psi."""
     C = asymptotics.inner_C(c, params)
-    eta = np.linspace(-3.0, 10.0, _INNER_PSI_SAMPLES)
+    eta, decay = _inner_psi_nodes()
     psi_eta = _central_fd(lambda u: asymptotics.inner_psi(u, c, C), eta, _FD_STEP)
     psi = asymptotics.inner_psi(eta, c, C)
-    return float(np.max(np.abs(c * psi_eta - np.exp(-eta) * psi)))
+    return float(np.max(np.abs(c * psi_eta - decay * psi)))
 
 
 def matching_defect(c: float, params: BasinParams) -> float:

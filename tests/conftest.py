@@ -123,6 +123,13 @@ def inner_psi_ode_residual_loop(c, params):
     return worst
 
 
+@pytest.fixture(autouse=True)
+def fresh_speed_memo():
+    """Empty the speed solver's memo before each test, so that no test
+    reads a root another test solved."""
+    asymptotics._solve_speed.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def params_default():
     return derive_params()

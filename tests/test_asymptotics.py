@@ -719,6 +719,38 @@ class TestSolveC:
             < asym.solve_c_consistent(params_pure).c
         )
 
+    def test_repeated_solve_returns_the_same_result(self, params_default):
+        for solve, _ in _SOLVERS:
+            assert solve(params_default) is solve(params_default)
+            # equal params built anew hit the same entry
+            assert solve(replace(params_default)) is solve(params_default)
+
+    @given(box_params())
+    def test_memoized_roots_equal_the_unmemoized_solve_across_box(self, params):
+        for solve, build in _SOLVERS:
+            first = solve(params)
+            assert solve(params) is first
+            fresh = asym._solve_speed.__wrapped__(params, build)
+            assert fresh is not first
+            assert fresh == first  # every field, bit for bit
+
+    def test_errors_are_raised_afresh_not_memoized(self, monkeypatch):
+        # at sdot = 1e-9 the residual is positive at the bracket's low end
+        calls = []
+        real = asym._match_denominator
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(asym, "_match_denominator", counted)
+        params = derive_params(sdot=1e-9)
+        for _ in range(2):
+            with pytest.raises(NoRootError):
+                asym.solve_c(params)
+        # each failing call built its denominator again
+        assert len(calls) == 2
+
 
 def _constant_denominator(k, calls):
     """``build_denominator`` for :func:`asym._solve_speed` whose denominator

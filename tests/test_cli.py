@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,6 +520,34 @@ class TestExitCodes:
             "solver failure: time step collapsed below 1.953e-06 at t = 1.46419: "
             "reactant went negative"
         )
+
+    def test_permeability_overflow_is_2_without_numpy_warnings(self, tmp_path):
+        # a draw far outside the box (beta 0.087, m 200): (phi/phi0)^m
+        # overflows inside step attempts, each of which is rejected, until
+        # dt collapses. A fresh interpreter keeps Python's default warning
+        # filters, so a numpy RuntimeWarning would reach stderr
+        cfg = tmp_path / "wild.json"
+        cfg.write_text(json.dumps({
+            "lambda": 0.0003498865903570406, "beta": 0.08700898096593784, "m": 200,
+            "phi0": 0.18497270617478245, "psi0": 0.642505924862698, "a0": 0.929124304638161,
+            "zstar": 1.5148916354796904, "sdot": 0.07535141970004874, "n_nodes": 16,
+            "dt": 0.8784468410709703, "t_end": 0.829537339471321,
+            "output_every": 0.20721140761519935, "h0": 0.575507133563513,
+        }))
+        source = Path(pde.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "basinwave", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(source)), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        lines = done.stderr.splitlines()
+        failures = [i for i, line in enumerate(lines) if line.startswith("solver failure: ")]
+        assert len(failures) == 1
+        warned = [i for i, line in enumerate(lines) if "UserWarning: beta = 0.087" in line]
+        assert len(warned) == 1 and warned[0] < failures[0]
 
     def test_verify_too_short_for_speed_fit_is_1_before_any_solve(
         self, tmp_path, capsys, monkeypatch

@@ -1,14 +1,16 @@
 import contextlib
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from basinwave import asymptotics as asym
-from basinwave import verify
-from basinwave.core import RunConfig, derive_params
+from basinwave import pde, verify
+from basinwave.core import RunConfig, derive_params, resolution_nodes
 from basinwave.errors import BasinwaveError, ProfileRangeError, StiffProfileError, ValidationError
 from conftest import below_zone_pde_residual_loop, box_params, inner_psi_ode_residual_loop
 
@@ -52,6 +54,23 @@ class TestResidualBattery:
         verify.residual_battery(params_default)
         # only the supplied sdot: the monotonicity row reads dc/dsdot at the root
         assert sdots == [1.0]
+
+    def test_a_benchmark_iteration_solves_each_root_once(self, params_default, monkeypatch):
+        # match_box's iteration: both roots, a profile at each, the battery;
+        # the battery reads both roots from the memo
+        built = []
+        for name in ("_match_denominator", "_consistent_denominator"):
+            real = getattr(asym, name)
+
+            def counted(params, real=real, name=name):
+                built.append(name)
+                return real(params)
+
+            monkeypatch.setattr(asym, name, counted)
+        for match in (asym.solve_c(params_default), asym.solve_c_consistent(params_default)):
+            asym.build_wave_profile(match, params_default)
+        verify.residual_battery(params_default)
+        assert built == ["_match_denominator", "_consistent_denominator"]
 
     @given(box_params())
     def test_sdot_response_is_the_derivative_of_the_root(self, params):
@@ -171,13 +190,20 @@ class TestPlantedFaults:
     ):
         # without a0 C/A, solve_c returns the root of the reaction-free
         # denominator, which the un-substituted matching misses by 0.027
-        def denominator_without_jump(params):
-            one_plus, phistar, lam = 1.0 + params.phistar, params.phistar, params.lam
-            return lambda c: one_plus - phistar * math.log(c / lam)
-
-        monkeypatch.setattr(asym, "_match_denominator", denominator_without_jump)
+        monkeypatch.setattr(asym, "_match_denominator", _denominator_without_jump)
         report = verify.residual_battery(params_default)
         assert [check.name for check in report.failures()] == ["matching_defect"]
+
+    def test_root_solved_before_the_fault_is_planted_does_not_hide_it(
+        self, params_default, monkeypatch
+    ):
+        # the speed memo keys on the denominator's build function, so the
+        # sound root memoized first is not read back once it is replaced
+        sound = asym.solve_c(params_default)
+        monkeypatch.setattr(asym, "_match_denominator", _denominator_without_jump)
+        report = verify.residual_battery(params_default)
+        assert [check.name for check in report.failures()] == ["matching_defect"]
+        assert asym.solve_c(params_default).c != sound.c
 
     def test_scaled_reactant_in_the_inner_layer_fails_the_jump_defect(
         self, params_default, monkeypatch
@@ -192,6 +218,12 @@ class TestPlantedFaults:
         monkeypatch.setattr(asym, "inner_Phi_ode", scaled)
         report = verify.residual_battery(params_default)
         assert [check.name for check in report.failures()] == ["jump_condition_defect"]
+
+
+def _denominator_without_jump(params):
+    """``_match_denominator`` without its a0 C/A term."""
+    one_plus, phistar, lam = 1.0 + params.phistar, params.phistar, params.lam
+    return lambda c: one_plus - phistar * math.log(c / lam)
 
 
 def _unreachable(name):
@@ -265,6 +297,79 @@ class TestCrossValidateSpeed:
         assert not flag.passed
         assert flag.tier == "info"
         assert "never activated" in flag.note
+
+
+#: Bound on |c_num - c_consistent| / c_consistent across the box at
+#: t_end = 8. Over every fourth column_ensemble pool point the gap lies in
+#: -0.22% ... +1.00% (median |gap| 0.15%); the two +1.00% points have the
+#: smallest beta and sdot (14.6 and 10.4; 0.566 and 0.640). 1.5% is half as
+#: much again as the largest gap; a 5% scale of the consistent denominator
+#: moves that root by 4.9-5.1%.
+_BOX_GAP_BOUND = 0.015
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.fixture(scope="module")
+def box_speeds():
+    """(pool index, params, c_num) at every fourth column_ensemble pool point
+    of the benchmark reference (read, never written), each simulated to
+    t_end = 8 with n_nodes at the resolution rule (436-2668 nodes)."""
+    pool = json.loads(_REFERENCE.read_text())["column_ensemble"]
+    speeds = []
+    for index in range(0, len(pool), 4):
+        params = derive_params(**pool[index]["params"])
+        config = RunConfig(t_end=8.0)
+        config = replace(config, n_nodes=resolution_nodes(params, config))
+        c_num, _ = pde.estimate_wave_speed(pde.run_simulation(params, config))
+        speeds.append((index, params, c_num))
+    return speeds
+
+
+def _box_disagreements(box_speeds):
+    """Each point where c_num is below the floor sdot (1 - phi0) or its gap
+    to the consistent root exceeds _BOX_GAP_BOUND."""
+    problems = []
+    for index, params, c_num in box_speeds:
+        floor = params.sdot * (1.0 - params.phi0)
+        consistent = asym.solve_c_consistent(params).c
+        gap = (c_num - consistent) / consistent
+        if not c_num >= floor:
+            problems.append(f"point {index}: c_num {c_num:.5f} below the floor {floor:.5f}")
+        if not abs(gap) <= _BOX_GAP_BOUND:
+            problems.append(f"point {index}: c_num {c_num:.5f} is {gap:+.2%} from {consistent:.5f}")
+    return problems
+
+
+def _primary_gaps(box_speeds):
+    """c_num's gap to the primary root at each point: reported, never gated."""
+    return ", ".join(
+        f"{index}: {c_num / asym.solve_c(params).c - 1.0:+.0%}" for index, params, c_num in box_speeds
+    )
+
+
+class TestBoxAgreement:
+    """The two answers to the front speed agree across the validated box,
+    not only at the defaults."""
+
+    def test_simulated_speed_is_above_the_floor_and_near_the_consistent_root(self, box_speeds):
+        problems = _box_disagreements(box_speeds)
+        assert not problems, f"{problems}; primary-root gaps {_primary_gaps(box_speeds)}"
+
+    def test_scaled_consistent_denominator_fails_at_every_point(self, box_speeds, monkeypatch):
+        # the sound roots are memoized first; the memo keys on the
+        # denominator's build function, so the scaled one is solved afresh
+        assert not _box_disagreements(box_speeds)
+        real = asym._consistent_denominator
+
+        def scaled(params):
+            denominator = real(params)
+            return lambda c: 1.05 * denominator(c)
+
+        monkeypatch.setattr(asym, "_consistent_denominator", scaled)
+        problems = _box_disagreements(box_speeds)
+        assert len(problems) == len(box_speeds)
+        assert all("% from" in problem for problem in problems)
 
 
 class TestReportType:

@@ -23,7 +23,7 @@ operations are named with the root they ran at. A change that is meant to
 move some outcomes shows which ones here, where the digest only differs.
 
 Run from the repository root: ``PYTHONPATH=src python tools/match_digest.py``.
-It takes about 7 s on two cores.
+It takes about 4 s on two cores.
 """
 
 from __future__ import annotations
