@@ -689,9 +689,8 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     Failures are decided cheapest first, in the order that
     :func:`_check_outer_top` states.
     """
-    if params.zstar <= 0.0:
-        raise ValidationError("profile needs zstar > 0")
     c = match.c
+    _check_outer_top(c, params)
     beta = params.beta
     delta = min(10.0 * math.log(beta) / beta, 0.45 * params.zstar)
     n = 801
@@ -701,7 +700,6 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     inner = ~(above | below)
 
     phi, psi = np.empty(n), np.empty(n)
-    _check_outer_top(c, params)
 
     eta = beta * zeta + math.log(beta)
     eta_inner = eta[inner]

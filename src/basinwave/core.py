@@ -166,6 +166,13 @@ class RunConfig:
                 raise ValidationError(f"config field {f.name} must be positive and finite, got {value!r}")
         if not isinstance(self.n_nodes, numbers.Integral) or self.n_nodes < 16:
             raise ValidationError(f"n_nodes must be an integer >= 16, got {self.n_nodes!r}")
+        # the driver's step floor dt/1024 must split a sample interval (twice, for rounding)
+        # into finite steps, and dh/dt divides by the grid spacing; float() keeps numpy quiet
+        floor, span = float(self.dt) * 2.0**-10, float(min(self.t_end, self.output_every))
+        if not (floor > 0.0 and math.isfinite(2.0 * span / floor)):
+            raise ValidationError(f"dt = {self.dt!r} is too small: dt/1024 is 0 or {span!r}/(dt/1024) inf")
+        if float(self.h0) * 2.0**1022 < self.n_nodes - 1:
+            raise ValidationError(f"h0 = {self.h0!r} leaves a subnormal grid spacing on {self.n_nodes} nodes")
 
 
 def layer_nodes(params: BasinParams, h: float) -> float:

@@ -28,10 +28,11 @@ fields, h moved by dt*hdot).
 
 Every failure raises StepRejected and the driver alone decides the retry:
 when the held-state attempt fails too, dt halves, and below 1/1024 of
-``RunConfig.dt`` the run has stalled and raises SolverError. The run loop
-is under ``np.errstate(over="raise", invalid="raise")``, so a numpy
-overflow or invalid value in an attempt raises FloatingPointError, which
-fails the attempt as StepRejected does. Nearly all of
+``RunConfig.dt`` the run has stalled and raises SolverError. An attempt
+runs under ``np.errstate(over="raise", invalid="raise", divide="raise")``,
+so a numpy overflow, invalid value or division by zero in it raises
+StepRejected too, as a float division by zero does, also for a caller
+outside the driver, and numpy prints no warning. Nearly all of
 the time error is made in the start-up transient, so the run starts at
 ``RunConfig.dt`` and, after each accepted step that had a line, a
 Milne-style estimate e (the distance of the accepted phi and h from that
@@ -425,62 +426,64 @@ def step_predictor_corrector(
     sweep before it, is measured; earlier sweeps need only leave finite
     fields.
 
-    No retry: raises :class:`StepRejected` when a sweep cannot be solved,
-    or the corrector leaves non-finite fields, a final relative update not
-    within _CORRECTOR_REJECT_LIMIT, a non-positive porosity or a negative
-    reactant; and :class:`ValidationError` when the predicted phi has
-    another node count than ``state``.
+    No retry: raises :class:`StepRejected` when t + dt does not exceed t,
+    a sweep cannot be solved, numpy overflows, turns invalid or divides by
+    zero, a float divides by zero, or the corrector leaves non-finite
+    fields, a final relative update not within _CORRECTOR_REJECT_LIMIT, a
+    non-positive porosity, a negative reactant or a new depth h without a
+    normal grid spacing h*dx; and :class:`ValidationError` when the
+    predicted phi has another node count than ``state``.
     """
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
+    if not t_n + dt > t_n:
+        raise StepRejected(f"dt = {dt:.3e} does not advance t = {t_n!r}")
     x = _grid(phi_n.size)
     dx = 1.0 / (phi_n.size - 1)
-    hdot_n = hdot(phi_n, h_n, params)
-    if prediction is None:
-        # the held state, a cruder prediction, takes one sweep more
-        phi_p, h_p = phi_n, h_n + dt * hdot_n
-        sweeps = _CORRECTOR_SWEEPS + 1
-    else:
-        phi_p, h_p = prediction
-        if phi_p.size != phi_n.size:
-            raise ValidationError(f"predicted phi has {phi_p.size} nodes, the state has {phi_n.size}")
-        sweeps = _CORRECTOR_SWEEPS
-
-    work = _workspace(phi_n.size)
-    for sweep in range(sweeps):
-        if sweep:
-            # the update norm below sees only what the last sweep leaves
-            if not (np.isfinite(phi_c).all() and np.isfinite(psi_c).all()):
-                raise StepRejected("corrector left non-finite fields")
-            phi_p, psi_p, h_p = phi_c, psi_c, h_new
-        hdot_p = hdot(phi_p, h_p, params)
-        phi_bar = 0.5 * (phi_n + phi_p)
-        h_bar = 0.5 * (h_n + h_p)
-        hdot_bar = 0.5 * (hdot_n + hdot_p)
-        h_new = h_n + dt * hdot_bar
-        phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params, work)
-
-    phi_change = _rel_change(phi_c, phi_p)
-    psi_change = _rel_change(psi_c, psi_p)
-    # max() below would drop a NaN that is not its first argument
-    if phi_change is None or psi_change is None:
-        raise StepRejected("corrector left non-finite fields")
-    update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
-    if not update_norm <= _CORRECTOR_REJECT_LIMIT:
-        raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
-    if np.minimum.reduce(phi_c) <= 0.0:
-        raise StepRejected("porosity went non-positive")
-    if np.minimum.reduce(psi_c) < 0.0:
-        raise StepRejected("reactant went negative")
-    return BasinState(t=t_n + dt, h=h_new, phi=phi_c, psi=psi_c)
-
-
-def _sample(state: BasinState, params: BasinParams) -> tuple[float, float, float]:
-    """(t, h, dh/dt) of ``state``; a numpy FloatingPointError in dh/dt, as
-    :func:`run_simulation` raises one, becomes :class:`SolverError`."""
     try:
-        return state.t, state.h, hdot(state.phi, state.h, params)
-    except FloatingPointError as exc:
-        raise SolverError(f"dh/dt is not finite at t = {state.t:.6g}: {exc}") from exc
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            hdot_n = hdot(phi_n, h_n, params)
+            if prediction is None:
+                # the held state, a cruder prediction, takes one sweep more
+                phi_p, h_p = phi_n, h_n + dt * hdot_n
+                sweeps = _CORRECTOR_SWEEPS + 1
+            else:
+                phi_p, h_p = prediction
+                if phi_p.size != phi_n.size:
+                    raise ValidationError(f"predicted phi has {phi_p.size} nodes, the state has {phi_n.size}")
+                sweeps = _CORRECTOR_SWEEPS
+
+            work = _workspace(phi_n.size)
+            for sweep in range(sweeps):
+                if sweep:
+                    # the update norm below sees only what the last sweep leaves
+                    if not (np.isfinite(phi_c).all() and np.isfinite(psi_c).all()):
+                        raise StepRejected("corrector left non-finite fields")
+                    phi_p, psi_p, h_p = phi_c, psi_c, h_new
+                hdot_p = hdot(phi_p, h_p, params)
+                phi_bar = 0.5 * (phi_n + phi_p)
+                h_bar = 0.5 * (h_n + h_p)
+                hdot_bar = 0.5 * (hdot_n + hdot_p)
+                h_new = h_n + dt * hdot_bar
+                phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params, work)
+
+            phi_change = _rel_change(phi_c, phi_p)
+            psi_change = _rel_change(psi_c, psi_p)
+            # max() below would drop a NaN that is not its first argument
+            if phi_change is None or psi_change is None:
+                raise StepRejected("corrector left non-finite fields")
+            update_norm = max(phi_change, psi_change, abs(h_new - h_p) / abs(h_new))
+            if not update_norm <= _CORRECTOR_REJECT_LIMIT:
+                raise StepRejected(f"corrector update {update_norm:.3e} too large for dt = {dt:.3e}")
+            if np.minimum.reduce(phi_c) <= 0.0:
+                raise StepRejected("porosity went non-positive")
+            if np.minimum.reduce(psi_c) < 0.0:
+                raise StepRejected("reactant went negative")
+            # the next attempt and a dh/dt sample divide by the grid spacing
+            if not h_new * dx >= sys.float_info.min:
+                raise StepRejected(f"column depth {h_new:.3e} leaves no grid spacing")
+            return BasinState(t=t_n + dt, h=h_new, phi=phi_c, psi=psi_c)
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise StepRejected(f"arithmetic failed: {exc}") from exc
 
 
 def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
@@ -494,10 +497,10 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     With psi0 > 0 it warns once (``UserWarning``) at the first step where
     the column is deeper than zstar and :func:`core.layer_nodes` asks for
     more nodes than it has. Raises :class:`SolverError` when dt collapses,
-    naming the time and the last reason, when the advection coefficient
-    hdot/(2 h dx) is not finite at t = 0, or when a dh/dt sample meets a
-    numpy overflow or invalid value. Inside a step attempt such a value
-    rejects the attempt, so numpy prints no warning. A single run is strictly
+    naming the time and the last reason, or when the advection coefficient
+    hdot/(2 h dx) is not finite at t = 0. A sampled state has its top node
+    at phi0, where the permeability factor is exp(0) = 1, so a dh/dt
+    sample meets no numpy overflow. A single run is strictly
     sequential; distinct runs share no mutable state and may execute in
     parallel.
     """
@@ -512,65 +515,61 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     steps, estimates = [], []
     rejected = 0
 
-    # numpy overflow and invalid arithmetic raise FloatingPointError here
-    # instead of warning: a step attempt that meets one is rejected, and a
-    # dh/dt sample that meets one fails the run (_sample)
-    with np.errstate(over="raise", invalid="raise"):
-        previous = None
-        samples = [_sample(state, params)]
-        if not math.isfinite(samples[0][2] / (2.0 * state.h / (config.n_nodes - 1))):
-            raise SolverError(
-                f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
+    previous = None
+    samples = [(state.t, state.h, hdot(state.phi, state.h, params))]
+    if not math.isfinite(samples[0][2] / (2.0 * state.h / (config.n_nodes - 1))):
+        raise SolverError(
+            f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
+        )
+    while state.t < end:
+        gap = min(len(samples) * config.output_every, config.t_end) - state.t
+        # max(): a gap inside landing_slack, left where a sample falls just
+        # below t_end, is taken as one sliver step
+        dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
+        line = None if previous is None else _extrapolate(state, previous, dt_step)
+        # a failed extrapolated attempt is retaken at the same dt from the
+        # held state; only a failed held-state attempt is a rejection
+        for prediction in (None,) if line is None else (line, None):
+            try:
+                stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
+                break
+            except StepRejected as exc:
+                reason = exc
+        else:
+            rejected += 1
+            dt_cur = 0.5 * dt_step
+            if dt_cur < dt_floor:
+                raise SolverError(
+                    f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
+                ) from reason
+            continue
+
+        if line is not None:
+            # Milne-style estimate: the accepted phi and h against the line
+            # the prediction was drawn on; psi is left out, so a reactant
+            # that releases no water (a0 = 0) leaves the step sizes as
+            # without any reactant
+            phi_line, h_line = line
+            estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
+            estimates.append(estimate)
+            # the estimate scales as dt^2: grow dt so the next one is
+            # predicted at the limit, at most doubling it; never shrink it
+            growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
+            dt_cur = max(dt_cur, growth * dt_step)
+        previous, state = state, stepped
+        steps.append(dt_step)
+
+        if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
+            warnings.warn(
+                f"reaction layer under-resolved at t = {state.t:.4g}: "
+                f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
+                UserWarning,
+                stacklevel=2,
             )
-        while state.t < end:
-            gap = min(len(samples) * config.output_every, config.t_end) - state.t
-            # max(): a gap inside landing_slack, left where a sample falls just
-            # below t_end, is taken as one sliver step
-            dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
-            line = None if previous is None else _extrapolate(state, previous, dt_step)
-            # a failed extrapolated attempt is retaken at the same dt from the
-            # held state; only a failed held-state attempt is a rejection
-            for prediction in (None,) if line is None else (line, None):
-                try:
-                    stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
-                    break
-                except (StepRejected, FloatingPointError) as exc:
-                    reason = exc
-            else:
-                rejected += 1
-                dt_cur = 0.5 * dt_step
-                if dt_cur < dt_floor:
-                    raise SolverError(
-                        f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
-                    ) from reason
-                continue
+            warn_above = math.inf
 
-            if line is not None:
-                # Milne-style estimate: the accepted phi and h against the line
-                # the prediction was drawn on; psi is left out, so a reactant
-                # that releases no water (a0 = 0) leaves the step sizes as
-                # without any reactant
-                phi_line, h_line = line
-                estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
-                estimates.append(estimate)
-                # the estimate scales as dt^2: grow dt so the next one is
-                # predicted at the limit, at most doubling it; never shrink it
-                growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
-                dt_cur = max(dt_cur, growth * dt_step)
-            previous, state = state, stepped
-            steps.append(dt_step)
-
-            if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
-                warnings.warn(
-                    f"reaction layer under-resolved at t = {state.t:.4g}: "
-                    f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
-                    UserWarning,
-                    stacklevel=2,
-                )
-                warn_above = math.inf
-
-            if state.t >= len(samples) * config.output_every - landing_slack:
-                samples.append(_sample(state, params))
+        if state.t >= len(samples) * config.output_every - landing_slack:
+            samples.append((state.t, state.h, hdot(state.phi, state.h, params)))
 
     # copied so that each field is a contiguous array
     t, h, rate = np.array(samples).T.copy()

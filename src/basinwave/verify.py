@@ -33,6 +33,11 @@ _FD_STEP = 1e-6
 _DRAINAGE_SAMPLES = 100
 _INNER_PSI_SAMPLES = 200
 
+# The eta nodes of inner_psi_ode_residual and e^(-eta) there, read-only.
+_INNER_PSI_ETA = np.linspace(-3.0, 10.0, _INNER_PSI_SAMPLES)
+_INNER_PSI_DECAY = np.exp(-_INNER_PSI_ETA)
+_INNER_PSI_ETA.flags.writeable = _INNER_PSI_DECAY.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -105,23 +110,12 @@ def below_zone_pde_residual(params: BasinParams, rng_seed: int = 0) -> float:
     return float(np.max(np.abs(phi_t + params.lam * np.exp(val) * phi_z)))
 
 
-@functools.cache
-def _inner_psi_nodes():
-    """The eta nodes of :func:`inner_psi_ode_residual` and e^(-eta) there,
-    built once as read-only arrays."""
-    eta = np.linspace(-3.0, 10.0, _INNER_PSI_SAMPLES)
-    decay = np.exp(-eta)
-    eta.flags.writeable = decay.flags.writeable = False
-    return eta, decay
-
-
 def inner_psi_ode_residual(c: float, params: BasinParams) -> float:
     """Max finite-difference residual of c psi_eta = e^(-eta) psi."""
     C = asymptotics.inner_C(c, params)
-    eta, decay = _inner_psi_nodes()
-    psi_eta = _central_fd(lambda u: asymptotics.inner_psi(u, c, C), eta, _FD_STEP)
-    psi = asymptotics.inner_psi(eta, c, C)
-    return float(np.max(np.abs(c * psi_eta - decay * psi)))
+    psi_eta = _central_fd(lambda u: asymptotics.inner_psi(u, c, C), _INNER_PSI_ETA, _FD_STEP)
+    psi = asymptotics.inner_psi(_INNER_PSI_ETA, c, C)
+    return float(np.max(np.abs(c * psi_eta - _INNER_PSI_DECAY * psi)))
 
 
 def matching_defect(c: float, params: BasinParams) -> float:

@@ -776,7 +776,7 @@ def profile(params_default):
 class TestWaveProfile:
     def test_zero_zstar_rejected(self, profile, params_default):
         match, _ = profile
-        with pytest.raises(ValidationError, match="profile needs zstar > 0"):
+        with pytest.raises(ValidationError, match="outer region is empty"):
             asym.build_wave_profile(match, derive_params(zstar=0.0))
 
     def test_no_node_inside_the_zone_is_refused(self):

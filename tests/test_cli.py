@@ -567,6 +567,23 @@ class TestExitCodes:
         )
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dt": 1e-320, "n_nodes": 32, "t_end": 0.1, "output_every": 0.05}',
+            '{"dt": 1e-10, "n_nodes": 32, "t_end": 1e300, "output_every": 1e300}',
+        ],
+        ids=["subnormal-dt", "huge-horizon"],
+    )
+    def test_step_count_overflow_is_1(self, tmp_path, capsys, text):
+        # dt/1024 splits a sample interval into inf steps: refused with one
+        # error line before any step, not an OverflowError from the driver
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dt = ")
+
     def test_unallocatable_n_nodes_is_1(self, tmp_path, capsys):
         # numpy refuses 1e20 nodes without trying to allocate them
         cfg = tmp_path / "cfg.json"

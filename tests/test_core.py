@@ -217,6 +217,31 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(**kwargs)
 
+    # the driver's floor dt/1024 must be positive and split a sample
+    # interval into a finite number of steps: the first floor leaves
+    # 0.05/1e-323 = inf steps, the second 1e300/9.8e-14
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": 1e-320, "n_nodes": 32, "t_end": 0.1, "output_every": 0.05},
+            {"dt": 1e-10, "n_nodes": 32, "t_end": 1e300, "output_every": 1e300},
+            {"dt": 2e-321},
+        ],
+        ids=["subnormal-dt", "huge-horizon", "floor-underflows"],
+    )
+    def test_step_floor_without_a_finite_step_count_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=r"is too small: dt/1024 is 0 or .* inf"):
+            RunConfig(**kwargs)
+
+    def test_tiny_start_step_with_a_finite_count_accepted(self):
+        assert RunConfig(dt=1e-300, t_end=1.0).dt == 1e-300
+
+    def test_subnormal_grid_spacing_rejected(self):
+        # dh/dt divides by the grid spacing h0/(n_nodes - 1)
+        RunConfig(n_nodes=32, h0=31 * 2.0**-1022)
+        with pytest.raises(ValidationError, match="subnormal grid spacing on 32 nodes"):
+            RunConfig(n_nodes=32, h0=30 * 2.0**-1022)
+
 
 class TestResolutionRule:
     def test_default_rule(self, params_default):

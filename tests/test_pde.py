@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from basinwave import core, pde
+from basinwave import asymptotics, core, pde, verify
 from basinwave.core import (
     BasinState,
     RunConfig,
@@ -22,7 +23,7 @@ from basinwave.core import (
     permeability_factor,
     reaction_rate,
 )
-from basinwave.errors import SolverError, StepRejected, ValidationError
+from basinwave.errors import BasinwaveError, SolverError, StepRejected, ValidationError
 from basinwave.pde import (
     TimeSeries,
     estimate_wave_speed,
@@ -247,6 +248,40 @@ class TestStep:
             dl[row], d[row + 1] = 0.0, 0.0
         with pytest.raises(StepRejected, match=message):
             pde._solve_closed((dl, d, du), (1.0, 0.0, 1.0), np.ones(n))
+
+
+    def test_numpy_overflow_rejects_a_direct_attempt(self):
+        # Finding 14's draw far outside the box (beta 0.087, m 200): the
+        # permeability overflows in the first sweep. Called directly, outside
+        # any driver, the attempt still raises StepRejected and numpy warns
+        # of nothing
+        with pytest.warns(UserWarning, match="beta = 0.087"):
+            p = derive_params(
+                lam=0.0003498865903570406, beta=0.08700898096593784, m=200,
+                phi0=0.18497270617478245, psi0=0.642505924862698, a0=0.929124304638161,
+                zstar=1.5148916354796904, sdot=0.07535141970004874,
+            )
+        state = initial_state(p, RunConfig(n_nodes=16, h0=0.575507133563513))
+        with warnings.catch_warnings(record=True) as caught:
+            with pytest.raises(StepRejected, match="arithmetic failed: overflow encountered in exp"):
+                step_predictor_corrector(state, 0.2, p)
+        assert not caught
+
+    def test_a_prediction_averaging_to_zero_depth_rejects_the_attempt(self):
+        # the sweep divides its advection row, non-zero at dh/dt = 1, by the
+        # mean depth (h + h_p)/2 = 0
+        p = derive_params(sdot=2.0)
+        state = initial_state(p, RunConfig(n_nodes=16, h0=0.5))
+        with warnings.catch_warnings(record=True) as caught:
+            with pytest.raises(StepRejected, match="arithmetic failed: divide by zero"):
+                step_predictor_corrector(state, 1e-3, p, prediction=(state.phi, -0.5))
+        assert not caught
+
+    @pytest.mark.parametrize("dt", [1e-20, 0.0, -1e-3, math.nan], ids=["below-ulp", "zero", "negative", "nan"])
+    def test_a_step_that_does_not_advance_t_is_rejected(self, params_default, dt):
+        state = replace(initial_state(params_default, RunConfig(n_nodes=16)), t=1.0)
+        with pytest.raises(StepRejected, match="does not advance t = 1.0"):
+            step_predictor_corrector(state, dt, params_default)
 
 
 def _dense_reference_sweep(x, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, p):
@@ -478,6 +513,15 @@ class TestRunSimulation:
         ):
             run_simulation(params_default, config)
 
+    def test_a_column_emptied_by_the_held_prediction_halves_dt(self):
+        # without sedimentation the uniform column shrinks at dh/dt = -2, so
+        # the first held prediction at dt = 0.05 puts the top at h = 0
+        # exactly, where dh/dt divides by zero; that attempt is rejected
+        p = derive_params(sdot=0.0, lam=2.0, psi0=0.0, a0=0.0)
+        series = run_simulation(p, RunConfig(n_nodes=16, dt=0.05, t_end=0.2, output_every=0.05))
+        assert series.stats.steps_rejected == 1 and series.stats.dt_max < 0.05
+        assert np.minimum.reduce(series.h) > 0.0
+
     def test_too_large_start_dt_is_halved(self, params_default):
         # dt = 1.0 makes the first corrector diverge; halving it twice joins
         # the run started at dt = 0.25 bit for bit
@@ -562,6 +606,98 @@ class TestRunAcrossBox:
             except SolverError:
                 return
         self.assert_physical(series.final_state, params)
+
+
+def _log_floats(low, high):
+    """Floats spread evenly in log10 over [10^low, 10^high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def wild_draws(draw):
+    """Valid parameters and a short column far outside the box, as keyword
+    dicts: lam 1e-6..1e6, beta 1e-3..1e6, m 7..1000, and a0, zstar and sdot
+    0 or from 1e-3 up to 1e3, 1e8 and 1e6; n 16..200, t_end 1e-3..1, dt
+    from t_end/100 to 2 t_end or subnormal, and h0 1e-3..1e3 or below
+    1e-300."""
+    phi0 = draw(st.floats(1e-3, 0.999))
+    params = dict(
+        lam=draw(_log_floats(-6, 6)),
+        beta=draw(_log_floats(-3, 6)),
+        m=draw(st.integers(7, 1000)),
+        phi0=phi0,
+        psi0=draw(st.floats(0.0, 1.0 - phi0)),
+        a0=draw(st.just(0.0) | _log_floats(-3, 3)),
+        zstar=draw(st.just(0.0) | _log_floats(-3, 8)),
+        sdot=draw(st.just(0.0) | _log_floats(-3, 6)),
+    )
+    t_end = draw(_log_floats(-3, 0))
+    usual = st.floats(t_end / 100, 2.0 * t_end)
+    subnormal = st.floats(0.0, 2.0**-1022, exclude_min=True, exclude_max=True)
+    config = dict(
+        n_nodes=draw(st.integers(16, 200)),
+        # one dt in three is subnormal, so most draws reach a run
+        dt=draw(st.one_of(usual, usual, subnormal)),
+        t_end=t_end,
+        output_every=t_end / draw(st.integers(1, 20)),
+        h0=draw(_log_floats(-3, 3) | st.floats(0.0, 1e-300, exclude_min=True)),
+    )
+    return params, config
+
+
+class TestWildParameters:
+    """Every public solve, at valid parameters far outside the box, returns
+    a physical result or raises a package error, and numpy warns of
+    nothing: the suite turns a RuntimeWarning into an error, and the
+    warnings recorded below may only be beta's and the resolution rule's."""
+
+    @staticmethod
+    def assert_physical_state(state, params):
+        TestRunAcrossBox.assert_physical(state, params)
+        assert np.isfinite(state.phi).all() and np.isfinite(state.psi).all()
+        assert 0.0 < state.h < math.inf
+
+    def exercise(self, param_kwargs, config_kwargs):
+        p = derive_params(**param_kwargs)
+        for solve in (asymptotics.solve_c, asymptotics.solve_c_consistent):
+            try:
+                match = solve(p)
+            except BasinwaveError:
+                continue
+            assert 0.0 < match.c < math.inf
+            try:
+                profile = asymptotics.build_wave_profile(match, p)
+            except BasinwaveError:
+                continue
+            assert np.isfinite(profile.phi).all() and np.isfinite(profile.psi).all()
+            assert np.minimum.reduce(profile.phi) > 0.0
+        try:
+            report = verify.residual_battery(p)
+            assert report.checks
+        except BasinwaveError:
+            pass
+
+        config = RunConfig(**config_kwargs)
+        state = initial_state(p, config)
+        try:
+            self.assert_physical_state(step_predictor_corrector(state, config.dt, p), p)
+        except StepRejected:
+            pass
+        series = run_simulation(p, config)
+        assert np.isfinite(series.t).all() and np.isfinite(series.h).all()
+        assert np.isfinite(series.hdot).all()
+        assert series.final_state.t == pytest.approx(config.t_end, rel=1e-9)
+        self.assert_physical_state(series.final_state, p)
+
+    @settings(max_examples=150)
+    @given(wild_draws())
+    def test_every_call_returns_a_physical_result_or_a_package_error(self, draw):
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                self.exercise(*draw)
+            except BasinwaveError:
+                pass
+        assert all(issubclass(w.category, UserWarning) for w in caught)
 
 
 class TestExtrapolatedPredictor:
