@@ -77,8 +77,15 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
+# Accepted steps after which an integration is refused as stiff; the largest
+# integration over the benchmark's 2048-point match_box pool takes 259.
+_MAX_STEPS = 10_000
 
 _OUTER_RANGE = "outer porosity left the admissible range (0, phi0]"
+
+# The region tags of a wave profile, in ascending zeta.
+_REGIONS = np.array(["below", "inner", "outer-above"])
+_REGIONS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,11 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     where the quartic interpolant is evaluated for all nodes in one pass;
     so the steps depend on t_eval only through its ends. A step that
     shrinks below 10 ulp of t (as it does once the right-hand side turns
-    NaN) raises SolverError; a grid of fewer than two nodes, with a
-    non-finite node or not strictly monotone raises ValidationError.
+    NaN) raises SolverError; one that would be the (_MAX_STEPS + 1)-th
+    accepted step raises StiffProfileError, since only a stiff right-hand
+    side keeps an explicit method's steps that short; a grid of fewer than
+    two nodes, with a non-finite node or not strictly monotone raises
+    ValidationError.
     """
     if t_eval.size < 2:
         raise ValidationError(f"{label} grid needs at least two nodes, got {t_eval.size}")
@@ -174,7 +184,13 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     toward = direction * math.inf
     abs_y = abs(y)
     records = []
+    max_records = 10 * _MAX_STEPS
     while direction * (t - t_bound) < 0.0:
+        if len(records) == max_records:
+            raise StiffProfileError(
+                f"{label} integration took {_MAX_STEPS} steps and stopped at t = {t!r} "
+                f"short of {t_bound!r}"
+            )
         min_step = 10.0 * abs(nextafter(t, toward) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -312,8 +328,7 @@ def _psi_from_invariant(phi, c: float, params: BasinParams):
     """
     invariant = c * params.phi0 + (c - params.sdot) * (1.0 - params.phi0)
     denominator = c - (invariant - c * np.asarray(phi, dtype=float)) / (1.0 - params.phi0)
-    small = np.abs(denominator) < 1e-12
-    if np.any(small):
+    if (np.abs(denominator) < 1e-12).any():
         raise SingularProfileError(
             "outer reactant relation is singular: flux denominator within 1e-12 of zero"
         )
@@ -356,7 +371,7 @@ def _integrate_outer(c: float, params: BasinParams, zeta_desc: np.ndarray) -> np
               label="outer profile")
     phi = phi_f + np.exp(u)
     phi[0] = params.phi0
-    if np.any(phi <= 0.0) or np.any(phi > params.phi0 * (1.0 + 1e-10)):
+    if (phi <= 0.0).any() or (phi > params.phi0 * (1.0 + 1e-10)).any():
         raise ProfileRangeError(_OUTER_RANGE)
     return phi
 
@@ -374,12 +389,12 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     _check_outer_top(c, params)
     zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
     phi_desc = _integrate_outer(c, params, zeta_desc)
-    zeta = zeta_desc[::-1].copy()
-    phi = phi_desc[::-1].copy()
+    zeta = zeta_desc[::-1]
+    phi = phi_desc[::-1]
     psi = _psi_from_invariant(phi, c, params)
     arg = params.m * np.log(params.phi0 / phi)
     over = arg > _POW_OVERFLOW_LIMIT
-    if np.any(over):
+    if over.any():
         raise _permeability_overflow(phi[over][0], arg[over][0])
     bracket = c * (params.phi0 - phi) + (c - params.sdot) * (1.0 - params.phi0)
     phi_zeta = phi + bracket * np.exp(arg) / params.lam
@@ -413,20 +428,10 @@ def phi_infinity(c: float, params: BasinParams) -> float:
     return math.log(c / params.lam)
 
 
-def _inner_C_of(params: BasinParams):
-    """``C(c)`` of :func:`inner_C` without its check on c, with e^(-eta_top)
-    bound once."""
-    psi0 = params.psi0
-    if psi0 == 0.0:
-        return lambda c: 0.0
-    eta_top = params.beta * params.zstar + math.log(params.beta)
-    decay = math.exp(-eta_top)
-    exp = math.exp
-
-    def C(c):
-        return psi0 * exp(min(decay / c, _POW_OVERFLOW_LIMIT))
-
-    return C
+def _top_decay(params: BasinParams) -> float:
+    """e^(-eta_top) at the top of the inner coordinate,
+    eta_top = beta*zstar + ln(beta)."""
+    return math.exp(-(params.beta * params.zstar + math.log(params.beta)))
 
 
 def inner_C(c: float, params: BasinParams) -> float:
@@ -437,7 +442,10 @@ def inner_C(c: float, params: BasinParams) -> float:
     machine precision.
     """
     _check_speed(c)
-    return _inner_C_of(params)(c)
+    psi0 = params.psi0
+    if psi0 == 0.0:
+        return 0.0
+    return psi0 * math.exp(min(_top_decay(params) / c, _POW_OVERFLOW_LIMIT))
 
 
 def inner_psi(eta, c: float, C: float):
@@ -533,15 +541,18 @@ def _match_denominator(params: BasinParams):
     With Phi_inf = ln(c/lam) substituted, the matching of outer and inner
     flux invariants reduces to
 
-        c [1 + phistar - phistar ln(c/lam) + a0 C(c) / A] = sdot (1 - phi0).
+        c [1 + phistar - phistar ln(c/lam) + a0 C(c) / A] = sdot (1 - phi0),
+
+    with :func:`inner_C`'s C(c) written out: psi0 e^(min(e^(-eta_top)/c, 700)),
+    which is 0 where psi0 = 0, so e^(-eta_top) is not evaluated there.
     """
     one_plus, phistar, lam = 1.0 + params.phistar, params.phistar, params.lam
-    a0, A = params.a0, params.A
-    C = _inner_C_of(params)
-    log = math.log
+    a0, A, psi0 = params.a0, params.A, params.psi0
+    decay = _top_decay(params) if psi0 else 0.0
+    log, exp, limit = math.log, math.exp, _POW_OVERFLOW_LIMIT
 
     def denominator(c):
-        return one_plus - phistar * log(c / lam) + a0 * C(c) / A
+        return one_plus - phistar * log(c / lam) + a0 * (psi0 * exp(min(decay / c, limit))) / A
 
     return denominator
 
@@ -563,15 +574,15 @@ def _consistent_denominator(params: BasinParams):
 
     whose root honors global solid conservation (c >= sdot (1 - phi0)) and
     tracks the simulated late-time boundary speed. Kept as a diagnostic
-    beside :func:`_match_denominator`.
+    beside :func:`_match_denominator`, with C(c) written out the same way.
     """
     one_minus, lam, a0 = 1.0 - params.phistar, params.lam, params.a0
-    phistar_m, A_m = params.phistar / params.m, params.A * params.m
-    C = _inner_C_of(params)
-    log = math.log
+    phistar_m, A_m, psi0 = params.phistar / params.m, params.A * params.m, params.psi0
+    decay = _top_decay(params) if psi0 else 0.0
+    log, exp, limit = math.log, math.exp, _POW_OVERFLOW_LIMIT
 
     def denominator(c):
-        return one_minus - phistar_m * (log(c / lam) - 1.0) + a0 * C(c) / A_m
+        return one_minus - phistar_m * (log(c / lam) - 1.0) + a0 * (psi0 * exp(min(decay / c, limit))) / A_m
 
     return denominator
 
@@ -593,10 +604,6 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     cached, and a replaced ``build_denominator`` is a new key, solved afresh.
     """
     target = params.sdot * (1.0 - params.phi0)
-
-    def residual(c):
-        return c * denominator(c) - target
-
     if params.sdot <= 0.0:
         raise NoRootError(
             "matching equation has no positive root for sdot <= 0 "
@@ -605,23 +612,23 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     denominator = build_denominator(params)
     lo = 1e-6
     hi = 10.0 * params.sdot
-    g_lo = residual(lo)
+    g_lo = lo * denominator(lo) - target
     if not g_lo < 0.0:
         raise NoRootError(
             f"matching residual is not negative at the bracket's low end c = {lo:.3g} "
             f"({g_lo:.3e}): C(c) = psi0 exp(min(e^(-eta_top)/c, {_POW_OVERFLOW_LIMIT:g})) "
             "is that large there when beta*zstar is small"
         )
-    g_hi = residual(hi)
+    g_hi = hi * denominator(hi) - target
     while g_hi < 0.0 and hi < 1e3 * params.sdot:
         hi *= 2.0
-        g_hi = residual(hi)
+        g_hi = hi * denominator(hi) - target
     if g_hi < 0.0:
         raise NoRootError(f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})")
 
     for iterations in range(1, _MAX_ROOT_ITERS + 1):
         c = 0.5 * (lo + hi)
-        g = residual(c)
+        g = c * denominator(c) - target
         if abs(g) <= _ROOT_TOL:
             break
         # a NaN moves the low end, as a negative residual does
@@ -634,7 +641,7 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     # the bracket stalled, its midpoint the last candidate; a NaN fails too
     if not abs(g) <= _ROOT_TOL:
         c = 0.5 * (lo + hi)
-        g = residual(c)
+        g = c * denominator(c) - target
         if not abs(g) <= _ROOT_TOL:
             raise SolverError(
                 f"bisection stalled: residual {g:.3e} > tol "
@@ -683,8 +690,10 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     position; the true lower extent grows with the basin). Region seams sit
     at +/- min(10 ln(beta)/beta, 0.45 zstar): far enough out that the inner
     solution is settled to double-exponential accuracy, capped so all three
-    regions survive at moderate beta*zstar. Inner eta converts back through
-    zeta = (eta - ln beta)/beta.
+    regions survive at moderate beta*zstar. The grid ascends, so the regions
+    are three contiguous index ranges: "below" where zeta < -delta,
+    "outer-above" where zeta > delta, and "inner" between. Inner eta
+    converts back through zeta = (eta - ln beta)/beta.
 
     Failures are decided cheapest first, in the order that
     :func:`_check_outer_top` states.
@@ -695,25 +704,24 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     delta = min(10.0 * math.log(beta) / beta, 0.45 * params.zstar)
     n = 801
     zeta = np.linspace(-params.zstar, params.zstar, n)
-    above = zeta > delta
-    below = zeta < -delta
-    inner = ~(above | below)
+    # first node at or above -delta, first node above delta
+    lo = zeta.searchsorted(-delta)
+    hi = zeta.searchsorted(delta, "right")
+    if hi <= lo:
+        raise ValidationError("profile grid too coarse to place nodes inside the reaction zone")
 
     phi, psi = np.empty(n), np.empty(n)
 
-    eta = beta * zeta + math.log(beta)
-    eta_inner = eta[inner]
-    if eta_inner.size == 0:
-        raise ValidationError("profile grid too coarse to place nodes inside the reaction zone")
-    eta_lo = min(default_inner_span(c, params)[0], eta_inner[0] - 2.0)
-    eta_grid = np.concatenate(([eta_lo], eta_inner))
-    Phi = inner_Phi_ode(c, params, match.C, eta_grid)
-    phi[inner] = phi_from_Phi(Phi[1:], params)
-    psi[~above] = inner_psi(eta[~above], c, match.C)
+    eta = beta * zeta[:hi] + math.log(beta)
+    eta_lo = min(default_inner_span(c, params)[0], eta[lo] - 2.0)
+    Phi = inner_Phi_ode(c, params, match.C, np.concatenate(([eta_lo], eta[lo:])))
+    phi[lo:hi] = phi_from_Phi(Phi[1:], params)
+    psi[:hi] = inner_psi(eta, c, match.C)
 
-    phi[above] = _integrate_outer(c, params, zeta[above][::-1])[::-1]
-    psi[above] = _psi_from_invariant(phi[above], c, params)
-    phi[below] = phi_from_Phi(match.Phi_inf, params)
+    phi_above = _integrate_outer(c, params, zeta[hi:][::-1])[::-1]
+    phi[hi:] = phi_above
+    psi[hi:] = _psi_from_invariant(phi_above, c, params)
+    phi[:lo] = phi_from_Phi(match.Phi_inf, params)
 
-    region = np.where(above, "outer-above", np.where(below, "below", "inner"))
+    region = _REGIONS.repeat((lo, hi - lo, n - hi))
     return TravellingWaveProfile(zeta=zeta, phi=phi, psi=psi, region=region)

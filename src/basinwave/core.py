@@ -59,8 +59,11 @@ class BasinParams:
     def __post_init__(self):
         raw = {name: getattr(self, name) for name in _RAW_FIELDS}
         # NaN passes the sign checks below, int(m) raises untyped errors,
-        # and bool is a Real that no parameter means
+        # and bool is a Real that no parameter means; a finite value of type
+        # exactly float or int skips the ABC check (a bool's type is bool)
         for name, value in raw.items():
+            if type(value) in (float, int) and -math.inf < value < math.inf:
+                continue
             if isinstance(value, bool) or not (
                 isinstance(value, numbers.Real) and -math.inf < value < math.inf
             ):

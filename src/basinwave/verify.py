@@ -33,10 +33,13 @@ _FD_STEP = 1e-6
 _DRAINAGE_SAMPLES = 100
 _INNER_PSI_SAMPLES = 200
 
-# The eta nodes of inner_psi_ode_residual and e^(-eta) there, read-only.
+# The eta nodes of inner_psi_ode_residual and e^(-eta) there, and the node
+# sets its one evaluation stacks: eta + step, eta - step and eta; read-only.
 _INNER_PSI_ETA = np.linspace(-3.0, 10.0, _INNER_PSI_SAMPLES)
 _INNER_PSI_DECAY = np.exp(-_INNER_PSI_ETA)
+_INNER_PSI_NODES = np.stack((_INNER_PSI_ETA + _FD_STEP, _INNER_PSI_ETA - _FD_STEP, _INNER_PSI_ETA))
 _INNER_PSI_ETA.flags.writeable = _INNER_PSI_DECAY.flags.writeable = False
+_INNER_PSI_NODES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _central_fd(f, u, step):
-    return (f(u + step) - f(u - step)) / (2.0 * step)
-
-
 @functools.lru_cache(maxsize=4)
 def _drainage_samples(rng_seed: int):
-    """The seeded (z, t) samples of :func:`below_zone_pde_residual` and
-    their finite-difference steps (z_step, t_step), drawn once per seed as
-    read-only arrays."""
+    """The seeded (z, t) samples of :func:`below_zone_pde_residual` as
+    ``(z_sets, t_sets, z_width, t_width)``, drawn once per seed as read-only
+    arrays: the five sample sets t + t_step, t - t_step, z + z_step,
+    z - z_step and the centre (z, t), stacked for one evaluation, and the
+    central differences' widths 2 z_step and 2 t_step."""
     rng = np.random.default_rng(rng_seed)
     z = rng.uniform(0.0, 5.0, _DRAINAGE_SAMPLES)
     t = rng.uniform(0.0, 5.0, _DRAINAGE_SAMPLES)
-    samples = (z, t, _FD_STEP * (1 + z), _FD_STEP * (1 + t))
+    z_step, t_step = _FD_STEP * (1 + z), _FD_STEP * (1 + t)
+    z_sets = np.stack((z, z, z + z_step, z - z_step, z))
+    t_sets = np.stack((t + t_step, t - t_step, t, t, t))
+    samples = (z_sets, t_sets, 2.0 * z_step, 2.0 * t_step)
     for array in samples:
         array.flags.writeable = False
     return samples
@@ -103,19 +107,18 @@ def _drainage_samples(rng_seed: int):
 def below_zone_pde_residual(params: BasinParams, rng_seed: int = 0) -> float:
     """Max finite-difference residual of Phi_t + lam e^Phi Phi_z at random
     (z, t) samples; the drainage solution satisfies it identically."""
-    z, t, z_step, t_step = _drainage_samples(rng_seed)
-    phi_t = _central_fd(lambda u: asymptotics.below_zone_Phi(z, u, params), t, t_step)
-    phi_z = _central_fd(lambda u: asymptotics.below_zone_Phi(u, t, params), z, z_step)
-    val = asymptotics.below_zone_Phi(z, t, params)
-    return float(np.max(np.abs(phi_t + params.lam * np.exp(val) * phi_z)))
+    z_sets, t_sets, z_width, t_width = _drainage_samples(rng_seed)
+    t_ahead, t_behind, z_ahead, z_behind, val = asymptotics.below_zone_Phi(z_sets, t_sets, params)
+    phi_t = (t_ahead - t_behind) / t_width
+    phi_z = (z_ahead - z_behind) / z_width
+    return float(np.abs(phi_t + params.lam * np.exp(val) * phi_z).max())
 
 
 def inner_psi_ode_residual(c: float, params: BasinParams) -> float:
     """Max finite-difference residual of c psi_eta = e^(-eta) psi."""
-    C = asymptotics.inner_C(c, params)
-    psi_eta = _central_fd(lambda u: asymptotics.inner_psi(u, c, C), _INNER_PSI_ETA, _FD_STEP)
-    psi = asymptotics.inner_psi(_INNER_PSI_ETA, c, C)
-    return float(np.max(np.abs(c * psi_eta - _INNER_PSI_DECAY * psi)))
+    ahead, behind, psi = asymptotics.inner_psi(_INNER_PSI_NODES, c, asymptotics.inner_C(c, params))
+    psi_eta = (ahead - behind) / (2.0 * _FD_STEP)
+    return float(np.abs(c * psi_eta - _INNER_PSI_DECAY * psi).max())
 
 
 def matching_defect(c: float, params: BasinParams) -> float:
@@ -137,7 +140,7 @@ def sdot_response(c: float, params: BasinParams) -> float:
     equation c D(c) = sdot (1 - phi0) (implicit function theorem), with
     d(c D)/dc = 1 - phistar ln(c/lam) + a0 C(c) (1 - e^(-eta_top)/c)/A;
     NaN where that derivative vanishes."""
-    decay = math.exp(-(params.beta * params.zstar + math.log(params.beta)))
+    decay = asymptotics._top_decay(params)
     slope = (
         1.0
         - params.phistar * asymptotics.phi_infinity(c, params)
@@ -174,7 +177,7 @@ def residual_battery(params: BasinParams) -> VerificationReport:
 
     invariant = c * outer.phi + asymptotics.outer_flux_invariant(outer.phi, outer.phi_zeta, params)
     expected = c * params.phi0 + (c - params.sdot) * (1.0 - params.phi0)
-    r = float(np.max(np.abs(invariant - expected)))
+    r = float(np.abs(invariant - expected).max())
     report.add("outer_flux_invariant", r, 1e-8, r <= 1e-8)
 
     report.add("jump_condition_defect", jump, 1e-6, jump <= 1e-6)

@@ -95,6 +95,11 @@ def box_params(draw):
     )
 
 
+def _central_fd(f, u, step):
+    """Central difference of ``f`` at ``u`` with half-width ``step``."""
+    return (f(u + step) - f(u - step)) / (2.0 * step)
+
+
 def below_zone_pde_residual_loop(params, rng_seed=0):
     """Reference for ``verify.below_zone_pde_residual``: the same samples
     and steps, one scalar sample at a time."""
@@ -105,8 +110,8 @@ def below_zone_pde_residual_loop(params, rng_seed=0):
     for zi, ti in zip(z, t):
         step_t = verify._FD_STEP * (1 + ti)
         step_z = verify._FD_STEP * (1 + zi)
-        phi_t = verify._central_fd(lambda u: asymptotics.below_zone_Phi(zi, u, params), ti, step_t)
-        phi_z = verify._central_fd(lambda u: asymptotics.below_zone_Phi(u, ti, params), zi, step_z)
+        phi_t = _central_fd(lambda u: asymptotics.below_zone_Phi(zi, u, params), ti, step_t)
+        phi_z = _central_fd(lambda u: asymptotics.below_zone_Phi(u, ti, params), zi, step_z)
         val = asymptotics.below_zone_Phi(zi, ti, params)
         worst = max(worst, abs(phi_t + params.lam * math.exp(val) * phi_z))
     return worst
@@ -117,7 +122,7 @@ def inner_psi_ode_residual_loop(c, params):
     C = asymptotics.inner_C(c, params)
     worst = 0.0
     for eta in np.linspace(-3.0, 10.0, verify._INNER_PSI_SAMPLES):
-        psi_eta = verify._central_fd(lambda u: float(asymptotics.inner_psi(u, c, C)), eta, verify._FD_STEP)
+        psi_eta = _central_fd(lambda u: float(asymptotics.inner_psi(u, c, C)), eta, verify._FD_STEP)
         psi = float(asymptotics.inner_psi(eta, c, C))
         worst = max(worst, abs(c * psi_eta - math.exp(-eta) * psi))
     return worst

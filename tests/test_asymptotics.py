@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -831,6 +832,19 @@ class TestWaveProfile:
         with pytest.raises(StiffProfileError, match="inner log-porosity underflowed"):
             asym.build_wave_profile(match, p)
 
+    @given(box_params())
+    def test_regions_are_the_seam_masks_across_box(self, params):
+        # the grid ascends, so the masks below are three contiguous ranges
+        delta = min(10.0 * math.log(params.beta) / params.beta, 0.45 * params.zstar)
+        for solver in (asym.solve_c, asym.solve_c_consistent):
+            prof = _outcome(asym.build_wave_profile, solver(params), params)
+            if isinstance(prof, type):
+                continue
+            expected = np.where(prof.zeta > delta, "outer-above",
+                                np.where(prof.zeta < -delta, "below", "inner"))
+            assert prof.region.dtype == np.dtype("<U11")
+            assert np.array_equal(prof.region, expected)
+
     def test_top_boundary_data(self, profile, params_default):
         _, prof = profile
         assert prof.phi[-1] == params_default.phi0
@@ -975,6 +989,43 @@ class TestRk45:
                 asym.build_wave_profile(solver(p), p)
         with pytest.raises(StiffProfileError, match="overflowed"):
             asym.jump_residual(asym.solve_c(p).c, p)
+
+    def test_steps_are_capped(self, monkeypatch):
+        # y' = 1 has no error estimate, so its steps grow tenfold with no
+        # rejection and each accepted step costs six calls after the two of
+        # the first step's choice
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return 1.0
+
+        t_eval = np.array([0.0, 1e6])
+        asym._rk45(rhs, 0.0, t_eval, rtol=1e-10, atol=1e-12, label="test")
+        steps = (len(calls) - 2) // 6
+        assert len(calls) == 2 + 6 * steps and steps > 2
+        monkeypatch.setattr(asym, "_MAX_STEPS", steps)
+        y = asym._rk45(rhs, 0.0, t_eval, rtol=1e-10, atol=1e-12, label="test")
+        assert y[-1] == pytest.approx(1e6)
+        monkeypatch.setattr(asym, "_MAX_STEPS", steps - 1)
+        message = rf"^test integration took {steps - 1} steps and stopped at t = "
+        with pytest.raises(StiffProfileError, match=message):
+            asym._rk45(rhs, 0.0, t_eval, rtol=1e-10, atol=1e-12, label="test")
+
+    def test_stiff_inner_layer_is_refused_within_the_step_cap(self):
+        # a point far outside the box where the inner layer at the consistent
+        # root keeps explicit steps tiny: without the cap the profile ran for
+        # minutes; the jump check, over its own span, raises its overflow
+        p = derive_params(lam=0.07548, beta=9130.07, m=341, phi0=0.46746, psi0=0.37492,
+                          a0=681.55, zstar=4.274e7, sdot=0.35611)
+        match = asym.solve_c_consistent(p)
+        start = time.perf_counter()
+        message = f"^inner profile integration took {asym._MAX_STEPS} steps"
+        with pytest.raises(StiffProfileError, match=message):
+            asym.build_wave_profile(match, p)
+        with pytest.raises(StiffProfileError):
+            asym.jump_residual(match.c, p)
+        assert time.perf_counter() - start < 1.0
 
     @given(box_params())
     def test_profile_matches_solve_ivp_across_box(self, params):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,21 @@ class TestDeriveParams:
         p = BasinParams(lam=1, m=7.0)
         assert type(p.lam) is float and p.lam == 1.0
         assert type(p.m) is int and p.m == 7
+
+    @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "1", None],
+                             ids=["true", "nan", "inf", "minus-inf", "str", "none"])
+    @pytest.mark.parametrize("name", ["lam", "m"])
+    def test_exact_float_and_int_fast_path_refuses_what_the_check_refuses(self, name, value):
+        # float NaN and infinities have the fast path's type and bool has
+        # not; each is refused with the message every refused value gets
+        message = f"parameter {name} must be a finite number, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            BasinParams(**{name: value})
+
+    def test_numpy_scalars_are_accepted_and_stored_exact(self):
+        p = BasinParams(lam=np.float64(1.5), beta=np.int64(30), m=np.int64(9), sdot=np.float64(2.0))
+        assert (type(p.lam), type(p.beta), type(p.m), type(p.sdot)) == (float, float, int, float)
+        assert p == BasinParams(lam=1.5, beta=30.0, m=9, sdot=2.0)
 
     def test_low_beta_warns(self):
         with pytest.warns(UserWarning, match="beta"):
