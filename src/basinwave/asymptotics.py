@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ _MAX_ROOT_ITERS = 200
 # Stopping tolerance of the speed bisection on the matching residual.
 _ROOT_TOL = 1e-12
 # Bisection also stops once its bracket is this narrow relative to the midpoint.
-_BISECTION_REL_WIDTH = 8.0 * np.finfo(float).eps
+_BISECTION_REL_WIDTH = 8.0 * sys.float_info.epsilon
 
 # Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 1980): stage nodes
 # C, stage weights A, fifth-order weights B, error weights E (fifth minus
@@ -86,6 +87,32 @@ _OUTER_RANGE = "outer porosity left the admissible range (0, phi0]"
 # The region tags of a wave profile, in ascending zeta.
 _REGIONS = np.array(["below", "inner", "outer-above"])
 _REGIONS.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=4)
+def _node_counts(num: int) -> np.ndarray:
+    """The read-only float sequence 0, 1, ..., num - 1."""
+    counts = np.arange(num, dtype=float)
+    counts.flags.writeable = False
+    return counts
+
+
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)`` for finite floats with a finite
+    span and num >= 2, bit for bit: numpy's own sequence on a cached
+    :func:`_node_counts`, without its dispatch."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        # a subnormal span, as numpy handles it
+        y = _node_counts(num) / div
+        y *= delta
+    else:
+        y = _node_counts(num) * step
+    y += start
+    y[-1] = stop
+    return y
 
 
 @dataclass(frozen=True)
@@ -148,13 +175,14 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
     accepted step appends its ten floats (the seven stage slopes, t, y and
     h) to one flat list, turned into a (steps, 10) array once at the end,
     where the quartic interpolant is evaluated for all nodes in one pass;
-    so the steps depend on t_eval only through its ends. A step that
-    shrinks below 10 ulp of t (as it does once the right-hand side turns
-    NaN) raises SolverError; one that would be the (_MAX_STEPS + 1)-th
-    accepted step raises StiffProfileError, since only a stiff right-hand
-    side keeps an explicit method's steps that short; a grid of fewer than
-    two nodes, with a non-finite node or not strictly monotone raises
-    ValidationError.
+    so the steps depend on t_eval only through its ends (:func:`_dense_output`).
+    A step that shrinks below 10 ulp of t (as it does once the right-hand
+    side turns NaN) raises SolverError; 10 ulp is found with nextafter only
+    for a step below 1e-13 |t| + 1e-300, a bound above 10 ulp at every finite
+    t. One that would be the (_MAX_STEPS + 1)-th accepted step raises
+    StiffProfileError, since only a stiff right-hand side keeps an explicit
+    method's steps that short; a grid of fewer than two nodes, with a
+    non-finite node or not strictly monotone raises ValidationError.
     """
     if t_eval.size < 2:
         raise ValidationError(f"{label} grid needs at least two nodes, got {t_eval.size}")
@@ -191,13 +219,17 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
                 f"{label} integration took {_MAX_STEPS} steps and stopped at t = {t!r} "
                 f"short of {t_bound!r}"
             )
-        min_step = 10.0 * abs(nextafter(t, toward) - t)
-        if h_abs < min_step:
-            h_abs = min_step
+        # at least 10 ulp of t: 10 ulp is at most 2.3e-15 |t| for a normal
+        # t and 5e-323 otherwise
+        floor_bound = 1e-13 * abs(t) + 1e-300
+        if h_abs < floor_bound:
+            min_step = 10.0 * abs(nextafter(t, toward) - t)
+            if h_abs < min_step:
+                h_abs = min_step
         rejected = False
         while True:
             # written so that a NaN step fails too
-            if not h_abs >= min_step:
+            if not h_abs >= floor_bound and not h_abs >= 10.0 * abs(nextafter(t, toward) - t):
                 raise SolverError(
                     f"{label} integration failed: step size fell below 10 ulp at t = {t!r}"
                 )
@@ -231,18 +263,30 @@ def _rk45(rhs, y0: float, t_eval: np.ndarray, rtol: float, atol: float, label: s
         records += (f, k1, k2, k3, k4, k5, f_new, t, y, h)
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
 
-    records = np.array(records, dtype=float).reshape(-1, 10)
-    starts = records[:, 7]
-    ends = np.append(starts[1:], t)
-    # node -> first step whose end reaches it, as solve_ivp assigns t_eval
-    i = np.searchsorted(direction * ends, direction * t_eval)
-    q = (records[:, :7] @ _DP_P)[i]
-    step = records[i, 9]
-    x = (t_eval - starts[i]) / step
+    return _dense_output(np.array(records, dtype=float).reshape(-1, 10), t_eval, direction)
+
+
+def _dense_output(records: np.ndarray, t_eval: np.ndarray, direction: float) -> np.ndarray:
+    """The quartic interpolant of :func:`_rk45`'s accepted steps on every
+    node of ``t_eval``, whose ends are the first step's start and the last
+    step's end. Each row of ``records`` holds a step's seven stage slopes,
+    its start t, y there and its signed length h, in step order along
+    ``direction``. A node goes to the first step whose end reaches it, as
+    solve_ivp assigns t_eval.
+    """
+    later_starts = records[1:, 7]
+    if direction > 0.0:
+        i = later_starts.searchsorted(t_eval)
+    else:
+        i = (-later_starts).searchsorted(-t_eval)
+    # the matmul runs over every row: BLAS rounds differently by shape
+    q = (records[:, :7] @ _DP_P).T.take(i, axis=1)
+    start, y, step = records[:, 7:].T.take(i, axis=1)
+    x = (t_eval - start) / step
     x2 = x * x
     x3 = x2 * x
-    poly = q[:, 0] * x + q[:, 1] * x2 + q[:, 2] * x3 + q[:, 3] * (x3 * x)
-    return step * poly + records[i, 8]
+    poly = q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x)
+    return step * poly + y
 
 
 def _permeability_overflow(phi, arg) -> StiffProfileError:
@@ -269,7 +313,7 @@ def _outer_tail(c: float, params: BasinParams):
     """
     phi0, m, lam = params.phi0, params.m, params.lam
     a = c * phi0 + (c - params.sdot) * (1.0 - phi0)
-    exp = math.exp
+    exp, limit = math.exp, _POW_OVERFLOW_LIMIT
     phi_f = phi0
     while True:
         ratio = lam * (phi_f / phi0) ** m
@@ -290,7 +334,7 @@ def _outer_tail(c: float, params: BasinParams):
         def rhs(_zeta, u):
             # m ln(phi0/phi), guarded against overflow
             arg = m * (log_phi0 - u)
-            if arg > _POW_OVERFLOW_LIMIT:
+            if arg > limit:
                 raise _permeability_overflow(exp(u), arg)
             return 1.0 + exp(arg) * (a * exp(-u) - c) / lam
 
@@ -304,7 +348,7 @@ def _outer_tail(c: float, params: BasinParams):
         log_phi = log1p(r)  # ln(phi/phi_f)
         # m ln(phi0/phi), guarded against overflow
         arg = m * (log_ratio - log_phi)
-        if arg > _POW_OVERFLOW_LIMIT:
+        if arg > limit:
             raise _permeability_overflow(phi_f * (1.0 + r), arg)
         # (1 - (phi_f/phi)^m)/r, which is m once r underflows
         return 1.0 + (-expm1(-m * log_phi) / r if r else m) - c_lam * exp(arg)
@@ -387,7 +431,7 @@ def solve_outer(c: float, params: BasinParams) -> OuterProfile:
     phi_zeta = F(phi) are evaluated on all 400 output nodes at once.
     """
     _check_outer_top(c, params)
-    zeta_desc = np.linspace(params.zstar, params.zstar * 1e-6, 400)
+    zeta_desc = _linspace(params.zstar, params.zstar * 1e-6, 400)
     phi_desc = _integrate_outer(c, params, zeta_desc)
     zeta = zeta_desc[::-1]
     phi = phi_desc[::-1]
@@ -500,7 +544,7 @@ def inner_Phi_ode(c: float, params: BasinParams, C: float, eta: np.ndarray) -> n
                 f"inner log-porosity overflowed (Phi = {Phi:.3g} at eta = {eta:.3g})"
             ) from None
         # the integrated reaction factor: 1 above the zone, 0 below
-        s = 0.0 if -eta > 690.0 else exp(-exp(-eta) / c)
+        s = 0.0 if eta < -690.0 else exp(-exp(-eta) / c)
         return (1.0 + (B - c_ps * Phi - source_scale * s) / (lam_ps * e_Phi)) / A
 
     return _rk45(rhs, phi_inf, eta, rtol=1e-10, atol=1e-12, label="inner profile")
@@ -523,16 +567,19 @@ def jump_residual(c: float, params: BasinParams) -> float:
     # Phi_eta at each end is the one-sided difference to a node 1/400 inside
     # it, fine enough that its error stays below the 1e-6 scale (np.gradient's
     # edge formula); the integrator's steps do not depend on the nodes
-    eta = np.array([low, low + 1 / 400, high - 1 / 400, high])
-    Phi = inner_Phi_ode(c, params, C, eta)
-    Phi_eta = (Phi[1::2] - Phi[::2]) / (eta[1::2] - eta[::2])
-    Phi = Phi[::3]
-    bracket = (
-        c * params.phistar * Phi
-        + params.lam * params.phistar * np.exp(Phi) * (params.A * Phi_eta - 1.0)
-    )
-    jump = -c * params.a0 * C / params.A
-    return float((bracket[1] - bracket[0]) - jump)
+    eta = (low, low + 1 / 400, high - 1 / 400, high)
+    Phi = inner_Phi_ode(c, params, C, np.array(eta))
+    # numpy's exp on the two ends; the rest is scalar work, which Python
+    # floats round exactly as numpy's
+    exp_low, exp_high = np.exp(Phi[::3]).tolist()
+    Phi_low, Phi_in_low, Phi_in_high, Phi_high = Phi.tolist()
+    slope_low = (Phi_in_low - Phi_low) / (eta[1] - eta[0])
+    slope_high = (Phi_high - Phi_in_high) / (eta[3] - eta[2])
+    c_ps, lam_ps, A = c * params.phistar, params.lam * params.phistar, params.A
+    bracket_low = c_ps * Phi_low + lam_ps * exp_low * (A * slope_low - 1.0)
+    bracket_high = c_ps * Phi_high + lam_ps * exp_high * (A * slope_high - 1.0)
+    jump = -c * params.a0 * C / A
+    return (bracket_high - bracket_low) - jump
 
 
 def _match_denominator(params: BasinParams):
@@ -626,23 +673,24 @@ def _solve_speed(params: BasinParams, build_denominator) -> MatchResult:
     if g_hi < 0.0:
         raise NoRootError(f"no sign change for the matching residual on ({lo:.3g}, {hi:.3g})")
 
+    tol, rel_width = _ROOT_TOL, _BISECTION_REL_WIDTH
     for iterations in range(1, _MAX_ROOT_ITERS + 1):
         c = 0.5 * (lo + hi)
         g = c * denominator(c) - target
-        if abs(g) <= _ROOT_TOL:
+        if abs(g) <= tol:
             break
         # a NaN moves the low end, as a negative residual does
         if g > 0.0:
             hi = c
         else:
             lo = c
-        if hi - lo <= _BISECTION_REL_WIDTH * abs(c):
+        if hi - lo <= rel_width * abs(c):
             break
     # the bracket stalled, its midpoint the last candidate; a NaN fails too
-    if not abs(g) <= _ROOT_TOL:
+    if not abs(g) <= tol:
         c = 0.5 * (lo + hi)
         g = c * denominator(c) - target
-        if not abs(g) <= _ROOT_TOL:
+        if not abs(g) <= tol:
             raise SolverError(
                 f"bisection stalled: residual {g:.3e} > tol "
                 f"{_ROOT_TOL:.3e} after {iterations} iterations"
@@ -700,10 +748,15 @@ def build_wave_profile(match: MatchResult, params: BasinParams) -> TravellingWav
     """
     c = match.c
     _check_outer_top(c, params)
+    zstar = params.zstar
+    if not math.isfinite(2.0 * zstar):
+        raise ValidationError(
+            f"profile grid [-zstar, zstar] spans more than the float range: zstar = {zstar!r}"
+        )
     beta = params.beta
-    delta = min(10.0 * math.log(beta) / beta, 0.45 * params.zstar)
+    delta = min(10.0 * math.log(beta) / beta, 0.45 * zstar)
     n = 801
-    zeta = np.linspace(-params.zstar, params.zstar, n)
+    zeta = _linspace(-zstar, zstar, n)
     # first node at or above -delta, first node above delta
     lo = zeta.searchsorted(-delta)
     hi = zeta.searchsorted(delta, "right")

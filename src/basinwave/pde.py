@@ -197,7 +197,8 @@ def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
     dx = 1.0 / (phi.size - 1)
     phi_3, phi_2, phi_1 = phi[-3:].tolist()
     phi_z = (3.0 * phi_1 - 4.0 * phi_2 + phi_3) / (2.0 * dx * h)
-    k_top = float(permeability_factor(phi_1, params))
+    # at the top datum the factor is exp(m log 1) = exp(0) = 1 exactly
+    k_top = 1.0 if phi_1 == params.phi0 else float(permeability_factor(phi_1, params))
     return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi_1)
 
 
@@ -316,9 +317,17 @@ def _solve_closed(bands, bottom, rhs):
 
 
 def _workspace(n):
-    """The 13 rows of one (13, n) block, as views sized n - 1, n - 2 or n."""
+    """One attempt's rows, all views of one (13, n) block: ten work rows
+    sized n - 1, n - 2 or n, then the tuple of ``gtsv`` bands (dl, d, du)
+    and the tuple of their interior rows (dl[:-1], d[1:-1], du[1:])."""
     block = np.empty((13, n))
-    return (*block[:6, :-1], *block[6:9, :-2], *block[9:])
+    half, k_half, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d = (
+        *block[:6, :-1], *block[6:9, :-2], *block[9:]
+    )
+    return (
+        half, k_half, k_minus, k_plus, adv, applied, scratch, decay, keep, sink,
+        (dl, d, du), (dl[:-1], d[1:-1], du[1:]),
+    )
 
 
 def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
@@ -339,9 +348,7 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
     # also catches NaN coefficients, which would otherwise reach the solve
     if not np.minimum.reduce(phi_c) > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    half, k_half, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d = work
-    bands = (dl, d, du)
-    lo, di, up = dl[:-1], d[1:-1], du[1:]
+    half, k_half, k_minus, k_plus, adv, applied, scratch, decay, keep, sink, bands, (lo, di, up) = work
     scale = -0.5 * dt
     half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, scale, (half, k_half, adv))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +43,9 @@ _INNER_PSI_ETA.flags.writeable = _INNER_PSI_DECAY.flags.writeable = False
 _INNER_PSI_NODES.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One report row; immutable, with the repr of the keyword form."""
+
     name: str
     value: float
     tolerance: float
@@ -57,16 +59,7 @@ class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name, value, tolerance, passed, tier="primary", note=""):
-        self.checks.append(
-            CheckResult(
-                name=name,
-                value=float(value),
-                tolerance=float(tolerance),
-                passed=bool(passed),
-                tier=tier,
-                note=note,
-            )
-        )
+        self.checks.append(CheckResult(name, float(value), float(tolerance), bool(passed), tier, note))
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.tier == "primary" and not c.passed]

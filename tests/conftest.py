@@ -81,6 +81,41 @@ def spatial_order_ladder(params):
     return largest, orders
 
 
+def dense_output_reference(records, t_eval, direction):
+    """Reference for ``asymptotics._dense_output``: the quartic interpolant
+    as the integrator first wrote it, with the step ends built by appending
+    the last step's end, t_eval[-1], to the later step starts."""
+    starts = records[:, 7]
+    ends = np.append(starts[1:], t_eval[-1])
+    i = np.searchsorted(direction * ends, direction * t_eval)
+    q = (records[:, :7] @ asymptotics._DP_P)[i]
+    step = records[i, 9]
+    x = (t_eval - starts[i]) / step
+    x2 = x * x
+    x3 = x2 * x
+    poly = q[:, 0] * x + q[:, 1] * x2 + q[:, 2] * x3 + q[:, 3] * (x3 * x)
+    return step * poly + records[i, 8]
+
+
+def jump_residual_reference(c, params):
+    """Reference for ``asymptotics.jump_residual``: the same inner solution,
+    with its finite differences and brackets taken on numpy arrays."""
+    C = asymptotics.inner_C(c, params)
+    if params.a0 == 0.0 or C == 0.0:
+        return 0.0
+    low, high = asymptotics.default_inner_span(c, params)
+    eta = np.array([low, low + 1 / 400, high - 1 / 400, high])
+    Phi = asymptotics.inner_Phi_ode(c, params, C, eta)
+    Phi_eta = (Phi[1::2] - Phi[::2]) / (eta[1::2] - eta[::2])
+    Phi = Phi[::3]
+    bracket = (
+        c * params.phistar * Phi
+        + params.lam * params.phistar * np.exp(Phi) * (params.A * Phi_eta - 1.0)
+    )
+    jump = -c * params.a0 * C / params.A
+    return float((bracket[1] - bracket[0]) - jump)
+
+
 @st.composite
 def box_params(draw):
     """The validated parameter box: m 7-20, beta 10-60, phi0 0.3-0.6,

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
@@ -22,7 +22,13 @@ from basinwave.errors import (
     StiffProfileError,
     ValidationError,
 )
-from conftest import C_MATCHED_DEFAULT, C_MATCHED_PURE, box_params
+from conftest import (
+    C_MATCHED_DEFAULT,
+    C_MATCHED_PURE,
+    box_params,
+    dense_output_reference,
+    jump_residual_reference,
+)
 
 
 # every check on a wave speed refuses NaN and infinity as well as c <= 0
@@ -564,6 +570,20 @@ class TestInnerPorosity:
         c = asym.solve_c(params_default).c
         assert abs(asym.jump_residual(c, params_default)) <= 1e-6
 
+    @given(box_params())
+    def test_jump_equals_the_array_form_across_box(self, params):
+        # scalar finite differences and brackets round as numpy's, bit for bit
+        for solve in (asym.solve_c, asym.solve_c_consistent):
+            c = solve(params).c
+            try:
+                expected = jump_residual_reference(c, params)
+            except BasinwaveError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    asym.jump_residual(c, params)
+                continue
+            got = asym.jump_residual(c, params)
+            assert type(got) is float and got.hex() == expected.hex()
+
 
 class TestSolveC:
     def test_matches_independent_oracle(self, params_default):
@@ -779,6 +799,16 @@ class TestWaveProfile:
         match, _ = profile
         with pytest.raises(ValidationError, match="outer region is empty"):
             asym.build_wave_profile(match, derive_params(zstar=0.0))
+
+    @pytest.mark.parametrize("solver", [asym.solve_c, asym.solve_c_consistent],
+                             ids=["primary", "consistent"])
+    def test_zstar_past_half_the_float_range_is_refused(self, solver):
+        # [-zstar, zstar] is 2 zstar wide, which overflows here; both roots
+        # solve, and the refusal comes before any grid arithmetic, so numpy
+        # warns of nothing (the suite makes a RuntimeWarning an error)
+        p = derive_params(zstar=1.7e308)
+        with pytest.raises(ValidationError, match=r"zstar = 1\.7e\+308"):
+            asym.build_wave_profile(solver(p), p)
 
     def test_no_node_inside_the_zone_is_refused(self):
         # for beta < 1 the seam 10 ln(beta)/beta is negative, so the zone
@@ -1054,6 +1084,138 @@ _RK45_BAD_GRIDS = {
     "inf-interior": [0.0, math.inf, math.inf, 1.0],
     "not-monotone": [0.0, 2.0, 1.0],
 }
+
+
+# Where a right-hand side that turns NaN half a unit from t0 stops the
+# integrator, recorded with 10 ulp of t computed at every step:
+# (t0, direction, t in the SolverError message).
+_NAN_FAILURES = [
+    (0.0, 1.0, 0.4999999999999999),
+    (0.0, -1.0, -0.4999999999999992),
+    (1e6, 1.0, 1000000.499999996),
+    (1e6, -1.0, 999999.500000002),
+    (-1e6, 1.0, -999999.500000004),
+    (-1e6, -1.0, -1000000.499999998),
+]
+
+
+class TestRk45Floor:
+    """The 10-ulp step floor, tested against 1e-13 |t| + 1e-300 first,
+    raises at the same step with the same message as the floor computed at
+    every step."""
+
+    @pytest.mark.parametrize("t0, direction, t_fail", _NAN_FAILURES,
+                             ids=[f"{t0:g}{'+' if d > 0 else '-'}" for t0, d, _ in _NAN_FAILURES])
+    def test_rhs_turning_nan_fails_at_the_recorded_t(self, t0, direction, t_fail):
+        def rhs(t, y):
+            return math.cos(t - t0) if direction * (t - t0) < 0.5 else math.nan
+
+        with pytest.raises(SolverError) as info:
+            asym._rk45(rhs, 1.0, np.array([t0, t0 + 2.0 * direction]), rtol=1e-10, atol=1e-12,
+                       label="test")
+        assert str(info.value) == f"test integration failed: step size fell below 10 ulp at t = {t_fail!r}"
+
+    @pytest.mark.parametrize("t0", [1e12, -1e12])
+    @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["ascending", "descending"])
+    def test_first_step_below_10_ulp_is_raised_to_it(self, t0, direction):
+        # y' = 0 takes the first step 1e-6, below 10 ulp (1.2e-3) of 1e12
+        grid = np.array([t0, t0 + direction, t0 + 2.0 * direction])
+        got = asym._rk45(lambda t, y: 0.0, 1.0, grid, rtol=1e-10, atol=1e-12, label="test")
+        assert got.tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("t0", [0.0, 1e6, -1e6])
+    @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["ascending", "descending"])
+    def test_nan_from_the_start_fails_at_t0(self, t0, direction):
+        with pytest.raises(SolverError) as info:
+            asym._rk45(lambda t, y: math.nan, 1.0, np.array([t0, t0 + direction]), rtol=1e-10,
+                       atol=1e-12, label="test")
+        assert str(info.value) == f"test integration failed: step size fell below 10 ulp at t = {t0!r}"
+
+
+@st.composite
+def _step_records(draw):
+    """``(records, t_eval, direction)`` for 1-8 accepted steps of random
+    slopes, values and lengths along a random direction: each row holds
+    seven slopes, the step's start t, y there and h = t_new - t, as the
+    integrator keeps them. The grid runs from the first start to the last
+    end with 2 or 4 nodes, or with nodes both inside steps and on later
+    step starts."""
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    ends = [draw(st.floats(-1e3, 1e3))]
+    for length in draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8)):
+        ends.append(ends[-1] + direction * length)
+    steps = len(ends) - 1
+    values = st.floats(-10.0, 10.0)
+    slopes = draw(st.lists(st.lists(values, min_size=7, max_size=7), min_size=steps, max_size=steps))
+    ys = draw(st.lists(values, min_size=steps, max_size=steps))
+    records = np.column_stack([np.array(slopes), ends[:-1], ys, np.diff(ends)])
+    first, last = ends[0], ends[-1]
+    inside = [first + (last - first) * f for f in draw(st.lists(st.floats(0.0, 1.0), max_size=12))]
+    kind = draw(st.sampled_from(["two", "four", "starts"]))
+    if kind == "two":
+        nodes = []
+    elif kind == "four":
+        nodes = (inside + ends[1:-1] + [first + (last - first) / 3, first + 2 * (last - first) / 3])[:2]
+    else:
+        nodes = inside + ends[1:-1]
+    nodes = {node for node in nodes if direction * (node - first) > 0 and direction * (last - node) > 0}
+    t_eval = np.array([first, *sorted(nodes, reverse=direction < 0), last])
+    return records, t_eval, direction
+
+
+class TestDenseOutput:
+    """The interpolant of the accepted steps equals the integrator's first
+    formula, bit for bit."""
+
+    @given(_step_records())
+    def test_equals_the_reference_formula(self, case):
+        records, t_eval, direction = case
+        got = asym._dense_output(records, t_eval, direction)
+        assert got.tobytes() == dense_output_reference(records, t_eval, direction).tobytes()
+
+    @pytest.mark.parametrize("solver", [asym.solve_c, asym.solve_c_consistent],
+                             ids=["primary", "consistent"])
+    def test_equals_the_reference_in_both_regional_integrations(self, params_default, solver,
+                                                                monkeypatch):
+        # the inner layer ascends, the outer region descends
+        calls = []
+        real = asym._dense_output
+
+        def spy(records, t_eval, direction):
+            calls.append((records, t_eval, direction))
+            return real(records, t_eval, direction)
+
+        monkeypatch.setattr(asym, "_dense_output", spy)
+        p = params_default
+        asym.build_wave_profile(solver(p), p)
+        assert sorted(direction for _, _, direction in calls) == [-1.0, 1.0]
+        for records, t_eval, direction in calls:
+            # every later step start is a node of some grid: put one on each
+            on_starts = np.concatenate(([t_eval[0]], records[1:, 7], [t_eval[-1]]))
+            for grid in (t_eval, on_starts, t_eval[[0, -1]], t_eval[[0, 1, -2, -1]]):
+                got = real(records, grid, direction)
+                assert got.tobytes() == dense_output_reference(records, grid, direction).tobytes()
+
+
+class TestLinspace:
+    """The profile grids equal numpy's linspace, bit for bit."""
+
+    spans = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300))
+
+    @given(spans, spans, st.integers(2, 1000))
+    @example(5e-324, 1e-323, 801)
+    @example(-5e-324, 5e-324, 400)
+    @example(0.0, 5e-324, 801)
+    @example(-1e300, 1e300, 801)
+    @example(1e300, 1e294, 400)
+    @example(1.0, 1.0, 3)
+    @example(1.0, 1e-6, 400)
+    def test_equals_numpy(self, start, stop, num):
+        got = asym._linspace(start, stop, num)
+        assert got.tobytes() == np.linspace(start, stop, num).tobytes()
+        counts = asym._node_counts(num)
+        assert not counts.flags.writeable
+        assert np.array_equal(counts, np.arange(num))
 
 
 class TestRk45Grid:

@@ -66,6 +66,19 @@ class TestHdot:
         # 1 + (1/0.5) * 1 * (0.25 - 0.5) = 0.5
         assert hdot(state.phi, state.h, p) == pytest.approx(0.5, rel=1e-12)
 
+    @given(box_params(), st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(1e-3, 1e3))
+    def test_top_datum_takes_the_full_formula_bit_for_bit(self, p, below, second, h):
+        # a top node of phi0 takes a permeability factor of exactly 1, and
+        # any other top node the factor itself
+        assert permeability_factor(p.phi0, p) == 1.0
+        for top in (p.phi0, math.nextafter(p.phi0, 0.0), math.nextafter(p.phi0, 1.0), 0.9 * p.phi0):
+            phi = np.array([second * p.phi0, below * p.phi0, top])
+            dx = 1.0 / (phi.size - 1)
+            phi_z = (3.0 * top - 4.0 * phi[1] + phi[0]) / (2.0 * dx * h)
+            k_top = float(permeability_factor(top, p))
+            full = p.sdot + p.lam / (1.0 - p.phi0) * k_top * (phi_z - top)
+            assert hdot(phi, h, p) == full
+
 
 def transport_rates(state, params, hdot_value):
     """Interior (phi, psi) rates of the assembled sigma-transformed operators.

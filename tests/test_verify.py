@@ -1,7 +1,7 @@
 import contextlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +372,19 @@ class TestBoxAgreement:
         assert all("% from" in problem for problem in problems)
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """A report row as a frozen dataclass: the repr that
+    ``verify.CheckResult`` keeps, which tools/match_digest.py hashes."""
+
+    name: str
+    value: float
+    tolerance: float
+    passed: bool
+    tier: str = "primary"
+    note: str = ""
+
+
 class TestReportType:
     def test_rows_and_failures(self):
         report = verify.VerificationReport()
@@ -383,3 +396,19 @@ class TestReportType:
         assert [c.name for c in report.failures()] == ["bad_check"]
         text = str(report)
         assert "FAIL" in text and "ok_check" in text
+
+    def test_rows_keep_the_dataclass_repr_and_are_immutable(self):
+        rows = [
+            ("ok_check", 1.0, 2.0, True),
+            ("speed_gap_matched", 1.85, 0.15, False, "primary", "c_num=0.71007 c_asym=0.24945"),
+            ("fyi", -0.0, math.inf, True, "info", "it's a 'quoted' note"),
+            ("nan_check", math.nan, 1e-300, False, "info"),
+        ]
+        report = verify.VerificationReport()
+        for row in rows:
+            report.add(*row)
+            assert repr(verify.CheckResult(*row)) == repr(CheckResult(*row))
+        assert repr(report.checks) == repr([CheckResult(*row) for row in rows])
+        for field in ("name", "value", "tolerance", "passed", "tier", "note"):
+            with pytest.raises(AttributeError):
+                setattr(report.checks[0], field, None)
