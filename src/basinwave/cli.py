@@ -47,6 +47,9 @@ def parse_config(text: str) -> tuple[BasinParams, RunConfig]:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer longer than Python's int-to-str digit limit
+        raise ValidationError(f"config cannot be read: {exc}") from exc
     return _resolve_config(doc)
 
 
@@ -89,9 +92,13 @@ def load_manifest(path: Path) -> tuple[BasinParams, RunConfig]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         return _resolve_config({**doc["params"], **doc["config"]}, complete=True)
+    except ValidationError:
+        raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    # ValueError: not JSON, or an integer longer than Python's int-to-str
+    # digit limit
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed manifest: {exc!r}") from exc
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -28,6 +29,20 @@ _EXP_CLAMP = 50.0
 #: beta below this is flagged: the reaction-zone analysis assumes beta >> 1.
 BETA_VALIDITY_FLOOR = 10.0
 
+# Largest float: a number beyond it in size, an int included, has no float
+_FLOAT_MAX = sys.float_info.max
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, but not for a rational beyond the
+    float range, whose repr can run to thousands of digits or be refused:
+    an int is shown by its size, another rational by its type."""
+    if isinstance(value, numbers.Rational) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if type(value) is int:
+            return f"an integer of {value.bit_length()} bits, beyond the float range"
+        return f"a {type(value).__name__} beyond the float range"
+    return repr(value)
+
 
 @dataclass(frozen=True)
 class BasinParams:
@@ -38,8 +53,9 @@ class BasinParams:
     the reaction zone) and ``A = beta / m``;
     ``dataclasses.replace(params, sdot=2.0)`` does all of this again.
 
-    Raises :class:`ValidationError` for non-numeric, boolean or non-finite
-    values, phi0 outside (0, 1), m not an integer >= 7, lam or beta not
+    Raises :class:`ValidationError` for non-numeric or boolean values,
+    values not finite as a float (an int beyond the float range among
+    them), phi0 outside (0, 1), m not an integer >= 7, lam or beta not
     positive, negative parameters, or phi0 + psi0 > 1.
     Emits a ``UserWarning`` when beta is below the solver-validity
     threshold (the narrow-reaction-zone assumption needs beta >> 1).
@@ -58,16 +74,17 @@ class BasinParams:
 
     def __post_init__(self):
         raw = {name: getattr(self, name) for name in _RAW_FIELDS}
-        # NaN passes the sign checks below, int(m) raises untyped errors,
-        # and bool is a Real that no parameter means; a finite value of type
-        # exactly float or int skips the ABC check (a bool's type is bool)
+        # NaN passes the sign checks below, int(m) raises untyped errors, an
+        # int beyond the float range overflows on conversion, and bool is a
+        # Real that no parameter means; a value of type exactly float or int
+        # within the float range skips the ABC check (a bool's type is bool)
         for name, value in raw.items():
-            if type(value) in (float, int) and -math.inf < value < math.inf:
+            if type(value) in (float, int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 continue
             if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and -math.inf < value < math.inf
+                isinstance(value, numbers.Real) and -_FLOAT_MAX <= value <= _FLOAT_MAX
             ):
-                raise ValidationError(f"parameter {name} must be a finite number, got {value!r}")
+                raise ValidationError(f"parameter {name} must be a finite number, got {_shown(value)}")
         lam, beta, m, phi0, psi0, a0, zstar, sdot = raw.values()
         if int(m) != m:
             raise ValidationError(f"permeability exponent m must be an integer, got {m!r}")
@@ -164,9 +181,12 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # bool is an Integral; an infinite t_end would never end the run
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-                raise ValidationError(f"config field {f.name} must be positive and finite, got {value!r}")
+            # bool is an Integral; an infinite t_end would never end the run,
+            # and an int beyond the float range overflows on conversion
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value <= _FLOAT_MAX):
+                raise ValidationError(
+                    f"config field {f.name} must be positive and finite, got {_shown(value)}"
+                )
         if not isinstance(self.n_nodes, numbers.Integral) or self.n_nodes < 16:
             raise ValidationError(f"n_nodes must be an integer >= 16, got {self.n_nodes!r}")
         # the driver's step floor dt/1024 must split a sample interval (twice, for rounding)

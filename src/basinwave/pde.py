@@ -47,9 +47,10 @@ scale -dt/2 straight into the ``gtsv`` bands; the explicit half
 (I + (dt/2) L) u is read from the same bands as 2u - A u. The one-sided
 bottom rows (the Robin condition for phi, the flux divergence for psi) put
 a single entry outside the tridiagonal band; one row operation against row
-1 cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A
-step attempt assembles its sweeps in one workspace of its own, and only
-the last sweep's update is measured against the reject limit. ``dgtsv`` is
+1 cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A run
+allocates one workspace, and every attempt it makes assembles its sweeps
+there; an attempt called outside a run allocates one of its own. Only the
+last sweep's update is measured against the reject limit. ``dgtsv`` is
 scipy's own f2py wrapper, loaded from its extension module without running
 the ``scipy.linalg`` package import: that import loads scipy's array-API
 layer and with it numpy.f2py, numpy.testing, numpy.random and numpy.ma,
@@ -63,6 +64,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,14 +205,24 @@ def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
 
 
 def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, scale, out=(None,) * 3):
-    """Half-node porosities and permeabilities and the interior advection
-    times ``scale``, shared by both operators; ``out`` may hold all three."""
-    phi_half = np.add(phi_c[:-1], phi_c[1:], out=out[0])
+    """Half-node porosities and permeabilities, the permeabilities at nodes
+    0-2 and the interior advection times ``scale``, shared by both
+    operators, as (phi_half, k_half, k_bottom, adv).
+
+    The n - 1 half-node porosities and nodes 0-2 fill one row of n + 2, so
+    one log/exp pass gives both sets of permeabilities. ``out`` may hold
+    that row, a permeability row of n + 2 and the advection row.
+    """
+    points, k, adv = out
+    if points is None:
+        points = np.empty(phi_c.size + 2)
+    phi_half = np.add(phi_c[:-1], phi_c[1:], out=points[:-3])
     phi_half *= 0.5
-    k_half = permeability_factor(phi_half, params, out=out[1])
-    adv = np.multiply(x[1:-1], scale * hdot_c, out=out[2])
+    points[-3:] = phi_c[:3]
+    k = permeability_factor(points, params, out=k)
+    adv = np.multiply(x[1:-1], scale * hdot_c, out=adv)
     adv /= 2.0 * h_c * dx
-    return phi_half, k_half, adv
+    return phi_half, k[:-3], k[-3:], adv
 
 
 def _phi_operator(k_half, adv, h_c, params, dx, scale, out=(None,) * 5):
@@ -241,16 +253,17 @@ def _robin_row(dx, h):
     return (-3.0 - 2.0 * dx * h, 4.0, -1.0)
 
 
-def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx, scale, out=(None,) * 4):
+def _psi_operator(phi_c, phi_half, k_half, k_bottom, adv, h_c, params, dx, scale, out=(None,) * 4):
     """Reactant transport operator L, half-node flux form plus advection,
     times ``scale``.
 
     Returns (lo, di, up, row0): interior rows as for :func:`_phi_operator`
-    and the bottom-row coefficients on nodes 0-2. The bottom flux vanishes
-    with the Robin condition, so the divergence there uses second-order
-    one-sided nodal fluxes; :func:`_solve_closed` eliminates row0[2], the
-    entry outside the tridiagonal band. ``out`` may hold lo, di, up and
-    the scaled half-node fluxes.
+    and the bottom-row coefficients on nodes 0-2, whose permeabilities are
+    ``k_bottom``. The bottom flux vanishes with the Robin condition, so the
+    divergence there uses second-order one-sided nodal fluxes;
+    :func:`_solve_closed` eliminates row0[2], the entry outside the
+    tridiagonal band. ``out`` may hold lo, di, up and the scaled half-node
+    fluxes.
     """
     lo, di, up, g = out
     inv = 1.0 / (h_c * dx)
@@ -266,7 +279,7 @@ def _psi_operator(phi_c, phi_half, k_half, adv, h_c, params, dx, scale, out=(Non
 
     # the bottom row is scalar work: Python floats round exactly as numpy's
     p0, p1, p2, p3 = phi_c[:4].tolist()
-    k0, k1, k2 = permeability_factor(phi_c[:3], params).tolist()
+    k0, k1, k2 = k_bottom.tolist()
     f0 = k0 * ((-3.0 * p0 + 4.0 * p1 - p2) * inv / 2.0 - p0)
     f1 = k1 * ((p2 - p0) * inv / 2.0 - p1)
     f2 = k2 * ((p3 - p1) * inv / 2.0 - p2)
@@ -317,17 +330,30 @@ def _solve_closed(bands, bottom, rhs):
 
 
 def _workspace(n):
-    """One attempt's rows, all views of one (13, n) block: ten work rows
-    sized n - 1, n - 2 or n, then the tuple of ``gtsv`` bands (dl, d, du)
-    and the tuple of their interior rows (dl[:-1], d[1:-1], du[1:])."""
-    block = np.empty((13, n))
-    half, k_half, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d = (
-        *block[:6, :-1], *block[6:9, :-2], *block[9:]
+    """The rows a step attempt works in on n nodes, all views of one
+    (15, n + 2) block: ten sweep rows sized n + 2, n - 1, n - 2 or n, the
+    tuple of ``gtsv`` bands (dl, d, du), the tuple of their interior rows
+    (dl[:-1], d[1:-1], du[1:]), then the attempt's coefficient average and
+    :func:`_rel_change`'s row, both sized n.
+
+    :func:`run_simulation` allocates one per run, which every attempt of the
+    run reuses, and a direct :func:`step_predictor_corrector` call one of
+    its own. Every row is written before it is read, so a workspace carries
+    nothing from one attempt to the next, and runs never share one.
+    """
+    block = np.empty((15, n + 2))
+    points, k, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d, bar, delta = (
+        *block[:2], *block[2:6, : n - 1], *block[6:9, : n - 2], *block[9:, :n]
     )
     return (
-        half, k_half, k_minus, k_plus, adv, applied, scratch, decay, keep, sink,
-        (dl, d, du), (dl[:-1], d[1:-1], du[1:]),
+        points, k, k_minus, k_plus, adv, applied, scratch, decay, keep, sink,
+        (dl, d, du), (dl[:-1], d[1:-1], du[1:]), bar, delta,
     )
+
+
+# The workspace of the run in progress on each thread: run_simulation sets
+# it and its attempts read it, so the stepper's signature stays as it is
+_run = threading.local()
 
 
 def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
@@ -348,16 +374,20 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
     # also catches NaN coefficients, which would otherwise reach the solve
     if not np.minimum.reduce(phi_c) > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    half, k_half, k_minus, k_plus, adv, applied, scratch, decay, keep, sink, bands, (lo, di, up) = work
+    points, k, k_minus, k_plus, adv, applied, scratch, decay, keep, sink, bands, (lo, di, up), _, _ = work
     scale = -0.5 * dt
-    half, k_half, adv = _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, scale, (half, k_half, adv))
+    half, k_half, k_bottom, adv = _frozen_coefficients(
+        phi_c, h_c, hdot_c, params, x, dx, scale, (points, k, adv)
+    )
 
     decay = reaction_rate(np.multiply(x, h_c, out=decay), h_c, params, out=decay)
     decay *= scale
     # the reacted reactant is the transport solve's right-hand side
     rhs = psi_n * np.exp(decay, out=keep)
     # the transport flux takes the k_minus row, free until the phi operator
-    *_, row0 = _psi_operator(phi_c, half, k_half, adv, h_c, params, dx, scale, (lo, di, up, k_minus))
+    *_, row0 = _psi_operator(
+        phi_c, half, k_half, k_bottom, adv, h_c, params, dx, scale, (lo, di, up, k_minus)
+    )
     di += 1.0
     applied = _apply_tridiag(lo, di, up, rhs, applied, scratch)
     s0, s1, s2 = rhs[:3].tolist()
@@ -395,12 +425,15 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
     return phi_new, psi_new
 
 
-def _rel_change(new, old):
+def _rel_change(new, old, scratch):
     """max|new - old| / max|new|, or None when either is not finite, as with
-    a NaN or an inf in ``new`` or ``old``."""
-    scale = np.maximum.reduce(np.abs(new))
+    a NaN or an inf in ``new`` or ``old``; ``scratch`` is a row of their
+    size that takes the intermediate values."""
+    scale = np.maximum.reduce(np.abs(new, out=scratch))
     # an inf in new and in old would warn in the subtraction
-    change = np.maximum.reduce(np.abs(new - old)) if math.isfinite(scale) else math.inf
+    if not math.isfinite(scale):
+        return None
+    change = np.maximum.reduce(np.abs(np.subtract(new, old, out=scratch), out=scratch))
     return float(change / (scale + 1e-300)) if math.isfinite(change) else None
 
 
@@ -459,7 +492,11 @@ def step_predictor_corrector(
                     raise ValidationError(f"predicted phi has {phi_p.size} nodes, the state has {phi_n.size}")
                 sweeps = _CORRECTOR_SWEEPS
 
-            work = _workspace(phi_n.size)
+            # the run's workspace, or one of the attempt's own
+            work = getattr(_run, "work", None)
+            if work is None or work[-1].size != phi_n.size:
+                work = _workspace(phi_n.size)
+            bar, delta = work[-2:]
             for sweep in range(sweeps):
                 if sweep:
                     # the update norm below sees only what the last sweep leaves
@@ -467,14 +504,15 @@ def step_predictor_corrector(
                         raise StepRejected("corrector left non-finite fields")
                     phi_p, psi_p, h_p = phi_c, psi_c, h_new
                 hdot_p = hdot(phi_p, h_p, params)
-                phi_bar = 0.5 * (phi_n + phi_p)
+                phi_bar = np.add(phi_n, phi_p, out=bar)
+                phi_bar *= 0.5
                 h_bar = 0.5 * (h_n + h_p)
                 hdot_bar = 0.5 * (hdot_n + hdot_p)
                 h_new = h_n + dt * hdot_bar
                 phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params, work)
 
-            phi_change = _rel_change(phi_c, phi_p)
-            psi_change = _rel_change(psi_c, psi_p)
+            phi_change = _rel_change(phi_c, phi_p, delta)
+            psi_change = _rel_change(psi_c, psi_p, delta)
             # max() below would drop a NaN that is not its first argument
             if phi_change is None or psi_change is None:
                 raise StepRejected("corrector left non-finite fields")
@@ -508,8 +546,10 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     hdot/(2 h dx) is not finite at t = 0. A sampled state has its top node
     at phi0, where the permeability factor is exp(0) = 1, so a dh/dt
     sample meets no numpy overflow. A single run is strictly
-    sequential; distinct runs share no mutable state and may execute in
-    parallel.
+    sequential: it allocates one :func:`_workspace`, which every step
+    attempt it makes reuses and which it drops when it returns or raises.
+    Distinct runs share no mutable state and may execute in parallel, on
+    different threads.
     """
     state = initial_state(params, config)
     dt_cur = config.dt
@@ -528,55 +568,66 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
         raise SolverError(
             f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
         )
-    while state.t < end:
-        gap = min(len(samples) * config.output_every, config.t_end) - state.t
-        # max(): a gap inside landing_slack, left where a sample falls just
-        # below t_end, is taken as one sliver step
-        dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
-        line = None if previous is None else _extrapolate(state, previous, dt_step)
-        # a failed extrapolated attempt is retaken at the same dt from the
-        # held state; only a failed held-state attempt is a rejection
-        for prediction in (None,) if line is None else (line, None):
-            try:
-                stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
-                break
-            except StepRejected as exc:
-                reason = exc
-        else:
-            rejected += 1
-            dt_cur = 0.5 * dt_step
-            if dt_cur < dt_floor:
-                raise SolverError(
-                    f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
-                ) from reason
-            continue
+    # the run's attempts find the workspace here, also through a wrapper of
+    # step_predictor_corrector; a run started inside another run's attempt
+    # hands the outer workspace back
+    outer = getattr(_run, "work", None)
+    _run.work = work = _workspace(config.n_nodes)
+    delta = work[-1]
+    try:
+        while state.t < end:
+            gap = min(len(samples) * config.output_every, config.t_end) - state.t
+            # max(): a gap inside landing_slack, left where a sample falls just
+            # below t_end, is taken as one sliver step
+            dt_step = gap / max(1, math.ceil((gap - landing_slack) / dt_cur))
+            line = None if previous is None else _extrapolate(state, previous, dt_step)
+            # a failed extrapolated attempt is retaken at the same dt from the
+            # held state; only a failed held-state attempt is a rejection
+            for prediction in (None,) if line is None else (line, None):
+                try:
+                    stepped = step_predictor_corrector(state, dt_step, params, prediction=prediction)
+                    break
+                except StepRejected as exc:
+                    reason = exc
+            else:
+                rejected += 1
+                dt_cur = 0.5 * dt_step
+                if dt_cur < dt_floor:
+                    raise SolverError(
+                        f"time step collapsed below {dt_floor:.3e} at t = {state.t:.6g}: {reason}"
+                    ) from reason
+                continue
 
-        if line is not None:
-            # Milne-style estimate: the accepted phi and h against the line
-            # the prediction was drawn on; psi is left out, so a reactant
-            # that releases no water (a0 = 0) leaves the step sizes as
-            # without any reactant
-            phi_line, h_line = line
-            estimate = max(_rel_change(stepped.phi, phi_line), abs(stepped.h - h_line) / abs(stepped.h))
-            estimates.append(estimate)
-            # the estimate scales as dt^2: grow dt so the next one is
-            # predicted at the limit, at most doubling it; never shrink it
-            growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
-            dt_cur = max(dt_cur, growth * dt_step)
-        previous, state = state, stepped
-        steps.append(dt_step)
+            if line is not None:
+                # Milne-style estimate: the accepted phi and h against the line
+                # the prediction was drawn on; psi is left out, so a reactant
+                # that releases no water (a0 = 0) leaves the step sizes as
+                # without any reactant
+                phi_line, h_line = line
+                estimate = max(
+                    _rel_change(stepped.phi, phi_line, delta), abs(stepped.h - h_line) / abs(stepped.h)
+                )
+                estimates.append(estimate)
+                # the estimate scales as dt^2: grow dt so the next one is
+                # predicted at the limit, at most doubling it; never shrink it
+                growth = 2.0 if estimate == 0.0 else min(2.0, math.sqrt(_DT_GROWTH_LIMIT / estimate))
+                dt_cur = max(dt_cur, growth * dt_step)
+            previous, state = state, stepped
+            steps.append(dt_step)
 
-        if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
-            warnings.warn(
-                f"reaction layer under-resolved at t = {state.t:.4g}: "
-                f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
-                UserWarning,
-                stacklevel=2,
-            )
-            warn_above = math.inf
+            if state.h > warn_above and config.n_nodes < layer_nodes(params, state.h):
+                warnings.warn(
+                    f"reaction layer under-resolved at t = {state.t:.4g}: "
+                    f"n_nodes = {config.n_nodes} < 8*beta*h = {layer_nodes(params, state.h):.0f}",
+                    UserWarning,
+                    stacklevel=2,
+                )
+                warn_above = math.inf
 
-        if state.t >= len(samples) * config.output_every - landing_slack:
-            samples.append((state.t, state.h, hdot(state.phi, state.h, params)))
+            if state.t >= len(samples) * config.output_every - landing_slack:
+                samples.append((state.t, state.h, hdot(state.phi, state.h, params)))
+    finally:
+        _run.work = outer
 
     # copied so that each field is a contiguous array
     t, h, rate = np.array(samples).T.copy()

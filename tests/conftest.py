@@ -64,7 +64,7 @@ def flux_null_defects(params, n):
     x = np.linspace(0.0, 1.0, n)
     dx = 1.0 / (n - 1)
     phi = params.phi0 * np.exp((x - 1.0) * h)
-    _, k_half, adv = pde._frozen_coefficients(phi, h, params.sdot, params, x, dx, 1.0)
+    _, k_half, _, adv = pde._frozen_coefficients(phi, h, params.sdot, params, x, dx, 1.0)
     rates = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx, 1.0), phi)
     interior = float(np.max(np.abs(rates - x[1:-1] * params.sdot * phi[1:-1])))
     b0, b1, b2 = pde._robin_row(dx, h)

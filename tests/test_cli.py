@@ -584,6 +584,29 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: dt = ")
 
+    # JSON reads 1 followed by 400 zeros as an exact int, which no float
+    # holds, and Python refuses to read an int of more than 4300 digits:
+    # each is refused with one error line, in a config and on replay
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("flag", ["--config", "--seed-manifest"])
+    @pytest.mark.parametrize("key", ["m", "t_end"])
+    def test_integer_beyond_the_float_range_is_1(self, tmp_path, capsys, key, flag, digits):
+        doc = {}
+        if flag == "--seed-manifest":
+            doc = {"params": params_doc(derive_params()), "config": asdict(RunConfig())}
+            doc["params" if key == "m" else "config"][key] = "huge"
+        else:
+            doc[key] = "huge"
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc).replace('"huge"', "1" + "0" * digits))
+        assert main(["speed", flag, str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        if digits == 400:
+            assert err[0].endswith(", got an integer of 1329 bits, beyond the float range")
+        else:
+            assert "Exceeds the limit (4300 digits)" in err[0]
+
     def test_unallocatable_n_nodes_is_1(self, tmp_path, capsys):
         # numpy refuses 1e20 nodes without trying to allocate them
         cfg = tmp_path / "cfg.json"

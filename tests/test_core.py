@@ -1,6 +1,8 @@
 import math
 import re
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,15 +80,53 @@ class TestDeriveParams:
         assert type(p.lam) is float and p.lam == 1.0
         assert type(p.m) is int and p.m == 7
 
-    @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "1", None],
-                             ids=["true", "nan", "inf", "minus-inf", "str", "none"])
+    @pytest.mark.parametrize(
+        "value",
+        [True, math.nan, math.inf, -math.inf, "1", None, 10**400, -(10**400)],
+        ids=["true", "nan", "inf", "minus-inf", "str", "none", "huge-int", "minus-huge-int"],
+    )
     @pytest.mark.parametrize("name", ["lam", "m"])
     def test_exact_float_and_int_fast_path_refuses_what_the_check_refuses(self, name, value):
-        # float NaN and infinities have the fast path's type and bool has
-        # not; each is refused with the message every refused value gets
-        message = f"parameter {name} must be a finite number, got {value!r}"
+        # float NaN and infinities and ints beyond the float range have the
+        # fast path's type and bool has not; each is refused with the
+        # message every refused value gets, an int by its size
+        shown = "an integer of 1329 bits, beyond the float range" if type(value) is int else repr(value)
+        message = f"parameter {name} must be a finite number, got {shown}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             BasinParams(**{name: value})
+
+    # an int beyond the float range would overflow on conversion; one of
+    # 10**5000 is past the int-to-str digit limit, so its message shows
+    # its size, not its digits
+    @pytest.mark.parametrize(
+        "value, bits",
+        [(10**400, 1329), (-(10**400), 1329), (10**5000, 16610)],
+        ids=["1e400", "minus-1e400", "1e5000"],
+    )
+    @pytest.mark.parametrize("name", [f.name for f in fields(BasinParams) if f.init])
+    def test_every_parameter_refuses_an_int_beyond_the_float_range(self, name, value, bits):
+        shown = f"an integer of {bits} bits, beyond the float range"
+        message = f"parameter {name} must be a finite number, got {shown}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            derive_params(**{name: value})
+
+    # a Fraction is a Real the check accepts; its repr at 5000 digits is
+    # refused, so the message names its type
+    @pytest.mark.parametrize(
+        "value", [Fraction(10**5000), -Fraction(10**400, 3)], ids=["1e5000", "minus-1e400/3"]
+    )
+    def test_a_fraction_beyond_the_float_range_is_refused(self, value):
+        shown = "got a Fraction beyond the float range"
+        with pytest.raises(ValidationError, match=f"^parameter a0 must be a finite number, {shown}$"):
+            derive_params(a0=value)
+        with pytest.raises(ValidationError, match=f"^config field dt must be positive and finite, {shown}$"):
+            RunConfig(dt=value)
+
+    def test_the_largest_float_as_an_int_is_in_range(self):
+        largest = int(sys.float_info.max)
+        assert derive_params(zstar=largest).zstar == sys.float_info.max
+        with pytest.raises(ValidationError, match="got an integer of 1024 bits, beyond the float range"):
+            derive_params(zstar=largest + 1)
 
     def test_numpy_scalars_are_accepted_and_stored_exact(self):
         p = BasinParams(lam=np.float64(1.5), beta=np.int64(30), m=np.int64(9), sdot=np.float64(2.0))
@@ -248,6 +288,15 @@ class TestRunConfig:
     def test_step_floor_without_a_finite_step_count_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=r"is too small: dt/1024 is 0 or .* inf"):
             RunConfig(**kwargs)
+
+    # an int beyond the float range would overflow where the config or the
+    # driver converts it
+    @pytest.mark.parametrize("name", ["n_nodes", "dt", "t_end", "output_every", "h0"])
+    def test_int_beyond_the_float_range_rejected(self, name):
+        shown = "an integer of 1329 bits, beyond the float range"
+        message = f"config field {name} must be positive and finite, got {shown}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{name: 10**400})
 
     def test_tiny_start_step_with_a_finite_count_accepted(self):
         assert RunConfig(dt=1e-300, t_end=1.0).dt == 1e-300

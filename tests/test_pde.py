@@ -90,9 +90,9 @@ def transport_rates(state, params, hdot_value):
     phi, h = state.phi, state.h
     x = np.linspace(0.0, 1.0, phi.size)
     dx = 1.0 / (x.size - 1)
-    phi_half, k_half, adv = pde._frozen_coefficients(phi, h, hdot_value, params, x, dx, 1.0)
+    phi_half, k_half, k_bottom, adv = pde._frozen_coefficients(phi, h, hdot_value, params, x, dx, 1.0)
     dphi = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx, 1.0), phi)
-    lo, di, up, _row0 = pde._psi_operator(phi, phi_half, k_half, adv, h, params, dx, 1.0)
+    lo, di, up, _row0 = pde._psi_operator(phi, phi_half, k_half, k_bottom, adv, h, params, dx, 1.0)
     return dphi, pde._apply_tridiag(lo, di, up, state.psi)
 
 
@@ -398,8 +398,9 @@ class TestTridiagonalElimination:
         hdot_c = hdot(coeff.phi, coeff.h, params)
 
         def operators(scale):
-            half, k_half, adv = pde._frozen_coefficients(coeff.phi, h_c, hdot_c, params, x, dx, scale)
-            lo, di, up, row0 = pde._psi_operator(coeff.phi, half, k_half, adv, h_c, params, dx, scale)
+            coefficients = pde._frozen_coefficients(coeff.phi, h_c, hdot_c, params, x, dx, scale)
+            half, k_half, _, adv = coefficients
+            lo, di, up, row0 = pde._psi_operator(coeff.phi, *coefficients, h_c, params, dx, scale)
             phi_bands = pde._phi_operator(k_half, adv, h_c, params, dx, scale)
             return {"phi": phi_bands, "psi": (lo, di, up), "psi bottom": row0}
 
@@ -451,8 +452,8 @@ def _advection_times(factor):
     real = pde._frozen_coefficients
 
     def mutated(*args):
-        phi_half, k_half, adv = real(*args)
-        return phi_half, k_half, factor * adv
+        *coefficients, adv = real(*args)
+        return *coefficients, factor * adv
 
     return mutated
 
@@ -907,7 +908,8 @@ class TestExtrapolatedPredictor:
 
 
 class TestAttemptWorkspace:
-    """Every step attempt assembles its sweeps in a workspace of its own and
+    """A run's step attempts assemble their sweeps in the run's one
+    workspace, an attempt outside a run in one of its own, and every attempt
     returns fresh fields, whether it extrapolates, holds the state or is
     rejected."""
 
@@ -1027,6 +1029,146 @@ class TestAttemptWorkspace:
             assert np.array_equal(alone.final_state.phi, together.final_state.phi)
             assert np.array_equal(alone.final_state.psi, together.final_state.psi)
             assert alone.stats == together.stats
+
+    def test_runs_on_more_threads_than_cores_each_keep_one_workspace(self, monkeypatch):
+        # four runs on two cores, switching threads often: each run's
+        # attempts see its own workspace only, and no two runs share one
+        config = replace(self.CONFIG, t_end=0.1)
+        runs = [derive_params(sdot=sdot) for sdot in (0.8, 0.9, 1.0, 1.1)]
+        sequential = [run_simulation(p, config) for p in runs]
+        real_step = pde.step_predictor_corrector
+        seen = {}
+        start = threading.Barrier(len(runs))
+
+        def step(state, dt, params, prediction=None):
+            seen.setdefault(threading.get_ident(), []).append(pde._run.work)
+            return real_step(state, dt, params, prediction=prediction)
+
+        def run(params):
+            start.wait(timeout=60)
+            return run_simulation(params, config)
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+                concurrent = list(pool.map(run, runs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == len(runs)
+        firsts = [works[0] for works in seen.values()]
+        assert all(all(work is works[0] for work in works) for works in seen.values())
+        assert all(a is not b for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+        for alone, together in zip(sequential, concurrent):
+            assert np.array_equal(alone.h, together.h)
+            assert np.array_equal(alone.final_state.phi, together.final_state.phi)
+            assert np.array_equal(alone.final_state.psi, together.final_state.psi)
+
+    @staticmethod
+    def count_workspaces(monkeypatch):
+        """Count the workspaces allocated and the step attempts made."""
+        counts = {"workspaces": 0, "attempts": 0}
+        real_workspace, real_step = pde._workspace, pde.step_predictor_corrector
+
+        def workspace(n):
+            counts["workspaces"] += 1
+            return real_workspace(n)
+
+        def step(state, dt, params, prediction=None):
+            counts["attempts"] += 1
+            return real_step(state, dt, params, prediction=prediction)
+
+        monkeypatch.setattr(pde, "_workspace", workspace)
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        return counts
+
+    def test_a_run_allocates_one_workspace_and_a_direct_attempt_one_per_call(
+        self, params_default, monkeypatch
+    ):
+        counts = self.count_workspaces(monkeypatch)
+        series = run_simulation(params_default, self.CONFIG)
+        assert counts == {"workspaces": 1, "attempts": series.stats.steps_accepted}
+        assert getattr(pde._run, "work", None) is None
+
+        state = series.final_state
+        for _ in range(3):
+            state = pde.step_predictor_corrector(state, self.CONFIG.dt, params_default)
+        assert counts["workspaces"] == 4
+
+    def test_a_run_that_raises_drops_its_workspace(self, params_default, monkeypatch):
+        def rejected(state, dt, params, prediction=None):
+            assert pde._run.work[-1].size == state.phi.size
+            raise StepRejected("synthetic rejection")
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", rejected)
+        with pytest.raises(SolverError, match="synthetic rejection"):
+            run_simulation(params_default, self.CONFIG)
+        assert getattr(pde._run, "work", None) is None
+
+    # every row is written before it is read: a workspace filled with NaN
+    # before each attempt leaves the run bit for bit; the configs take
+    # extrapolated attempts, same-dt retakes and halved steps
+    @pytest.mark.parametrize(
+        "config",
+        [
+            CONFIG,
+            RunConfig(n_nodes=64, dt=0.05, t_end=1.0, output_every=0.25),
+            RunConfig(n_nodes=288, dt=1.0, t_end=2.0, output_every=1.0),
+        ],
+        ids=["small", "retakes", "oversized"],
+    )
+    def test_a_workspace_poisoned_before_each_attempt_changes_nothing(self, params_default, config):
+        expected = run_simulation(params_default, config)
+        real_step = pde.step_predictor_corrector
+        seen = []
+
+        def poisoned(state, dt, params, prediction=None):
+            work = pde._run.work
+            seen.append(work)
+            work[0].base.fill(np.nan)
+            return real_step(state, dt, params, prediction=prediction)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pde, "step_predictor_corrector", poisoned)
+            series = run_simulation(params_default, config)
+        assert len(seen) >= series.stats.steps_accepted + series.stats.steps_rejected
+        assert all(work is seen[0] for work in seen)
+        for name in ("t", "h", "hdot"):
+            assert getattr(series, name).tobytes() == getattr(expected, name).tobytes()
+        assert series.final_state.phi.tobytes() == expected.final_state.phi.tobytes()
+        assert series.final_state.psi.tobytes() == expected.final_state.psi.tobytes()
+        assert series.stats == expected.stats
+
+    def test_a_run_inside_an_attempt_hands_the_workspace_back(self, params_default, monkeypatch):
+        # a run started by an attempt of another run on the same thread
+        # works in a workspace of its own and restores the outer run's, and
+        # an attempt on another node count inside a run allocates its own
+        expected = run_simulation(params_default, self.CONFIG)
+        inner_config = replace(self.CONFIG, n_nodes=32, t_end=0.05)
+        inner_expected = run_simulation(params_default, inner_config)
+        small = initial_state(params_default, inner_config)
+        small_expected = step_predictor_corrector(small, inner_config.dt, params_default)
+        real_step = pde.step_predictor_corrector
+        inner = []
+
+        def step(state, dt, params, prediction=None):
+            outer = pde._run.work
+            if not inner:
+                monkeypatch.setattr(pde, "step_predictor_corrector", real_step)
+                inner.append(run_simulation(params, inner_config))
+                inner.append(real_step(small, inner_config.dt, params))
+                monkeypatch.setattr(pde, "step_predictor_corrector", step)
+            assert pde._run.work is outer
+            return real_step(state, dt, params, prediction=prediction)
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        series = run_simulation(params_default, self.CONFIG)
+        assert np.array_equal(inner[0].h, inner_expected.h)
+        assert np.array_equal(inner[1].phi, small_expected.phi)
+        assert np.array_equal(inner[1].psi, small_expected.psi)
+        assert np.array_equal(series.h, expected.h)
+        assert np.array_equal(series.final_state.phi, expected.final_state.phi)
 
 
 def front_depth(state, params):
