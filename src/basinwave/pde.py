@@ -48,18 +48,18 @@ scale -dt/2 straight into the ``gtsv`` bands; the explicit half
 bottom rows (the Robin condition for phi, the flux divergence for psi) put
 a single entry outside the tridiagonal band; one row operation against row
 1 cancels it, so LAPACK ``gtsv`` solves both systems as tridiagonal. A run
-allocates one workspace, and every attempt it makes assembles its sweeps
-there; an attempt called outside a run allocates one of its own. Only the
-last sweep's update is measured against the reject limit. ``dgtsv`` is
-scipy's own f2py wrapper, loaded from its extension module without running
-the ``scipy.linalg`` package import: that import loads scipy's array-API
-layer and with it numpy.f2py, numpy.testing, numpy.random and numpy.ma,
-about 0.3 s of a fresh process's start-up.
+allocates one column, which holds the grid, the bands and every row and
+slice a sweep reads, all taken from the node count alone, and every attempt
+it makes assembles its sweeps there; an attempt called outside a run
+allocates one of its own. Only the last sweep's update is measured against
+the reject limit. ``dgtsv`` is scipy's own f2py wrapper, loaded from its
+extension module without running the ``scipy.linalg`` package import: that
+import loads scipy's array-API layer and with it numpy.f2py, numpy.testing,
+numpy.random and numpy.ma, about 0.3 s of a fresh process's start-up.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -184,15 +184,6 @@ def initial_state(params: BasinParams, config: RunConfig) -> BasinState:
     return BasinState(t=0.0, h=config.h0, phi=phi, psi=np.full(config.n_nodes, params.psi0))
 
 
-@functools.lru_cache(maxsize=8)
-def _grid(n: int) -> np.ndarray:
-    """The uniform grid x = linspace(0, 1, n), read-only so that every step
-    on n nodes can share it."""
-    x = np.linspace(0.0, 1.0, n)
-    x.flags.writeable = False
-    return x
-
-
 def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
     """dh/dt = sdot + lam/(1-phi0) (phi/phi0)^m (phi_z - phi) at z = h, from
     the top-node flux with a one-sided second-order phi_z."""
@@ -204,87 +195,11 @@ def hdot(phi: np.ndarray, h: float, params: BasinParams) -> float:
     return params.sdot + params.lam / (1.0 - params.phi0) * k_top * (phi_z - phi_1)
 
 
-def _frozen_coefficients(phi_c, h_c, hdot_c, params, x, dx, scale, out=(None,) * 3):
-    """Half-node porosities and permeabilities, the permeabilities at nodes
-    0-2 and the interior advection times ``scale``, shared by both
-    operators, as (phi_half, k_half, k_bottom, adv).
-
-    The n - 1 half-node porosities and nodes 0-2 fill one row of n + 2, so
-    one log/exp pass gives both sets of permeabilities. ``out`` may hold
-    that row, a permeability row of n + 2 and the advection row.
-    """
-    points, k, adv = out
-    if points is None:
-        points = np.empty(phi_c.size + 2)
-    phi_half = np.add(phi_c[:-1], phi_c[1:], out=points[:-3])
-    phi_half *= 0.5
-    points[-3:] = phi_c[:3]
-    k = permeability_factor(points, params, out=k)
-    adv = np.multiply(x[1:-1], scale * hdot_c, out=adv)
-    adv /= 2.0 * h_c * dx
-    return phi_half, k[:-3], k[-3:], adv
-
-
-def _phi_operator(k_half, adv, h_c, params, dx, scale, out=(None,) * 5):
-    """Linearized porosity operator L on interior rows 1..N-2, times
-    ``scale``, as (lo, di, up).
-
-    Coefficients are frozen through ``k_half`` and ``adv`` from
-    :func:`_frozen_coefficients` at the same scale; the boundary rows belong
-    to the closures. Each scaled half-node permeability is formed once and
-    feeds the two rows it couples. ``out`` may hold lo, di, up and those
-    permeabilities.
-    """
-    lo, di, up, k_minus, k_plus = out
-    inv = 1.0 / (h_c * dx)
-    k_plus = np.multiply(k_half, scale * params.lam * inv, out=k_plus)
-    k_minus = np.multiply(k_plus, inv - 0.5, out=k_minus)
-    k_plus *= inv + 0.5
-    up = np.add(k_minus[1:], adv, out=up)
-    lo = np.subtract(k_plus[:-1], adv, out=lo)
-    di = np.negative(np.add(k_plus[1:], k_minus[:-1], out=di), out=di)
-    return lo, di, up
-
-
 def _robin_row(dx, h):
     """Bottom row (b0, b1, b2) of the porosity solve on nodes 0-2: the
     Robin condition phi_z - phi = 0 with a second-order one-sided phi_z,
     scaled by 2*dx*h so the row stays O(1)."""
     return (-3.0 - 2.0 * dx * h, 4.0, -1.0)
-
-
-def _psi_operator(phi_c, phi_half, k_half, k_bottom, adv, h_c, params, dx, scale, out=(None,) * 4):
-    """Reactant transport operator L, half-node flux form plus advection,
-    times ``scale``.
-
-    Returns (lo, di, up, row0): interior rows as for :func:`_phi_operator`
-    and the bottom-row coefficients on nodes 0-2, whose permeabilities are
-    ``k_bottom``. The bottom flux vanishes with the Robin condition, so the
-    divergence there uses second-order one-sided nodal fluxes;
-    :func:`_solve_closed` eliminates row0[2], the entry outside the
-    tridiagonal band. ``out`` may hold lo, di, up and the scaled half-node
-    fluxes.
-    """
-    lo, di, up, g = out
-    inv = 1.0 / (h_c * dx)
-    g = np.subtract(phi_c[1:], phi_c[:-1], out=g)
-    g *= inv
-    g -= phi_half
-    g *= k_half
-    nu = 0.5 * scale * params.lam / ((1.0 - params.phi0) * h_c * dx)
-    g *= nu
-    up = np.subtract(adv, g[1:], out=up)
-    lo = np.subtract(g[:-1], adv, out=lo)
-    di = np.subtract(g[:-1], g[1:], out=di)
-
-    # the bottom row is scalar work: Python floats round exactly as numpy's
-    p0, p1, p2, p3 = phi_c[:4].tolist()
-    k0, k1, k2 = k_bottom.tolist()
-    f0 = k0 * ((-3.0 * p0 + 4.0 * p1 - p2) * inv / 2.0 - p0)
-    f1 = k1 * ((p2 - p0) * inv / 2.0 - p1)
-    f2 = k2 * ((p3 - p1) * inv / 2.0 - p2)
-    row0 = (3.0 * nu * f0, -4.0 * nu * f1, nu * f2)
-    return lo, di, up, row0
 
 
 def _apply_tridiag(lo, di, up, f, out=None, scratch=None):
@@ -329,35 +244,122 @@ def _solve_closed(bands, bottom, rhs):
     return u
 
 
-def _workspace(n):
-    """The rows a step attempt works in on n nodes, all views of one
-    (15, n + 2) block: ten sweep rows sized n + 2, n - 1, n - 2 or n, the
-    tuple of ``gtsv`` bands (dl, d, du), the tuple of their interior rows
-    (dl[:-1], d[1:-1], du[1:]), then the attempt's coefficient average and
-    :func:`_rel_change`'s row, both sized n.
+class _Column:
+    """The rows a step attempt works in on n nodes, with the grid
+    x = linspace(0, 1, n), its spacing dx and every slice a sweep reads,
+    all taken once from n alone.
+
+    The rows are views of one (15, n + 2) block: ``points`` and ``k`` of
+    n + 2, ``k_minus``, ``k_plus`` and the ``gtsv`` bands dl and du of
+    n - 1, ``adv``, ``applied`` and ``scratch`` of n - 2, and ``decay``,
+    ``keep``, ``sink``, the band d, the coefficient average ``bar`` and
+    :func:`_rel_change`'s row ``delta`` of n. ``bands`` is (dl, d, du) and
+    ``lo``, ``di``, ``up`` their interior rows dl[:-1], d[1:-1], du[1:].
+    :meth:`freeze`, :meth:`phi_operator` and :meth:`psi_operator` assemble
+    a sweep's operators into these rows from ``bar``.
 
     :func:`run_simulation` allocates one per run, which every attempt of the
     run reuses, and a direct :func:`step_predictor_corrector` call one of
-    its own. Every row is written before it is read, so a workspace carries
-    nothing from one attempt to the next, and runs never share one.
+    its own. Every row is written before it is read, and nothing in a
+    column depends on the parameters or a state, so a column carries
+    nothing from one attempt to the next; runs never share one.
     """
-    block = np.empty((15, n + 2))
-    points, k, k_minus, k_plus, dl, du, adv, applied, scratch, decay, keep, sink, d, bar, delta = (
-        *block[:2], *block[2:6, : n - 1], *block[6:9, : n - 2], *block[9:, :n]
-    )
-    return (
-        points, k, k_minus, k_plus, adv, applied, scratch, decay, keep, sink,
-        (dl, d, du), (dl[:-1], d[1:-1], du[1:]), bar, delta,
-    )
+
+    def __init__(self, n):
+        block = np.empty((15, n + 2))
+        (
+            self.points, self.k, self.k_minus, self.k_plus, dl, du, self.adv, self.applied,
+            self.scratch, self.decay, self.keep, self.sink, d, self.bar, self.delta,
+        ) = (*block[:2], *block[2:6, : n - 1], *block[6:9, : n - 2], *block[9:, :n])
+        self.x = np.linspace(0.0, 1.0, n)
+        self.x_inner = self.x[1:-1]
+        self.dx = 1.0 / (n - 1)
+        self.bands = (dl, d, du)
+        self.lo, self.di, self.up = dl[:-1], d[1:-1], du[1:]
+        self.half, self.points_bottom = self.points[:-3], self.points[-3:]
+        self.k_half, self.k_bottom = self.k[:-3], self.k[-3:]
+        self.k_minus_lo, self.k_minus_hi = self.k_minus[:-1], self.k_minus[1:]
+        self.k_plus_lo, self.k_plus_hi = self.k_plus[:-1], self.k_plus[1:]
+        self.bar_lo, self.bar_hi = self.bar[:-1], self.bar[1:]
+        self.bar_bottom, self.bar_row0 = self.bar[:3], self.bar[:4]
+        self.sink_inner = self.sink[1:-1]
+
+    def freeze(self, h_c, hdot_c, params, scale):
+        """Freeze the coefficients both operators share at ``bar``: the
+        half-node porosities ``half``, their permeabilities ``k_half``, the
+        permeabilities ``k_bottom`` at nodes 0-2 and the interior advection
+        times ``scale``, ``adv``.
+
+        The n - 1 half-node porosities and nodes 0-2 fill the row
+        ``points`` of n + 2, so one log/exp pass gives both sets of
+        permeabilities.
+        """
+        half = np.add(self.bar_lo, self.bar_hi, out=self.half)
+        half *= 0.5
+        self.points_bottom[:] = self.bar_bottom
+        permeability_factor(self.points, params, out=self.k)
+        adv = np.multiply(self.x_inner, scale * hdot_c, out=self.adv)
+        adv /= 2.0 * h_c * self.dx
+
+    def phi_operator(self, h_c, params, scale):
+        """Linearized porosity operator L on interior rows 1..N-2, times
+        ``scale``, into ``lo``, ``di`` and ``up``.
+
+        Coefficients are those :meth:`freeze` left at the same scale; the
+        boundary rows belong to the closures. Each scaled half-node
+        permeability is formed once, in ``k_minus`` and ``k_plus``, and
+        feeds the two rows it couples.
+        """
+        inv = 1.0 / (h_c * self.dx)
+        k_plus = np.multiply(self.k_half, scale * params.lam * inv, out=self.k_plus)
+        np.multiply(k_plus, inv - 0.5, out=self.k_minus)
+        k_plus *= inv + 0.5
+        np.add(self.k_minus_hi, self.adv, out=self.up)
+        np.subtract(self.k_plus_lo, self.adv, out=self.lo)
+        di = np.add(self.k_plus_hi, self.k_minus_lo, out=self.di)
+        np.negative(di, out=di)
+
+    def psi_operator(self, h_c, params, scale):
+        """Reactant transport operator L, half-node flux form plus
+        advection, times ``scale``: interior rows into ``lo``, ``di`` and
+        ``up`` as for :meth:`phi_operator`, and returns the bottom-row
+        coefficients row0 on nodes 0-2, whose permeabilities are
+        ``k_bottom``.
+
+        The scaled half-node fluxes take the ``k_minus`` row, free until the
+        porosity operator. The bottom flux vanishes with the Robin
+        condition, so the divergence there uses second-order one-sided
+        nodal fluxes; :func:`_solve_closed` eliminates row0[2], the entry
+        outside the tridiagonal band.
+        """
+        inv = 1.0 / (h_c * self.dx)
+        g = np.subtract(self.bar_hi, self.bar_lo, out=self.k_minus)
+        g *= inv
+        g -= self.half
+        g *= self.k_half
+        nu = 0.5 * scale * params.lam / ((1.0 - params.phi0) * h_c * self.dx)
+        g *= nu
+        np.subtract(self.adv, self.k_minus_hi, out=self.up)
+        np.subtract(self.k_minus_lo, self.adv, out=self.lo)
+        np.subtract(self.k_minus_lo, self.k_minus_hi, out=self.di)
+
+        # the bottom row is scalar work: Python floats round exactly as numpy's
+        p0, p1, p2, p3 = self.bar_row0.tolist()
+        k0, k1, k2 = self.k_bottom.tolist()
+        f0 = k0 * ((-3.0 * p0 + 4.0 * p1 - p2) * inv / 2.0 - p0)
+        f1 = k1 * ((p2 - p0) * inv / 2.0 - p1)
+        f2 = k2 * ((p3 - p1) * inv / 2.0 - p2)
+        return (3.0 * nu * f0, -4.0 * nu * f1, nu * f2)
 
 
-# The workspace of the run in progress on each thread: run_simulation sets
-# it and its attempts read it, so the stepper's signature stays as it is
+# The column of the run in progress on each thread: run_simulation sets it
+# and its attempts read it, so the stepper's signature stays as it is
 _run = threading.local()
 
 
-def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
-    """One trapezoidal sweep with coefficients frozen at (phi_c, h_c, hdot_c).
+def _sweep(column, phi_n, psi_n, dt, h_c, hdot_c, h_bc, params):
+    """One trapezoidal sweep with coefficients frozen at (phi_c, h_c,
+    hdot_c), phi_c being the ``bar`` row of ``column``, a :class:`_Column`.
 
     The reactant is Strang-split: the exact reaction factor over half the
     step, the trapezoidal transport solve (tridiagonal), then the factor
@@ -365,41 +367,37 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
     The porosity source is a0/beta times the reactant the two halves
     consume, per unit time, so the water released balances it exactly.
 
-    Each field's A = I - (dt/2) L is built in place in the ``gtsv`` bands
-    dl[:-1], d[1:-1] and du[1:] of ``work``, the caller's :func:`_workspace`,
-    and the interior of the explicit half (I + (dt/2) L) u is read back as
-    2u - A u. Every array is a workspace row except the solves' right-hand
-    sides, which ``gtsv`` overwrites and which are returned as (phi, psi).
+    Each field's A = I - (dt/2) L is built in place in the column's
+    ``gtsv`` band interiors, and the interior of the explicit half
+    (I + (dt/2) L) u is read back as 2u - A u. Every array is a column row
+    except the solves' right-hand sides, which ``gtsv`` overwrites and
+    which are returned as (phi, psi).
     """
     # also catches NaN coefficients, which would otherwise reach the solve
-    if not np.minimum.reduce(phi_c) > 0.0:
+    if not np.minimum.reduce(column.bar) > 0.0:
         raise StepRejected("coefficient porosity non-positive or non-finite")
-    points, k, k_minus, k_plus, adv, applied, scratch, decay, keep, sink, bands, (lo, di, up), _, _ = work
+    lo, di, up, applied, scratch = column.lo, column.di, column.up, column.applied, column.scratch
     scale = -0.5 * dt
-    half, k_half, k_bottom, adv = _frozen_coefficients(
-        phi_c, h_c, hdot_c, params, x, dx, scale, (points, k, adv)
-    )
+    column.freeze(h_c, hdot_c, params, scale)
 
-    decay = reaction_rate(np.multiply(x, h_c, out=decay), h_c, params, out=decay)
+    decay = reaction_rate(np.multiply(column.x, h_c, out=column.decay), h_c, params, out=column.decay)
     decay *= scale
+    keep = np.exp(decay, out=column.keep)
     # the reacted reactant is the transport solve's right-hand side
-    rhs = psi_n * np.exp(decay, out=keep)
-    # the transport flux takes the k_minus row, free until the phi operator
-    *_, row0 = _psi_operator(
-        phi_c, half, k_half, k_bottom, adv, h_c, params, dx, scale, (lo, di, up, k_minus)
-    )
+    rhs = psi_n * keep
+    row0 = column.psi_operator(h_c, params, scale)
     di += 1.0
-    applied = _apply_tridiag(lo, di, up, rhs, applied, scratch)
+    _apply_tridiag(lo, di, up, rhs, applied, scratch)
     s0, s1, s2 = rhs[:3].tolist()
     rhs[0] = s0 - (row0[0] * s0 + row0[1] * s1 + row0[2] * s2)
     interior = rhs[1:-1]
     interior += interior
     interior -= applied
     rhs[-1] = params.psi0
-    psi_new = _solve_closed(bands, (1.0 + row0[0], row0[1], row0[2]), rhs)
+    psi_new = _solve_closed(column.bands, (1.0 + row0[0], row0[1], row0[2]), rhs)
     # -dt times the porosity source: a0/beta times the reactant the two
     # halves consume, each the fraction -expm1(-R dt/2) of what it sees
-    sink = np.add(psi_n, psi_new, out=sink)
+    sink = np.add(psi_n, psi_new, out=column.sink)
     sink *= params.a0 / params.beta
     sink *= np.expm1(decay, out=decay)
     psi_new *= keep
@@ -410,17 +408,17 @@ def _sweep(x, dx, phi_n, psi_n, dt, phi_c, h_c, hdot_c, h_bc, params, work):
         psi_new[(psi_new < 0.0) & (psi_new > -1e-14 * params.psi0)] = 0.0
     psi_new[-1] = params.psi0
 
-    _phi_operator(k_half, adv, h_c, params, dx, scale, (lo, di, up, k_minus, k_plus))
+    column.phi_operator(h_c, params, scale)
     di += 1.0
-    applied = _apply_tridiag(lo, di, up, phi_n, applied, scratch)
+    _apply_tridiag(lo, di, up, phi_n, applied, scratch)
     # 2u - A u on the interior rows; the boundary rows are set below
     rhs = np.multiply(phi_n, 2.0)
     interior = rhs[1:-1]
     interior -= applied
-    interior -= sink[1:-1]
+    interior -= column.sink_inner
     rhs[0] = 0.0
     rhs[-1] = params.phi0
-    phi_new = _solve_closed(bands, _robin_row(dx, h_bc), rhs)
+    phi_new = _solve_closed(column.bands, _robin_row(column.dx, h_bc), rhs)
     phi_new[-1] = params.phi0
     return phi_new, psi_new
 
@@ -477,8 +475,11 @@ def step_predictor_corrector(
     phi_n, psi_n, h_n, t_n = state.phi, state.psi, state.h, state.t
     if not t_n + dt > t_n:
         raise StepRejected(f"dt = {dt:.3e} does not advance t = {t_n!r}")
-    x = _grid(phi_n.size)
-    dx = 1.0 / (phi_n.size - 1)
+    # the run's column, or one of the attempt's own
+    column = getattr(_run, "column", None)
+    if column is None or column.x.size != phi_n.size:
+        column = _Column(phi_n.size)
+    bar = column.bar
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             hdot_n = hdot(phi_n, h_n, params)
@@ -492,11 +493,6 @@ def step_predictor_corrector(
                     raise ValidationError(f"predicted phi has {phi_p.size} nodes, the state has {phi_n.size}")
                 sweeps = _CORRECTOR_SWEEPS
 
-            # the run's workspace, or one of the attempt's own
-            work = getattr(_run, "work", None)
-            if work is None or work[-1].size != phi_n.size:
-                work = _workspace(phi_n.size)
-            bar, delta = work[-2:]
             for sweep in range(sweeps):
                 if sweep:
                     # the update norm below sees only what the last sweep leaves
@@ -504,15 +500,15 @@ def step_predictor_corrector(
                         raise StepRejected("corrector left non-finite fields")
                     phi_p, psi_p, h_p = phi_c, psi_c, h_new
                 hdot_p = hdot(phi_p, h_p, params)
-                phi_bar = np.add(phi_n, phi_p, out=bar)
-                phi_bar *= 0.5
+                np.add(phi_n, phi_p, out=bar)
+                bar *= 0.5
                 h_bar = 0.5 * (h_n + h_p)
                 hdot_bar = 0.5 * (hdot_n + hdot_p)
                 h_new = h_n + dt * hdot_bar
-                phi_c, psi_c = _sweep(x, dx, phi_n, psi_n, dt, phi_bar, h_bar, hdot_bar, h_new, params, work)
+                phi_c, psi_c = _sweep(column, phi_n, psi_n, dt, h_bar, hdot_bar, h_new, params)
 
-            phi_change = _rel_change(phi_c, phi_p, delta)
-            psi_change = _rel_change(psi_c, psi_p, delta)
+            phi_change = _rel_change(phi_c, phi_p, column.delta)
+            psi_change = _rel_change(psi_c, psi_p, column.delta)
             # max() below would drop a NaN that is not its first argument
             if phi_change is None or psi_change is None:
                 raise StepRejected("corrector left non-finite fields")
@@ -524,7 +520,7 @@ def step_predictor_corrector(
             if np.minimum.reduce(psi_c) < 0.0:
                 raise StepRejected("reactant went negative")
             # the next attempt and a dh/dt sample divide by the grid spacing
-            if not h_new * dx >= sys.float_info.min:
+            if not h_new * column.dx >= sys.float_info.min:
                 raise StepRejected(f"column depth {h_new:.3e} leaves no grid spacing")
             return BasinState(t=t_n + dt, h=h_new, phi=phi_c, psi=psi_c)
     except (FloatingPointError, ZeroDivisionError) as exc:
@@ -546,10 +542,10 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
     hdot/(2 h dx) is not finite at t = 0. A sampled state has its top node
     at phi0, where the permeability factor is exp(0) = 1, so a dh/dt
     sample meets no numpy overflow. A single run is strictly
-    sequential: it allocates one :func:`_workspace`, which every step
-    attempt it makes reuses and which it drops when it returns or raises.
-    Distinct runs share no mutable state and may execute in parallel, on
-    different threads.
+    sequential: it allocates one :class:`_Column` for its node count, which
+    every step attempt it makes reuses and which it drops when it returns
+    or raises. Distinct runs share no mutable state and may execute in
+    parallel, on different threads.
     """
     state = initial_state(params, config)
     dt_cur = config.dt
@@ -568,12 +564,11 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
         raise SolverError(
             f"advection hdot/(2 h dx) is not finite at t = 0 for any dt (hdot = {samples[0][2]:.3g})"
         )
-    # the run's attempts find the workspace here, also through a wrapper of
+    # the run's attempts find the column here, also through a wrapper of
     # step_predictor_corrector; a run started inside another run's attempt
-    # hands the outer workspace back
-    outer = getattr(_run, "work", None)
-    _run.work = work = _workspace(config.n_nodes)
-    delta = work[-1]
+    # hands the outer column back
+    outer = getattr(_run, "column", None)
+    _run.column = column = _Column(config.n_nodes)
     try:
         while state.t < end:
             gap = min(len(samples) * config.output_every, config.t_end) - state.t
@@ -605,7 +600,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
                 # without any reactant
                 phi_line, h_line = line
                 estimate = max(
-                    _rel_change(stepped.phi, phi_line, delta), abs(stepped.h - h_line) / abs(stepped.h)
+                    _rel_change(stepped.phi, phi_line, column.delta), abs(stepped.h - h_line) / abs(stepped.h)
                 )
                 estimates.append(estimate)
                 # the estimate scales as dt^2: grow dt so the next one is
@@ -627,7 +622,7 @@ def run_simulation(params: BasinParams, config: RunConfig) -> TimeSeries:
             if state.t >= len(samples) * config.output_every - landing_slack:
                 samples.append((state.t, state.h, hdot(state.phi, state.h, params)))
     finally:
-        _run.work = outer
+        _run.column = outer
 
     # copied so that each field is a contiguous array
     t, h, rate = np.array(samples).T.copy()

@@ -61,11 +61,13 @@ def flux_null_defects(params, n):
     second-order scheme.
     """
     h = 1.0
-    x = np.linspace(0.0, 1.0, n)
-    dx = 1.0 / (n - 1)
+    column = pde._Column(n)
+    x, dx = column.x, column.dx
     phi = params.phi0 * np.exp((x - 1.0) * h)
-    _, k_half, _, adv = pde._frozen_coefficients(phi, h, params.sdot, params, x, dx, 1.0)
-    rates = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx, 1.0), phi)
+    column.bar[:] = phi
+    column.freeze(h, params.sdot, params, 1.0)
+    column.phi_operator(h, params, 1.0)
+    rates = pde._apply_tridiag(column.lo, column.di, column.up, phi)
     interior = float(np.max(np.abs(rates - x[1:-1] * params.sdot * phi[1:-1])))
     b0, b1, b2 = pde._robin_row(dx, h)
     robin = float(abs(b0 * phi[0] + b1 * phi[1] + b2 * phi[2])) / (2.0 * dx * h)

@@ -88,12 +88,13 @@ def transport_rates(state, params, hdot_value):
     included.
     """
     phi, h = state.phi, state.h
-    x = np.linspace(0.0, 1.0, phi.size)
-    dx = 1.0 / (x.size - 1)
-    phi_half, k_half, k_bottom, adv = pde._frozen_coefficients(phi, h, hdot_value, params, x, dx, 1.0)
-    dphi = pde._apply_tridiag(*pde._phi_operator(k_half, adv, h, params, dx, 1.0), phi)
-    lo, di, up, _row0 = pde._psi_operator(phi, phi_half, k_half, k_bottom, adv, h, params, dx, 1.0)
-    return dphi, pde._apply_tridiag(lo, di, up, state.psi)
+    column = pde._Column(phi.size)
+    column.bar[:] = phi
+    column.freeze(h, hdot_value, params, 1.0)
+    column.phi_operator(h, params, 1.0)
+    dphi = pde._apply_tridiag(column.lo, column.di, column.up, phi)
+    column.psi_operator(h, params, 1.0)
+    return dphi, pde._apply_tridiag(column.lo, column.di, column.up, state.psi)
 
 
 class TestSigmaTransformRates:
@@ -234,16 +235,11 @@ class TestStep:
     def test_sweep_guard_rejects_nonpositive_coefficients(self, params_default, bad):
         config = RunConfig(n_nodes=64, dt=5e-3, t_end=1.0, h0=0.1)
         state = initial_state(params_default, config)
-        bad_coeff = state.phi.copy()
-        bad_coeff[10] = bad
-        x = np.linspace(0.0, 1.0, config.n_nodes)
-        dx = x[1] - x[0]
+        column = pde._Column(config.n_nodes)
+        column.bar[:] = state.phi
+        column.bar[10] = bad
         with pytest.raises(StepRejected):
-            pde._sweep(
-                x, dx, state.phi, state.psi, config.dt,
-                bad_coeff, state.h, 0.0, state.h, params_default,
-                pde._workspace(config.n_nodes),
-            )
+            pde._sweep(column, state.phi, state.psi, config.dt, state.h, 0.0, state.h, params_default)
 
     @pytest.mark.parametrize(
         "row, value, message",
@@ -370,41 +366,45 @@ class TestTridiagonalElimination:
         p = replace(params_default, a0=a0)
         old, coeff = reactive_states
         x = np.linspace(0.0, 1.0, old.phi.size)
-        dx = 1.0 / (x.size - 1)
         dt = 0.02
         hdot_c = hdot(coeff.phi, coeff.h, p)
         h_c = 0.5 * (old.h + coeff.h)
         h_bc = old.h + dt * hdot_c
         assert old.psi.max() > 0.0 and old.psi.min() < 0.5 * p.psi0
-        args = (x, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, h_bc)
-        phi, psi = pde._sweep(x, dx, *args[1:], p, pde._workspace(x.size))
-        phi_ref, psi_ref = _dense_reference_sweep(*args, p)
+        column = pde._Column(x.size)
+        column.bar[:] = coeff.phi
+        phi, psi = pde._sweep(column, old.phi, old.psi, dt, h_c, hdot_c, h_bc, p)
+        phi_ref, psi_ref = _dense_reference_sweep(x, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, h_bc, p)
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
 
     @staticmethod
     def frozen_system(params, reactive_states, n):
-        """(old, coeff, x, dx, h_c, hdot_c, operators) on n nodes, the states
-        resampled linearly; ``operators(scale)`` maps "phi", "psi" and the psi
-        bottom row to what the sweep's builders give at that scale."""
-        x = np.linspace(0.0, 1.0, n)
+        """(old, coeff, column, h_c, hdot_c, operators) on n nodes, the
+        states resampled linearly and ``column`` a fresh :class:`pde._Column`
+        whose ``bar`` holds coeff.phi; ``operators(scale)`` maps "phi",
+        "psi" and the psi bottom row to copies of what the column's builders
+        give at that scale."""
+        column = pde._Column(n)
+        x = column.x
         old, coeff = (
             replace(s, phi=np.interp(x, np.linspace(0.0, 1.0, s.phi.size), s.phi),
                     psi=np.interp(x, np.linspace(0.0, 1.0, s.psi.size), s.psi))
             for s in reactive_states
         )
-        dx = 1.0 / (n - 1)
         h_c = 0.5 * (old.h + coeff.h)
         hdot_c = hdot(coeff.phi, coeff.h, params)
 
         def operators(scale):
-            coefficients = pde._frozen_coefficients(coeff.phi, h_c, hdot_c, params, x, dx, scale)
-            half, k_half, _, adv = coefficients
-            lo, di, up, row0 = pde._psi_operator(coeff.phi, *coefficients, h_c, params, dx, scale)
-            phi_bands = pde._phi_operator(k_half, adv, h_c, params, dx, scale)
-            return {"phi": phi_bands, "psi": (lo, di, up), "psi bottom": row0}
+            bands = lambda: tuple(band.copy() for band in (column.lo, column.di, column.up))
+            column.bar[:] = coeff.phi
+            column.freeze(h_c, hdot_c, params, scale)
+            row0 = column.psi_operator(h_c, params, scale)
+            psi_bands = bands()
+            column.phi_operator(h_c, params, scale)
+            return {"phi": bands(), "psi": psi_bands, "psi bottom": row0}
 
-        return old, coeff, x, dx, h_c, hdot_c, operators
+        return old, coeff, column, h_c, hdot_c, operators
 
     @pytest.mark.parametrize("n", [256, 16])
     def test_builders_are_linear_in_the_band_scale(self, params_default, reactive_states, n):
@@ -423,7 +423,7 @@ class TestTridiagonalElimination:
     def test_sweep_takes_the_explicit_half_from_its_bands(self, params_default, reactive_states, monkeypatch, n):
         # a0 = 0 leaves the phi right-hand side without a source
         p, dt = replace(params_default, a0=0.0), 0.02
-        old, coeff, x, dx, h_c, hdot_c, operators = self.frozen_system(p, reactive_states, n)
+        old, coeff, column, h_c, hdot_c, operators = self.frozen_system(p, reactive_states, n)
         unit = operators(1.0)
         systems = []
         real_solve = pde._solve_closed
@@ -434,10 +434,8 @@ class TestTridiagonalElimination:
             return real_solve(bands, bottom, rhs)
 
         monkeypatch.setattr(pde, "_solve_closed", solve)
-        pde._sweep(
-            x, dx, old.phi, old.psi, dt, coeff.phi, h_c, hdot_c, old.h + dt * hdot_c, p, pde._workspace(n)
-        )
-        reacted = old.psi * np.exp(-0.5 * dt * reaction_rate(x * h_c, h_c, p))
+        pde._sweep(column, old.phi, old.psi, dt, h_c, hdot_c, old.h + dt * hdot_c, p)
+        reacted = old.psi * np.exp(-0.5 * dt * reaction_rate(column.x * h_c, h_c, p))
         assert len(systems) == 2
         for (lo, di, up, rhs), u, field in zip(systems, (reacted, old.phi), ("psi", "phi")):
             # the interior of 2u - A u against u + (dt/2) L u: a product with
@@ -449,11 +447,11 @@ class TestTridiagonalElimination:
 
 
 def _advection_times(factor):
-    real = pde._frozen_coefficients
+    real = pde._Column.freeze
 
-    def mutated(*args):
-        *coefficients, adv = real(*args)
-        return *coefficients, factor * adv
+    def mutated(column, *args):
+        real(column, *args)
+        column.adv *= factor
 
     return mutated
 
@@ -461,16 +459,16 @@ def _advection_times(factor):
 class TestSpatialOrderGuard:
     # each mutation must break criterion 8's spatial check (order >= 1.9)
     @pytest.mark.parametrize(
-        "name, mutated",
+        "owner, name, mutated",
         [
-            ("_frozen_coefficients", _advection_times(-1.0)),
-            ("_frozen_coefficients", _advection_times(0.0)),
-            ("_robin_row", lambda dx, h: (-2.0 - 2.0 * dx * h, 2.0, 0.0)),
+            (pde._Column, "freeze", _advection_times(-1.0)),
+            (pde._Column, "freeze", _advection_times(0.0)),
+            (pde, "_robin_row", lambda dx, h: (-2.0 - 2.0 * dx * h, 2.0, 0.0)),
         ],
         ids=["advection-flipped", "advection-dropped", "first-order-robin"],
     )
-    def test_mutation_fails_criterion_8_spatial_check(self, params_default, monkeypatch, name, mutated):
-        monkeypatch.setattr(pde, name, mutated)
+    def test_mutation_fails_criterion_8_spatial_check(self, params_default, monkeypatch, owner, name, mutated):
+        monkeypatch.setattr(owner, name, mutated)
         _, orders = spatial_order_ladder(params_default)
         assert min(orders) < 1.9
 
@@ -526,6 +524,30 @@ class TestRunSimulation:
             match=r"^time step collapsed below 1\.953e-06 at t = 0: corrector update \S+ too large",
         ):
             run_simulation(params_default, config)
+
+    def test_a_subnormal_start_on_a_near_empty_column_fails_fast(self, monkeypatch):
+        # a subnormal start dt on a column 6.5e-301 deep: dt grows, then is
+        # halved until it no longer advances t, and the run stops at the
+        # dt/1024 floor after 648 attempts; the bound keeps that from growing
+        # back into the seconds of rejected attempts it once took
+        p = derive_params(
+            lam=1.95e-6, beta=286.6, m=961, phi0=0.127, psi0=0.399, a0=0.0083, zstar=1.03e7, sdot=0.00229
+        )
+        config = RunConfig(n_nodes=149, dt=7.07e-309, t_end=0.0058, output_every=3.05e-4, h0=6.5e-301)
+        real_step = pde.step_predictor_corrector
+        attempts = []
+
+        def step(state, dt, params, prediction=None):
+            attempts.append(dt)
+            return real_step(state, dt, params, prediction=prediction)
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        with pytest.raises(
+            SolverError,
+            match=r"^time step collapsed below 6\.904e-312 at t = \S+: dt = 6\.904e-312 does not advance t = ",
+        ):
+            run_simulation(p, config)
+        assert 0 < len(attempts) <= 1000
 
     def test_a_column_emptied_by_the_held_prediction_halves_dt(self):
         # without sedimentation the uniform column shrinks at dh/dt = -2, so
@@ -908,9 +930,9 @@ class TestExtrapolatedPredictor:
 
 
 class TestAttemptWorkspace:
-    """A run's step attempts assemble their sweeps in the run's one
-    workspace, an attempt outside a run in one of its own, and every attempt
-    returns fresh fields, whether it extrapolates, holds the state or is
+    """A run's step attempts assemble their sweeps in the run's one column,
+    an attempt outside a run in one of its own, and every attempt returns
+    fresh fields, whether it extrapolates, holds the state or is
     rejected."""
 
     CONFIG = TestExtrapolatedPredictor.CONFIG
@@ -1030,9 +1052,9 @@ class TestAttemptWorkspace:
             assert np.array_equal(alone.final_state.psi, together.final_state.psi)
             assert alone.stats == together.stats
 
-    def test_runs_on_more_threads_than_cores_each_keep_one_workspace(self, monkeypatch):
+    def test_runs_on_more_threads_than_cores_each_keep_one_column(self, monkeypatch):
         # four runs on two cores, switching threads often: each run's
-        # attempts see its own workspace only, and no two runs share one
+        # attempts see its own column only, and no two runs share one
         config = replace(self.CONFIG, t_end=0.1)
         runs = [derive_params(sdot=sdot) for sdot in (0.8, 0.9, 1.0, 1.1)]
         sequential = [run_simulation(p, config) for p in runs]
@@ -1041,7 +1063,7 @@ class TestAttemptWorkspace:
         start = threading.Barrier(len(runs))
 
         def step(state, dt, params, prediction=None):
-            seen.setdefault(threading.get_ident(), []).append(pde._run.work)
+            seen.setdefault(threading.get_ident(), []).append(pde._run.column)
             return real_step(state, dt, params, prediction=prediction)
 
         def run(params):
@@ -1057,8 +1079,8 @@ class TestAttemptWorkspace:
         finally:
             sys.setswitchinterval(interval)
         assert len(seen) == len(runs)
-        firsts = [works[0] for works in seen.values()]
-        assert all(all(work is works[0] for work in works) for works in seen.values())
+        firsts = [columns[0] for columns in seen.values()]
+        assert all(all(column is columns[0] for column in columns) for columns in seen.values())
         assert all(a is not b for i, a in enumerate(firsts) for b in firsts[i + 1 :])
         for alone, together in zip(sequential, concurrent):
             assert np.array_equal(alone.h, together.h)
@@ -1066,49 +1088,87 @@ class TestAttemptWorkspace:
             assert np.array_equal(alone.final_state.psi, together.final_state.psi)
 
     @staticmethod
-    def count_workspaces(monkeypatch):
-        """Count the workspaces allocated and the step attempts made."""
-        counts = {"workspaces": 0, "attempts": 0}
-        real_workspace, real_step = pde._workspace, pde.step_predictor_corrector
+    def count_columns(monkeypatch):
+        """Count the columns allocated and the step attempts made."""
+        counts = {"columns": 0, "attempts": 0}
+        real_column, real_step = pde._Column, pde.step_predictor_corrector
 
-        def workspace(n):
-            counts["workspaces"] += 1
-            return real_workspace(n)
+        def column(n):
+            counts["columns"] += 1
+            return real_column(n)
 
         def step(state, dt, params, prediction=None):
             counts["attempts"] += 1
             return real_step(state, dt, params, prediction=prediction)
 
-        monkeypatch.setattr(pde, "_workspace", workspace)
+        monkeypatch.setattr(pde, "_Column", column)
         monkeypatch.setattr(pde, "step_predictor_corrector", step)
         return counts
 
-    def test_a_run_allocates_one_workspace_and_a_direct_attempt_one_per_call(
+    def test_a_run_allocates_one_column_and_a_direct_attempt_one_per_call(
         self, params_default, monkeypatch
     ):
-        counts = self.count_workspaces(monkeypatch)
+        counts = self.count_columns(monkeypatch)
         series = run_simulation(params_default, self.CONFIG)
-        assert counts == {"workspaces": 1, "attempts": series.stats.steps_accepted}
-        assert getattr(pde._run, "work", None) is None
+        assert counts == {"columns": 1, "attempts": series.stats.steps_accepted}
+        assert getattr(pde._run, "column", None) is None
 
         state = series.final_state
         for _ in range(3):
             state = pde.step_predictor_corrector(state, self.CONFIG.dt, params_default)
-        assert counts["workspaces"] == 4
+        assert counts["columns"] == 4
 
-    def test_a_run_that_raises_drops_its_workspace(self, params_default, monkeypatch):
+    def test_a_run_that_raises_drops_its_column(self, params_default, monkeypatch):
         def rejected(state, dt, params, prediction=None):
-            assert pde._run.work[-1].size == state.phi.size
+            assert pde._run.column.x.size == state.phi.size
             raise StepRejected("synthetic rejection")
 
         monkeypatch.setattr(pde, "step_predictor_corrector", rejected)
         with pytest.raises(SolverError, match="synthetic rejection"):
             run_simulation(params_default, self.CONFIG)
-        assert getattr(pde._run, "work", None) is None
+        assert getattr(pde._run, "column", None) is None
 
-    # every row is written before it is read: a workspace filled with NaN
-    # before each attempt leaves the run bit for bit; the configs take
-    # extrapolated attempts, same-dt retakes and halved steps
+    def test_a_direct_attempt_on_the_run_column_matches_one_outside_any_run(
+        self, params_default, monkeypatch
+    ):
+        # a direct attempt with other parameters on the run's node count,
+        # made inside each of the run's attempts, works in the run's column;
+        # nothing in a column derives from the parameters, so the direct
+        # attempt returns the bytes it returns outside any run, and the run
+        # is left bit for bit
+        expected = run_simulation(params_default, self.CONFIG)
+        other = derive_params(a0=2.0, beta=30.0, m=9, zstar=0.05, sdot=1.3, lam=2.0)
+        previous, state = TestExtrapolatedPredictor.history(other)
+        # the reaction already consumes reactant in the state's column
+        assert state.psi.min() < other.psi0
+        line = pde._extrapolate(state, previous, self.CONFIG.dt)
+        alone = [step_predictor_corrector(state, self.CONFIG.dt, other, prediction=given) for given in (None, line)]
+        real_step = pde.step_predictor_corrector
+        columns, inside = [], []
+
+        def step(state_now, dt, params, prediction=None):
+            columns.append(pde._run.column)
+            for given in (None, line):
+                inside.append(real_step(state, self.CONFIG.dt, other, prediction=given))
+            return real_step(state_now, dt, params, prediction=prediction)
+
+        monkeypatch.setattr(pde, "step_predictor_corrector", step)
+        series = run_simulation(params_default, self.CONFIG)
+        assert len(columns) == series.stats.steps_accepted
+        assert all(column is columns[0] and column.x.size == state.phi.size for column in columns)
+        for i, stepped in enumerate(inside):
+            want = alone[i % 2]
+            assert (stepped.t, stepped.h) == (want.t, want.h)
+            assert stepped.phi.tobytes() == want.phi.tobytes()
+            assert stepped.psi.tobytes() == want.psi.tobytes()
+        for name in ("t", "h", "hdot"):
+            assert getattr(series, name).tobytes() == getattr(expected, name).tobytes()
+        assert series.final_state.phi.tobytes() == expected.final_state.phi.tobytes()
+        assert series.final_state.psi.tobytes() == expected.final_state.psi.tobytes()
+
+    # every row is written before it is read: a column whose block is filled
+    # with NaN before each attempt leaves the run bit for bit; the configs
+    # take extrapolated attempts, same-dt retakes and halved steps
     @pytest.mark.parametrize(
         "config",
         [
@@ -1118,31 +1178,31 @@ class TestAttemptWorkspace:
         ],
         ids=["small", "retakes", "oversized"],
     )
-    def test_a_workspace_poisoned_before_each_attempt_changes_nothing(self, params_default, config):
+    def test_a_column_poisoned_before_each_attempt_changes_nothing(self, params_default, config):
         expected = run_simulation(params_default, config)
         real_step = pde.step_predictor_corrector
         seen = []
 
         def poisoned(state, dt, params, prediction=None):
-            work = pde._run.work
-            seen.append(work)
-            work[0].base.fill(np.nan)
+            column = pde._run.column
+            seen.append(column)
+            column.points.base.fill(np.nan)
             return real_step(state, dt, params, prediction=prediction)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pde, "step_predictor_corrector", poisoned)
             series = run_simulation(params_default, config)
         assert len(seen) >= series.stats.steps_accepted + series.stats.steps_rejected
-        assert all(work is seen[0] for work in seen)
+        assert all(column is seen[0] for column in seen)
         for name in ("t", "h", "hdot"):
             assert getattr(series, name).tobytes() == getattr(expected, name).tobytes()
         assert series.final_state.phi.tobytes() == expected.final_state.phi.tobytes()
         assert series.final_state.psi.tobytes() == expected.final_state.psi.tobytes()
         assert series.stats == expected.stats
 
-    def test_a_run_inside_an_attempt_hands_the_workspace_back(self, params_default, monkeypatch):
+    def test_a_run_inside_an_attempt_hands_the_column_back(self, params_default, monkeypatch):
         # a run started by an attempt of another run on the same thread
-        # works in a workspace of its own and restores the outer run's, and
+        # works in a column of its own and restores the outer run's, and
         # an attempt on another node count inside a run allocates its own
         expected = run_simulation(params_default, self.CONFIG)
         inner_config = replace(self.CONFIG, n_nodes=32, t_end=0.05)
@@ -1153,13 +1213,13 @@ class TestAttemptWorkspace:
         inner = []
 
         def step(state, dt, params, prediction=None):
-            outer = pde._run.work
+            outer = pde._run.column
             if not inner:
                 monkeypatch.setattr(pde, "step_predictor_corrector", real_step)
                 inner.append(run_simulation(params, inner_config))
                 inner.append(real_step(small, inner_config.dt, params))
                 monkeypatch.setattr(pde, "step_predictor_corrector", step)
-            assert pde._run.work is outer
+            assert pde._run.column is outer
             return real_step(state, dt, params, prediction=prediction)
 
         monkeypatch.setattr(pde, "step_predictor_corrector", step)
